@@ -20,7 +20,7 @@ import numpy as np
 
 from . import difficulty, scheduler, uncertainty
 from .datagen import Dataset, load_dataset
-from .model import MlpModel
+from .model import LOSSES, MlpModel
 from . import kernels
 
 SCHEDULERS = ("random", "mixed", "anti_mixed", "sp_hard", "sp_linear", "ohem")
@@ -128,8 +128,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# ExperimentConfig fields the shared SGD step depends on: runs that differ in
+# one of them cannot step together.
+LOCKSTEP_FIELDS = (
+    "batch_size",
+    "hidden_dim",
+    "activation",
+    "head",
+    "loss_kind",
+    "lr",
+    "total_epochs",
+)
+TIMINGS_HEADER = ["epoch", "wall_time_s", "plan_s", "train_s", "runs_in_step"]
+_PARAMS = ("W1", "b1", "W2", "b2")
+
+
 class _Run:
-    """Single training run; owns the model, score caches, and output files."""
+    """Single training run; owns the model, score caches, and output files.
+
+    `_train` drives the epochs: the run builds its plan (`plan_epoch`), one
+    shared SGD step advances it, and it records its metrics row
+    (`record_epoch`).  Rows are buffered and written by `write_logs`, so a
+    run holds no file open between epochs.
+    """
 
     def __init__(self, cfg: ExperimentConfig, dataset: Dataset, outdir: Path):
         self.cfg = cfg
@@ -147,6 +168,7 @@ class _Run:
             head=cfg.head,
             seed=cfg.seed,
         )
+        self.loss_code = LOSSES[cfg.loss_kind]
         self.sp_cfg = scheduler.SpConfig(
             regularizer="hard" if cfg.scheduler == "sp_hard" else cfg.sp_regularizer,
             lambda0=cfg.sp_lambda0,
@@ -155,9 +177,13 @@ class _Run:
         self.u_cfg = uncertainty.UncertaintyConfig(G=cfg.G, gamma=cfg.gamma, seed=cfg.seed)
         self.weights = np.ones(len(dataset))
         self.plan: Optional[scheduler.BatchPlan] = None
+        self.order: Optional[np.ndarray] = None
+        self.plan_s = 0.0
         self.d_by_id: Optional[Dict[int, int]] = None
         self.last_mean_uncertainty: Optional[float] = None
-        self.epoch_losses: List[float] = []
+        self.metrics_rows: List[list] = []
+        self.timing_rows: List[list] = []
+        cfg.write_resolved(outdir / "config_resolved.txt")
 
     def _epoch_rng(self, epoch: int) -> np.random.Generator:
         return np.random.default_rng([self.cfg.seed, 1, epoch])
@@ -237,18 +263,6 @@ class _Run:
             self.outdir / f"scores_epoch{epoch}.json", losses, uncertainties
         )
 
-    def _train_epoch(self, plan: scheduler.BatchPlan) -> float:
-        order = np.asarray(
-            [self.row_of_id[i] for i in plan.flat_order()], dtype=np.int64
-        )
-        m = self.model
-        losses = kernels.sgd_epoch(
-            m.W1, m.b1, m.W2, m.b2,
-            self.X, self.labels, order, plan.batch_size, self.weights, self.cfg.lr,
-            m._act, m._head, {"mse": 0, "ce": 1}[self.cfg.loss_kind],
-        )
-        return float(np.mean(losses))
-
     def _recalls(self):
         _, _, Y = self.model.forward_batch(self.X)
         if self.cfg.head == "sigmoid":
@@ -263,58 +277,134 @@ class _Run:
             )
         return recalls
 
-    def execute(self) -> Path:
-        cfg = self.cfg
-        metrics_path = self.outdir / "metrics.csv"
-        timings_path = self.outdir / "timings.csv"
-        cfg.write_resolved(self.outdir / "config_resolved.txt")
-        with open(metrics_path, "w", newline="") as mfh, open(
-            timings_path, "w", newline=""
-        ) as tfh:
-            mw = csv.writer(mfh)
-            tw = csv.writer(tfh)
-            mw.writerow(METRICS_HEADER)
-            tw.writerow(["epoch", "wall_time_s"])
-            for epoch in range(cfg.total_epochs):
-                t0 = time.perf_counter()
-                self.plan = self._build_plan(epoch)
-                mean_loss = self._train_epoch(self.plan)
-                if not np.isfinite(mean_loss):
-                    raise RuntimeError(
-                        f"non-finite mean loss {mean_loss} at epoch {epoch}; "
-                        "reduce lr or inspect the dataset"
-                    )
-                self.epoch_losses.append(mean_loss)
-                recalls = self._recalls()
-                spread = (
-                    scheduler.d_sum_spread(self.plan, self.d_by_id)
-                    if self.d_by_id is not None
-                    else None
-                )
-                mw.writerow(
-                    [
-                        epoch,
-                        _fmt(mean_loss),
-                        _fmt(recalls[0]),
-                        _fmt(recalls[1]),
-                        _fmt(recalls[self.dataset.minority_label]),
-                        _fmt(self.last_mean_uncertainty),
-                        _fmt(spread),
-                    ]
-                )
-                tw.writerow([epoch, f"{time.perf_counter() - t0:.6f}"])
-        self.model.save(self.outdir / "checkpoint.json")
-        return self.outdir
+    def plan_epoch(self, epoch: int) -> None:
+        """Score if due, build this epoch's plan and its visiting order."""
+        t0 = time.perf_counter()
+        self.plan = self._build_plan(epoch)
+        self.order = np.asarray(
+            [self.row_of_id[i] for i in self.plan.flat_order()], dtype=np.int64
+        )
+        self.plan_s = time.perf_counter() - t0
+
+    def record_epoch(self, epoch: int, visit_losses: np.ndarray) -> None:
+        """Metrics row after this epoch's SGD step."""
+        mean_loss = float(np.mean(visit_losses))
+        if not np.isfinite(mean_loss):
+            raise RuntimeError(
+                f"non-finite mean loss {mean_loss} at epoch {epoch}; "
+                "reduce lr or inspect the dataset"
+            )
+        recalls = self._recalls()
+        spread = (
+            scheduler.d_sum_spread(self.plan, self.d_by_id)
+            if self.d_by_id is not None
+            else None
+        )
+        self.metrics_rows.append(
+            [
+                epoch,
+                _fmt(mean_loss),
+                _fmt(recalls[0]),
+                _fmt(recalls[1]),
+                _fmt(recalls[self.dataset.minority_label]),
+                _fmt(self.last_mean_uncertainty),
+                _fmt(spread),
+            ]
+        )
+
+    def write_logs(self) -> None:
+        for name, header, rows in (
+            ("metrics.csv", METRICS_HEADER, self.metrics_rows),
+            ("timings.csv", TIMINGS_HEADER, self.timing_rows),
+        ):
+            with open(self.outdir / name, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+
+
+def _bind(runs: List[_Run]):
+    """Stack the runs' parameters and loss weights on a leading run axis and
+    point each run's arrays at its row, so one step updates them all."""
+    params = [np.stack([getattr(r.model, name) for r in runs]) for name in _PARAMS]
+    weights = np.stack([r.weights for r in runs])
+    for s, r in enumerate(runs):
+        for name, stack in zip(_PARAMS, params):
+            setattr(r.model, name, stack[s])
+        r.weights = weights[s]
+    return params, weights
+
+
+def _train(runs: List[_Run]) -> Dict[_Run, Exception]:
+    """Train runs that share the dataset and every LOCKSTEP_FIELDS value in
+    lockstep; returns the exception of each run that failed.
+
+    A run that raises leaves the stack with its error and its logs so far;
+    the others go on unchanged, since the stacked step is exact per run.
+    """
+    first = runs[0]
+    cfg = first.cfg
+    failed: Dict[_Run, Exception] = {}
+    live = list(runs)
+    stacked: List[_Run] = []
+
+    def each(step):
+        for run in list(live):
+            try:
+                step(run)
+            except Exception as exc:  # noqa: BLE001 - cell failures are recorded
+                failed[run] = exc
+                live.remove(run)
+
+    try:
+        for epoch in range(cfg.total_epochs):
+            t0 = time.perf_counter()
+            each(lambda run: run.plan_epoch(epoch))
+            if not live:
+                break
+            if stacked != live:
+                (W1, b1, W2, b2), weights = _bind(live)
+                stacked = list(live)
+            t1 = time.perf_counter()
+            visit_losses = kernels.sgd_epochs(
+                W1, b1, W2, b2, first.X, first.labels,
+                [run.order for run in stacked], cfg.batch_size, weights, cfg.lr,
+                first.model._act, first.model._head, first.loss_code,
+            )
+            train_s = time.perf_counter() - t1
+            by_run = dict(zip(stacked, visit_losses))
+            each(lambda run: run.record_epoch(epoch, by_run[run]))
+            wall = time.perf_counter() - t0
+            # 10 us resolution keeps the timing logs small next to the scores
+            for run in live:
+                run.timing_rows.append([
+                    epoch, f"{wall:.5f}", f"{run.plan_s:.5f}", f"{train_s:.5f}", len(stacked)
+                ])
+        each(lambda run: run.model.save(run.outdir / "checkpoint.json"))
+    finally:
+        for run in runs:
+            run.write_logs()
+    return failed
+
+
+def _load(path: str) -> Dataset:
+    sidecar = Path(path).with_suffix(".json")
+    return load_dataset(path, sidecar if sidecar.exists() else None)
+
+
+def _start(cfg: ExperimentConfig, dataset: Dataset) -> _Run:
+    outdir = resolve_outdir(cfg.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return _Run(cfg, dataset, outdir)
 
 
 def run(cfg: ExperimentConfig, dataset: Optional[Dataset] = None) -> Path:
     """Execute one training run; returns the run directory."""
-    if dataset is None:
-        sidecar = Path(cfg.dataset).with_suffix(".json")
-        dataset = load_dataset(cfg.dataset, sidecar if sidecar.exists() else None)
-    outdir = resolve_outdir(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return _Run(cfg, dataset, outdir).execute()
+    one = _start(cfg, dataset if dataset is not None else _load(cfg.dataset))
+    exc = _train([one]).get(one)
+    if exc is not None:
+        raise exc
+    return one.outdir
 
 
 def resolve_outdir(outdir: str) -> Path:
@@ -343,23 +433,43 @@ def compare(
 ) -> Dict:
     """Run the config x seed grid and summarize final minority recall and
     loss per config (mean and spread over seeds), plus per-seed win counts
-    of every config against the first one."""
+    of every config against the first one.
+
+    Cells that share the dataset and every LOCKSTEP_FIELDS value train in
+    lockstep, one SGD step for all of them per epoch; each cell's outputs
+    are byte-identical to a solo `run` of it."""
     if len(configs) < 2:
         raise ValueError("compare needs at least 2 configs")
     if labels is None:
         labels = [c.scheduler for c in configs]
-    cells: Dict[str, Dict[int, Optional[Dict[str, float]]]] = {}
+    cells: Dict[str, Dict[int, Optional[Dict[str, float]]]] = {l: {} for l in labels}
+    loaded: Dict[str, Dataset] = {}
+    started = []
+    groups: Dict[tuple, List[_Run]] = {}
     for label, cfg in zip(labels, configs):
-        cells[label] = {}
         for seed in seeds:
             variant = replace(
                 cfg, seed=seed, outdir=str(Path(cfg.outdir or "compare") / f"{label}_seed{seed}")
             )
             try:
-                run_dir = run(variant, dataset=dataset)
-                cells[label][seed] = final_metrics(run_dir)
+                ds = dataset if dataset is not None else loaded.get(variant.dataset)
+                if ds is None:
+                    ds = loaded[variant.dataset] = _load(variant.dataset)
+                one = _start(variant, ds)
             except Exception as exc:  # noqa: BLE001 - cell failures are recorded
                 cells[label][seed] = {"error": str(exc)}
+                continue
+            started.append((label, seed, one))
+            key = (id(ds),) + tuple(getattr(variant, f) for f in LOCKSTEP_FIELDS)
+            groups.setdefault(key, []).append(one)
+    failed: Dict[_Run, Exception] = {}
+    for group in groups.values():
+        failed.update(_train(group))
+    for label, seed, one in started:
+        exc = failed.get(one)
+        cells[label][seed] = (
+            {"error": str(exc)} if exc is not None else final_metrics(one.outdir)
+        )
     summary = {"seeds": seeds, "configs": {}, "wins_vs_baseline": {}}
     baseline = labels[0]
     for label in labels:

@@ -1,12 +1,7 @@
-"""Hot numeric kernels: one epoch of per-sample SGD and the G-perturbation
-prediction averaging loop.
+"""Hot numeric kernels: mini-batch SGD epochs over a stack of runs and the
+G-perturbation prediction averaging.
 
-Both kernels exist twice: a numba ``@njit`` loop version and a vectorized
-pure-numpy fallback.  Set ``MOSCL_DISABLE_NUMBA=1`` to force the numpy path
-(the numba path is used by default when numba imports cleanly).  The two
-paths are numerically equivalent up to float summation order.
-
-Integer codes keep the kernels nopython-friendly:
+Integer codes select the model's pieces:
   activation: 0 = tanh, 1 = relu
   head:       0 = sigmoid (out_dim 1), 1 = softmax
   loss:       0 = mse, 1 = ce
@@ -14,239 +9,15 @@ Integer codes keep the kernels nopython-friendly:
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
 ACT_TANH, ACT_RELU = 0, 1
 HEAD_SIGMOID, HEAD_SOFTMAX = 0, 1
 LOSS_MSE, LOSS_CE = 0, 1
 
-_DISABLE = os.environ.get("MOSCL_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
-
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):  # no-op decorator for the fallback path
-        if args and callable(args[0]):
-            return args[0]
-        return lambda fn: fn
-
 
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numba loop kernels (also valid python, but only compiled when numba is on)
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _forward_one(W1, b1, W2, b2, x, t, act, head, f_out, z_out, y_out):
-    H, d = W1.shape
-    C = W2.shape[0]
-    for h in range(H):
-        s = b1[h]
-        for j in range(d):
-            s += W1[h, j] * x[j]
-        if act == 0:
-            v = math.tanh(s)
-        else:
-            v = s if s > 0.0 else 0.0
-        f_out[h] = v * (1.0 + t[h])
-    for c in range(C):
-        s = b2[c]
-        for h in range(H):
-            s += W2[c, h] * f_out[h]
-        z_out[c] = s
-    if head == 0:
-        z = z_out[0]
-        if z >= 0.0:
-            y_out[0] = 1.0 / (1.0 + math.exp(-z))
-        else:
-            ez = math.exp(z)
-            y_out[0] = ez / (1.0 + ez)
-    else:
-        m = z_out[0]
-        for c in range(1, C):
-            if z_out[c] > m:
-                m = z_out[c]
-        tot = 0.0
-        for c in range(C):
-            y_out[c] = math.exp(z_out[c] - m)
-            tot += y_out[c]
-        for c in range(C):
-            y_out[c] /= tot
-
-
-@njit(cache=True)
-def _loss_one(y_hat, label, head, lossk):
-    if head == 0:
-        p = y_hat[0]
-        if lossk == 0:
-            return (p - label) ** 2
-        if label == 1:
-            return -math.log(p)
-        return -math.log(1.0 - p)
-    C = y_hat.shape[0]
-    if lossk == 0:
-        s = 0.0
-        for c in range(C):
-            tgt = 1.0 if c == label else 0.0
-            s += (y_hat[c] - tgt) ** 2
-        return s
-    return -math.log(y_hat[label])
-
-
-@njit(cache=True)
-def _dloss_dz(y_hat, label, head, lossk, dz_out):
-    C = y_hat.shape[0]
-    if head == 0:
-        p = y_hat[0]
-        if lossk == 0:
-            dz_out[0] = 2.0 * (p - label) * p * (1.0 - p)
-        else:
-            dz_out[0] = p - label
-        return
-    if lossk == 1:
-        for c in range(C):
-            dz_out[c] = y_hat[c] - (1.0 if c == label else 0.0)
-        return
-    dot = 0.0
-    for c in range(C):
-        g = 2.0 * (y_hat[c] - (1.0 if c == label else 0.0))
-        dz_out[c] = g
-        dot += g * y_hat[c]
-    for c in range(C):
-        dz_out[c] = y_hat[c] * (dz_out[c] - dot)
-
-
-@njit(cache=True)
-def _sgd_epoch_nb(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, head, lossk):
-    M = order.shape[0]
-    H, d = W1.shape
-    C = W2.shape[0]
-    losses = np.empty(M)
-    fraw = np.empty(H)
-    fpre = np.empty(H)
-    z = np.empty(C)
-    y = np.empty(C)
-    dz = np.empty(C)
-    gW1 = np.zeros((H, d))
-    gb1 = np.zeros(H)
-    gW2 = np.zeros((C, H))
-    gb2 = np.zeros(C)
-    pos = 0
-    while pos < M:
-        end = min(pos + bsz, M)
-        n = end - pos
-        gW1[:, :] = 0.0
-        gb1[:] = 0.0
-        gW2[:, :] = 0.0
-        gb2[:] = 0.0
-        for k in range(pos, end):
-            i = order[k]
-            x = X[i]
-            lab = labels[i]
-            # forward, keeping pre-activation for the backward pass
-            for h in range(H):
-                s = b1[h]
-                for j in range(d):
-                    s += W1[h, j] * x[j]
-                fpre[h] = s
-                if act == 0:
-                    fraw[h] = math.tanh(s)
-                else:
-                    fraw[h] = s if s > 0.0 else 0.0
-            for c in range(C):
-                s = b2[c]
-                for h in range(H):
-                    s += W2[c, h] * fraw[h]
-                z[c] = s
-            if head == 0:
-                if z[0] >= 0.0:
-                    y[0] = 1.0 / (1.0 + math.exp(-z[0]))
-                else:
-                    ez = math.exp(z[0])
-                    y[0] = ez / (1.0 + ez)
-            else:
-                m = z[0]
-                for c in range(1, C):
-                    if z[c] > m:
-                        m = z[c]
-                tot = 0.0
-                for c in range(C):
-                    y[c] = math.exp(z[c] - m)
-                    tot += y[c]
-                for c in range(C):
-                    y[c] /= tot
-            losses[k] = _loss_one(y, lab, head, lossk)
-            _dloss_dz(y, lab, head, lossk, dz)
-            w = weights[i]
-            for c in range(C):
-                dzc = dz[c] * w
-                gb2[c] += dzc
-                for h in range(H):
-                    gW2[c, h] += dzc * fraw[h]
-            for h in range(H):
-                df = 0.0
-                for c in range(C):
-                    df += W2[c, h] * dz[c]
-                if act == 0:
-                    df *= 1.0 - fraw[h] * fraw[h]
-                else:
-                    df = df if fpre[h] > 0.0 else 0.0
-                df *= w
-                gb1[h] += df
-                for j in range(d):
-                    gW1[h, j] += df * x[j]
-        scale = lr / n
-        for h in range(H):
-            b1[h] -= scale * gb1[h]
-            for j in range(d):
-                W1[h, j] -= scale * gW1[h, j]
-        for c in range(C):
-            b2[c] -= scale * gb2[c]
-            for h in range(H):
-                W2[c, h] -= scale * gW2[c, h]
-        pos = end
-    return losses
-
-
-@njit(cache=True)
-def _mean_perturbed_nb(W1, b1, W2, b2, X, T, act, head):
-    N = X.shape[0]
-    G = T.shape[1]
-    H = W1.shape[0]
-    C = W2.shape[0]
-    out = np.zeros((N, C))
-    f = np.empty(H)
-    z = np.empty(C)
-    y = np.empty(C)
-    for i in range(N):
-        for g in range(G):
-            _forward_one(W1, b1, W2, b2, X[i], T[i, g], act, head, f, z, y)
-            for c in range(C):
-                out[i, c] += y[c]
-        for c in range(C):
-            out[i, c] /= G
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
+    return "numpy"
 
 
 def _activate(fpre, act):
@@ -273,92 +44,120 @@ def forward_batch(W1, b1, W2, b2, X, act, head):
     return F, Z, _head_np(Z, head)
 
 
+def _onehot(labels, Y_hat):
+    onehot = np.zeros_like(Y_hat)
+    np.put_along_axis(onehot, labels[..., None].astype(np.intp), 1.0, axis=-1)
+    return onehot
+
+
 def loss_batch(Y_hat, labels, head, lossk):
-    """Per-sample losses from batched predictions."""
-    n = labels.shape[0]
+    """Per-sample losses from predictions ``Y_hat`` (..., C) and integer
+    ``labels`` (...)."""
     if head == HEAD_SIGMOID:
-        p = Y_hat[:, 0]
+        p = Y_hat[..., 0]
         if lossk == LOSS_MSE:
             return (p - labels) ** 2
         return np.where(labels == 1, -np.log(p), -np.log(1.0 - p))
-    onehot = np.zeros_like(Y_hat)
-    onehot[np.arange(n), labels.astype(np.intp)] = 1.0
     if lossk == LOSS_MSE:
-        return ((Y_hat - onehot) ** 2).sum(axis=1)
-    return -np.log(Y_hat[np.arange(n), labels.astype(np.intp)])
+        return ((Y_hat - _onehot(labels, Y_hat)) ** 2).sum(axis=-1)
+    idx = labels[..., None].astype(np.intp)
+    return -np.log(np.take_along_axis(Y_hat, idx, axis=-1)[..., 0])
 
 
 def _dloss_dz_np(Y_hat, labels, head, lossk):
-    n = labels.shape[0]
+    """dL/dz per sample, shaped like ``Y_hat`` (..., C)."""
     if head == HEAD_SIGMOID:
-        p = Y_hat[:, 0]
+        p = Y_hat[..., 0]
         if lossk == LOSS_MSE:
             dz = 2.0 * (p - labels) * p * (1.0 - p)
         else:
             dz = p - labels
-        return dz[:, None]
-    onehot = np.zeros_like(Y_hat)
-    onehot[np.arange(n), labels.astype(np.intp)] = 1.0
+        return dz[..., None]
+    onehot = _onehot(labels, Y_hat)
     if lossk == LOSS_CE:
         return Y_hat - onehot
     g = 2.0 * (Y_hat - onehot)
-    return Y_hat * (g - (g * Y_hat).sum(axis=1, keepdims=True))
+    return Y_hat * (g - (g * Y_hat).sum(axis=-1, keepdims=True))
 
 
-def _sgd_epoch_np(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, head, lossk):
-    M = order.shape[0]
-    losses = np.empty(M)
-    for pos in range(0, M, bsz):
-        idx = order[pos : pos + bsz]
-        n = idx.shape[0]
-        Xb = X[idx]
-        lab = labels[idx]
-        Fpre = Xb @ W1.T + b1
-        F = _activate(Fpre, act)
-        Z = F @ W2.T + b2
-        Y = _head_np(Z, head)
-        losses[pos : pos + n] = loss_batch(Y, lab, head, lossk)
-        dz = _dloss_dz_np(Y, lab, head, lossk) * weights[idx][:, None]
-        dF = dz @ W2
-        if act == ACT_TANH:
-            dFpre = dF * (1.0 - F * F)
-        else:
-            dFpre = np.where(Fpre > 0.0, dF, 0.0)
-        scale = lr / n
-        W2 -= scale * (dz.T @ F)
-        b2 -= scale * dz.sum(axis=0)
-        W1 -= scale * (dFpre.T @ Xb)
-        b1 -= scale * dFpre.sum(axis=0)
+def _sgd_step(W1, b1, W2, b2, Xb, lab, wb, scale, act, head, lossk):
+    """One mini-batch update of S stacked runs, in place on the parameter
+    arrays.  ``Xb`` is (S, n, d), ``lab`` and ``wb`` are (S, n); ``scale`` is
+    lr / n.  Returns the (S, n) raw losses."""
+    Fpre = Xb @ W1.transpose(0, 2, 1) + b1[:, None, :]
+    F = _activate(Fpre, act)
+    Z = F @ W2.transpose(0, 2, 1) + b2[:, None, :]
+    Y = _head_np(Z, head)
+    losses = loss_batch(Y, lab, head, lossk)
+    dz = _dloss_dz_np(Y, lab, head, lossk) * wb[..., None]
+    dF = dz @ W2
+    if act == ACT_TANH:
+        dFpre = dF * (1.0 - F * F)
+    else:
+        dFpre = np.where(Fpre > 0.0, dF, 0.0)
+    W2 -= scale * (dz.transpose(0, 2, 1) @ F)
+    b2 -= scale * dz.sum(axis=1)
+    W1 -= scale * (dFpre.transpose(0, 2, 1) @ Xb)
+    b1 -= scale * dFpre.sum(axis=1)
     return losses
 
 
-def _mean_perturbed_np(W1, b1, W2, b2, X, T, act, head):
-    Fpre = X @ W1.T + b1
-    F = _activate(Fpre, act)
-    Fp = F[:, None, :] * (1.0 + T)  # (N, G, H)
-    Z = Fp @ W2.T + b2
-    return _head_np(Z, head).mean(axis=1)
+def sgd_epochs(W1, b1, W2, b2, X, labels, orders, bsz, weights, lr, act, head, lossk):
+    """Run one epoch of mini-batch SGD for each of S runs at once, in place.
 
-
-# ---------------------------------------------------------------------------
-# public dispatch
-# ---------------------------------------------------------------------------
+    Parameters are stacked on a leading run axis: ``W1`` (S, H, d), ``b1``
+    (S, H), ``W2`` (S, C, H), ``b2`` (S, C).  ``orders[s]`` is run s's
+    flattened visiting sequence of rows of ``X`` (it may contain repeats,
+    e.g. OHEM, and lengths may differ); it is chunked into batches of
+    ``bsz`` with a short final batch.  ``weights`` (S, N) are per-run loss
+    multipliers applied to gradients only.  Every run's arithmetic is
+    exactly that of stepping it alone.  Returns each run's raw (unweighted)
+    loss at each visit.
+    """
+    S = len(orders)
+    lengths = np.array([len(o) for o in orders], dtype=np.int64)
+    M = int(lengths.max())
+    O = np.zeros((S, M), dtype=np.int64)
+    for s, order in enumerate(orders):
+        O[s, : len(order)] = order
+    # Each run's visits in order: inputs, labels and loss weights.
+    XO, LO, WO = X[O], labels[O], np.take_along_axis(weights, O, axis=1)
+    L = np.empty((S, M))
+    # Batches every run fills: the whole stack steps in place.
+    full = int(lengths.min()) // bsz * bsz
+    for pos in range(0, full, bsz):
+        at = slice(pos, pos + bsz)
+        L[:, at] = _sgd_step(
+            W1, b1, W2, b2, XO[:, at], LO[:, at], WO[:, at], lr / bsz, act, head, lossk
+        )
+    # Ragged tails: runs with equal batch sizes step together on row subsets.
+    for pos in range(full, M, bsz):
+        n = np.minimum(lengths - pos, bsz)
+        for k in np.unique(n[n > 0]).tolist():
+            sub, at = np.flatnonzero(n == k), slice(pos, pos + k)
+            params = [W1[sub], b1[sub], W2[sub], b2[sub]]
+            L[sub, at] = _sgd_step(
+                *params, XO[sub, at], LO[sub, at], WO[sub, at], lr / k, act, head, lossk
+            )
+            W1[sub], b1[sub], W2[sub], b2[sub] = params
+    return [L[s, :m] for s, m in enumerate(lengths)]
 
 
 def sgd_epoch(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, head, lossk):
-    """Run one epoch of mini-batch SGD following ``order``, in place.
-
-    ``order`` is the flattened visiting sequence (may contain repeats, e.g.
-    OHEM); it is chunked into batches of ``bsz`` with a short final batch.
-    ``weights`` are per-sample loss multipliers applied to gradients only.
-    Returns the raw (unweighted) loss at each visit.
-    """
-    impl = _sgd_epoch_nb if NUMBA_ENABLED else _sgd_epoch_np
-    return impl(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, head, lossk)
+    """One run's epoch of mini-batch SGD following ``order``, in place:
+    ``sgd_epochs`` with S=1.  Returns the raw (unweighted) loss at each
+    visit."""
+    return sgd_epochs(
+        W1[None], b1[None], W2[None], b2[None], X, labels, [order], bsz,
+        weights[None], lr, act, head, lossk,
+    )[0]
 
 
 def mean_perturbed_predictions(W1, b1, W2, b2, X, T, act, head):
     """Average prediction per sample under the (N, G, hidden) multiplicative
     perturbation tensor ``T``."""
-    impl = _mean_perturbed_nb if NUMBA_ENABLED else _mean_perturbed_np
-    return impl(W1, b1, W2, b2, X, T, act, head)
+    Fpre = X @ W1.T + b1
+    F = _activate(Fpre, act)
+    Fp = F[:, None, :] * (1.0 + T)  # (N, G, H)
+    Z = Fp @ W2.T + b2
+    return _head_np(Z, head).mean(axis=1)

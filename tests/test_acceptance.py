@@ -276,18 +276,21 @@ def scheduler_sweep(tmp_path_factory):
                 seed=seed,
             )
         )
-        for sched in finals:
-            cfg = ExperimentConfig(
+        # one lockstep compare per seed: its cells are bitwise-equal to solo runs
+        configs = [
+            ExperimentConfig(
                 scheduler=sched,
                 lr=0.3,
                 sp_lambda0=0.15,
-                seed=seed,
-                outdir=str(root / f"{sched}_{seed}"),
+                outdir=str(root),
             )
-            run_dir = experiment.run(cfg, dataset=ds)
-            finals[sched][seed] = experiment.final_metrics(run_dir)[
-                "minority_recall"
-            ]
+            for sched in finals
+        ]
+        summary = experiment.compare(configs, [seed], dataset=ds)
+        for sched in finals:
+            finals[sched][seed] = summary["configs"][sched][
+                "per_seed_minority_recall"
+            ][str(seed)]
     return root, finals
 
 
