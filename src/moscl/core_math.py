@@ -9,6 +9,9 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+from scipy.special import entr
+
 __all__ = [
     "entropy",
     "sigmoid",
@@ -24,8 +27,9 @@ LOSS_KINDS = ("mse", "ce")
 ENTROPY_MODES = ("paper", "binary")
 
 
-def entropy(p: float, mode: str = "paper") -> float:
-    """Entropy score of a probability.
+def entropy(p, mode: str = "paper"):
+    """Entropy score of a probability, or elementwise of an array of them
+    (a float in, a float out; an array in, an array of its shape out).
 
     mode="paper" is H(p) = -p*ln(p) with H(0) = 0 by the limit convention.
     mode="binary" is the symmetric binary entropy -p*ln(p) - (1-p)*ln(1-p),
@@ -33,13 +37,15 @@ def entropy(p: float, mode: str = "paper") -> float:
     """
     if mode not in ENTROPY_MODES:
         raise ValueError(f"unknown entropy mode {mode!r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    h = 0.0 if p == 0.0 else -p * math.log(p)
+    a = np.asarray(p, dtype=np.float64)
+    ok = (a >= 0.0) & (a <= 1.0)
+    if not ok.all():
+        raise ValueError(f"probability {a[~ok][0]} outside [0, 1]")
+    # entr(x) = -x*ln(x) with entr(0) = 0
+    h = entr(a)
     if mode == "binary":
-        q = 1.0 - p
-        h += 0.0 if q == 0.0 else -q * math.log(q)
-    return h
+        h += entr(1.0 - a)
+    return float(h) if h.ndim == 0 else h
 
 
 def sigmoid(z: float) -> float:

@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 QUADRANTS = ("HH", "LH", "LL", "HL")
 
 
@@ -28,11 +30,13 @@ def rank_descending(values: Sequence[float], ids: Sequence[int]) -> Dict[int, in
         raise ValueError("cannot rank an empty list")
     if len(values) != len(ids):
         raise ValueError("values and ids length mismatch")
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite value {v}")
-    order = sorted(range(len(ids)), key=lambda k: (-values[k], ids[k]))
-    return {ids[k]: rank for rank, k in enumerate(order)}
+    v = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise ValueError(f"non-finite value {v[~finite][0]}")
+    # 0.0 - v, not -v: no -0.0 key, so 0.0 and -0.0 tie as they compare
+    order = np.lexsort((np.asarray(ids), 0.0 - v))
+    return {ids[k]: rank for rank, k in enumerate(order.tolist())}
 
 
 def fuse_ranks(

@@ -73,6 +73,10 @@ class ExperimentConfig:
             raise ValueError("batch_size must be >= 1")
         if self.lr <= 0.0:
             raise ValueError("lr must be positive")
+        if self.hidden_dim < 1:
+            raise ValueError("hidden_dim must be >= 1")
+        if not 0.0 < self.ohem_ratio <= 1.0:
+            raise ValueError("ohem_ratio must be in (0, 1]")
 
     # -- flat key=value config text -----------------------------------------
 
@@ -183,6 +187,9 @@ class _Run:
         self.last_mean_uncertainty: Optional[float] = None
         self.metrics_rows: List[list] = []
         self.timing_rows: List[list] = []
+        # a run owns its dir's score files: none may survive from an earlier run
+        for stale in outdir.glob("scores_epoch*.json"):
+            stale.unlink()
         cfg.write_resolved(outdir / "config_resolved.txt")
 
     def _epoch_rng(self, epoch: int) -> np.random.Generator:

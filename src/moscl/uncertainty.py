@@ -4,13 +4,14 @@ random multiplicative disturbances of the hidden feature map."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
 from . import kernels
-from .core_math import entropy
+from .core_math import ENTROPY_MODES, entropy
 from .model import MlpModel
 
 
@@ -26,6 +27,8 @@ class UncertaintyConfig:
             raise ValueError("G must be >= 1")
         if self.gamma < 0.0:
             raise ValueError("gamma must be >= 0")
+        if self.entropy_mode not in ENTROPY_MODES:
+            raise ValueError(f"unknown entropy_mode {self.entropy_mode!r}")
 
 
 def sample_perturbation(dim: int, gamma: float, rng: np.random.Generator) -> np.ndarray:
@@ -35,11 +38,12 @@ def sample_perturbation(dim: int, gamma: float, rng: np.random.Generator) -> np.
     return rng.uniform(-gamma, gamma, dim)
 
 
-def _mean_entropy(p_bar: np.ndarray, head: str, mode: str) -> float:
+def _mean_entropy(P: np.ndarray, head: str, mode: str) -> np.ndarray:
+    """Uncertainty per row of the (N, C) mean predictions."""
     if head == "sigmoid":
-        return entropy(float(p_bar[0]), mode=mode)
+        return entropy(P[:, 0], mode=mode)
     # multi-class extension: sum the per-component entropy terms
-    return float(sum(entropy(float(p), mode=mode) for p in p_bar))
+    return entropy(P, mode=mode).sum(axis=1)
 
 
 def estimate_uncertainty(
@@ -49,11 +53,69 @@ def estimate_uncertainty(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     T = rng.uniform(-cfg.gamma, cfg.gamma, (1, cfg.G, model.hidden_dim))
-    p_bar = kernels.mean_perturbed_predictions(
+    P = kernels.mean_perturbed_predictions(
         model.W1, model.b1, model.W2, model.b2,
         np.asarray(x, dtype=np.float64)[None, :], T, model._act, model._head,
-    )[0]
-    return _mean_entropy(p_bar, model.head, cfg.entropy_mode)
+    )
+    return float(_mean_entropy(P, model.head, cfg.entropy_mode)[0])
+
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the stream increment and
+# the two multipliers of its output finalizer.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix(z: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64 finalizer, a bijection of uint64, in place on ``z``;
+    ``tmp`` is scratch space of z's shape."""
+    z ^= np.right_shift(z, 30, out=tmp)
+    z *= _MIX1
+    z ^= np.right_shift(z, 27, out=tmp)
+    z *= _MIX2
+    z ^= np.right_shift(z, 31, out=tmp)
+
+
+def _as_u64(value: int) -> np.uint64:
+    # two's complement, so negative seeds are accepted and stay distinct
+    return np.uint64(int(value) % (1 << 64))
+
+
+def perturbations(
+    seed: int, sample_ids, epoch: int, shape: Tuple[int, ...], gamma: float
+) -> np.ndarray:
+    """Disturbances uniform on [-gamma, gamma), shaped (N, *shape): one
+    block per sample id, and each value a pure function of (seed,
+    sample_id, epoch, flat index in ``shape``).
+
+    A counter-based stream (Salmon et al., SC'11): (seed, id, epoch) is
+    hashed into a SplitMix64 state, and value j of the block is the
+    finalizer of state + (j + 1) * golden-ratio increment.  The top 53 bits
+    become the uniform.  So a block depends only on its own id, equal ids
+    get equal blocks, and every epoch draws anew.
+    """
+    ids = np.asarray(sample_ids, dtype=np.int64).astype(np.uint64)
+    n, m = len(ids), math.prod(shape)
+    # per-sample stream key: mix(mix(mix(seed) ^ id) ^ epoch)
+    key = np.full(n, _as_u64(seed))
+    scratch = np.empty(n, dtype=np.uint64)
+    _mix(key, scratch)
+    key ^= ids
+    _mix(key, scratch)
+    key ^= _as_u64(epoch)
+    _mix(key, scratch)
+    counter = np.arange(1, m + 1, dtype=np.uint64)
+    counter *= _GOLDEN
+    z = np.add(key[:, None], counter[None, :])
+    # the output buffer doubles as the hash's scratch space
+    out = np.empty((n, m))
+    _mix(z, out.view(np.uint64))
+    z >>= np.uint64(11)
+    # k * (2 gamma / 2**53) - gamma lies in [-gamma, gamma) for k < 2**53
+    np.multiply(z, 2.0 * gamma / 2.0**53, out=out)
+    out -= gamma
+    return out.reshape((n, *shape))
 
 
 def batch_score_uncertainty(
@@ -63,29 +125,25 @@ def batch_score_uncertainty(
     cfg: UncertaintyConfig,
     epoch: int = 0,
 ) -> Dict[int, float]:
-    """Uncertainty per sample id.  Each sample draws its own RNG stream from
-    (seed, sample_id, epoch), so scoring is order-independent and the
-    perturbations are resampled at every scoring epoch."""
+    """Uncertainty per sample id.  Each sample's disturbances are a pure
+    function of (seed, sample_id, epoch) (see `perturbations`), so scoring
+    is order-independent and the perturbations are resampled at every
+    scoring epoch."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise ValueError("dataset is empty")
-    N = X.shape[0]
-    T = np.empty((N, cfg.G, model.hidden_dim))
-    for row, sid in enumerate(sample_ids):
-        stream = np.random.default_rng([cfg.seed, int(sid), epoch])
-        T[row] = stream.uniform(-cfg.gamma, cfg.gamma, (cfg.G, model.hidden_dim))
+    T = perturbations(cfg.seed, sample_ids, epoch, (cfg.G, model.hidden_dim), cfg.gamma)
     P = kernels.mean_perturbed_predictions(
         model.W1, model.b1, model.W2, model.b2, X, T, model._act, model._head
     )
-    return {
-        int(sid): _mean_entropy(P[row], model.head, cfg.entropy_mode)
-        for row, sid in enumerate(sample_ids)
-    }
+    U = _mean_entropy(P, model.head, cfg.entropy_mode)
+    return dict(zip(np.asarray(sample_ids).tolist(), U.tolist()))
 
 
 def dump_scores(path, losses: Dict[int, float], uncertainties: Dict[int, float]) -> None:
     """Score dump shared with the difficulty module: JSON array of
-    {sample_id, loss, uncertainty} records, ordered by sample id."""
+    {sample_id, loss, uncertainty} records, ordered by sample id, on one
+    line (the C encoder only runs without indent)."""
     records = [
         {
             "sample_id": sid,
@@ -95,7 +153,7 @@ def dump_scores(path, losses: Dict[int, float], uncertainties: Dict[int, float])
         for sid in sorted(losses)
     ]
     with open(path, "w") as fh:
-        json.dump(records, fh, indent=1)
+        fh.write(json.dumps(records))
 
 
 def load_scores(path):

@@ -32,6 +32,23 @@ class TestRankDescending:
         with pytest.raises(ValueError):
             rank_descending([], [])
 
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            rank_descending([1.0, 2.0], [0])
+
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5, 1e-300, -7.0]),
+            min_size=1,
+            max_size=60,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_sorted_reference_with_ties(self, values, rnd):
+        ids = rnd.sample(range(1000), len(values))
+        order = sorted(range(len(ids)), key=lambda k: (-values[k], ids[k]))
+        assert rank_descending(values, ids) == {ids[k]: r for r, k in enumerate(order)}
+
 
 class TestFuseRanks:
     def test_example(self):

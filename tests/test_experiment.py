@@ -52,6 +52,18 @@ def test_config_rejects_warmup_not_below_total():
         ExperimentConfig(warmup_epochs=5, total_epochs=5)
 
 
+def test_config_rejects_zero_hidden_dim():
+    with pytest.raises(ValueError, match="hidden_dim"):
+        ExperimentConfig(hidden_dim=0)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 5.0])
+def test_config_rejects_ohem_ratio_before_writing(tmp_path, ratio):
+    with pytest.raises(ValueError, match="ohem_ratio"):
+        _cfg(tmp_path, name="ohem_bad", scheduler="ohem", ohem_ratio=ratio)
+    assert not (tmp_path / "ohem_bad").exists()
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_strings({"scheduler": "mixed", "typo_key": "1"})
@@ -119,6 +131,17 @@ def test_run_is_byte_deterministic(tmp_path, small_dataset):
     assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
     for score in sorted(first.glob("scores_epoch*.json")):
         assert score.read_bytes() == (second / score.name).read_bytes()
+
+
+def test_rerun_into_used_dir_leaves_no_stale_scores(tmp_path, small_dataset):
+    mixed = experiment.run(_cfg(tmp_path, name="reused"), dataset=small_dataset)
+    assert list(mixed.glob("scores_epoch*.json"))
+    again = experiment.run(
+        _cfg(tmp_path, name="reused", scheduler="random"), dataset=small_dataset
+    )
+    assert again == mixed
+    assert not list(again.glob("scores_epoch*.json"))
+    assert (again / "metrics.csv").exists() and (again / "checkpoint.json").exists()
 
 
 def test_warmup_epochs_match_random_baseline(tmp_path, small_dataset):

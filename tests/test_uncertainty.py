@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from moscl import kernels
 from moscl.core_math import entropy, loss, loss_based_uncertainty
 from moscl.model import MlpModel
 from moscl.uncertainty import (
@@ -12,6 +13,7 @@ from moscl.uncertainty import (
     dump_scores,
     estimate_uncertainty,
     load_scores,
+    perturbations,
     sample_perturbation,
 )
 
@@ -103,10 +105,11 @@ class TestBatchScore:
     def test_singleton_matches_estimate_with_shared_stream(self):
         m, X, ids, cfg = self._setup()
         scores = batch_score_uncertainty(m, X[:1], ids[:1], cfg)
-        rng = np.random.default_rng([cfg.seed, 0, 0])
-        assert scores[0] == pytest.approx(
-            estimate_uncertainty(m, X[0], cfg, rng=rng), abs=1e-12
-        )
+        T = perturbations(cfg.seed, [0], 0, (cfg.G, m.hidden_dim), cfg.gamma)
+        p_bar = kernels.mean_perturbed_predictions(
+            m.W1, m.b1, m.W2, m.b2, X[:1], T, m._act, m._head
+        )[0, 0]
+        assert scores[0] == pytest.approx(entropy(float(p_bar)), abs=1e-12)
 
     def test_duplicated_sample_distinct_ids_differ_only_by_stream(self):
         m, X, ids, cfg = self._setup()
@@ -137,6 +140,49 @@ class TestBatchScore:
             batch_score_uncertainty(m, X[:0], ids[:0], cfg)
 
 
+class TestPerturbations:
+    def test_shape_and_range(self):
+        T = perturbations(3, np.arange(50), 2, (8, 6), 0.3)
+        assert T.shape == (50, 8, 6)
+        assert np.all(T >= -0.3) and np.all(T < 0.3)
+
+    def test_deterministic(self):
+        a = perturbations(3, np.arange(20), 2, (4, 5), 0.3)
+        b = perturbations(3, np.arange(20), 2, (4, 5), 0.3)
+        assert np.array_equal(a, b)
+
+    def test_seed_id_and_epoch_each_change_the_draw(self):
+        base = perturbations(3, [5], 2, (4, 5), 0.3)
+        for seed, sid, epoch in ((4, 5, 2), (3, 6, 2), (3, 5, 3)):
+            other = perturbations(seed, [sid], epoch, (4, 5), 0.3)
+            assert not np.array_equal(base, other)
+
+    def test_block_depends_only_on_its_id(self):
+        alone = perturbations(3, [5], 2, (4, 5), 0.3)[0]
+        among = perturbations(3, [9, 5, 0], 2, (4, 5), 0.3)[1]
+        assert np.array_equal(alone, among)
+
+    def test_python_and_numpy_ids_agree(self):
+        ids = [0, 7, 2**40]
+        assert np.array_equal(
+            perturbations(1, ids, 0, (3,), 0.3),
+            perturbations(1, np.array(ids, dtype=np.int64), 0, (3,), 0.3),
+        )
+
+    def test_negative_seed_and_wide_ids(self):
+        T = perturbations(-5, [2**40, 2**63 - 1], 0, (3, 4), 0.3)
+        assert T.shape == (2, 3, 4)
+        assert np.all(np.abs(T) <= 0.3)
+        assert not np.array_equal(T, perturbations(5, [2**40, 2**63 - 1], 0, (3, 4), 0.3))
+
+    def test_uniform_moments(self):
+        gamma = 0.3
+        T = perturbations(11, np.arange(1000), 0, (100,), gamma)
+        assert T.size == 10**5
+        assert abs(T.mean()) < 0.01 * gamma
+        assert T.var() == pytest.approx(gamma**2 / 3, rel=0.01)
+
+
 class TestScoreDump:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "scores.json"
@@ -146,6 +192,14 @@ class TestScoreDump:
             {"sample_id": 0, "loss": 0.5, "uncertainty": 0.1},
             {"sample_id": 1, "loss": 0.25, "uncertainty": 0.2},
         ]
+
+    def test_compact_one_line_with_float_repr(self, tmp_path):
+        path = tmp_path / "scores.json"
+        dump_scores(path, {1: 0.1 + 0.2, 0: 1e-300}, {0: 0.0, 1: 1 / 3})
+        text = path.read_text()
+        assert "\n" not in text
+        assert text == json.dumps(load_scores(path))
+        assert repr(0.1 + 0.2) in text and repr(1 / 3) in text
 
     def test_missing_uncertainty_is_null(self, tmp_path):
         path = tmp_path / "scores.json"
@@ -161,6 +215,10 @@ class TestConfigValidation:
     def test_bad_gamma(self):
         with pytest.raises(ValueError):
             UncertaintyConfig(gamma=-0.1)
+
+    def test_bad_entropy_mode(self):
+        with pytest.raises(ValueError, match="entropy_mode"):
+            UncertaintyConfig(entropy_mode="bogus")
 
     def test_paper_defaults(self):
         cfg = UncertaintyConfig()
