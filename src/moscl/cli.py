@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import conflict, difficulty, experiment, uncertainty
-from .datagen import Dataset, GenSpec, generate, load_dataset, save_dataset
+from .datagen import GenSpec, generate, save_dataset
 from .experiment import ExperimentConfig
 from .model import MlpModel
 
@@ -34,11 +34,6 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         return ExperimentConfig.from_file(args.config, **overrides)
     return ExperimentConfig.from_strings(overrides)
-
-
-def _load_with_sidecar(dataset_csv: str) -> Dataset:
-    sidecar = Path(dataset_csv).with_suffix(".json")
-    return load_dataset(dataset_csv, sidecar if sidecar.exists() else None)
 
 
 def cmd_gen_data(args) -> None:
@@ -65,7 +60,7 @@ def cmd_train(args) -> None:
 def cmd_score(args) -> None:
     """Score a dataset with a saved checkpoint: losses, uncertainties, and
     the rank-fused difficulty CSV."""
-    dataset = _load_with_sidecar(args.dataset)
+    dataset = experiment.load_data(args.dataset)
     model = MlpModel.load(args.checkpoint)
     per_loss, _ = model.batch_losses(dataset.X, dataset.labels, args.loss_kind)
     losses = {int(i): float(per_loss[k]) for k, i in enumerate(dataset.ids)}
@@ -99,7 +94,7 @@ def cmd_export_scatter(args) -> None:
 
 
 def cmd_analyze_conflicts(args) -> None:
-    dataset = _load_with_sidecar(args.dataset)
+    dataset = experiment.load_data(args.dataset)
     model = MlpModel.load(args.checkpoint)
     report = conflict.conflict_loss_monotonicity(
         model,

@@ -38,7 +38,7 @@ class ConflictReport:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1)
+            fh.write(json.dumps(self.to_json()))
 
     def save_pairs_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -94,36 +94,23 @@ def conflict_loss_monotonicity(
     n = X.shape[0]
     if n < 3:
         raise ValueError("need at least 3 samples")
-    if sample_ids is None:
-        sample_ids = np.arange(n)
-    order = np.argsort(sample_ids)  # report independent of input order
-
-    grads = {}
-    losses = {}
+    ids = np.arange(n) if sample_ids is None else np.asarray(sample_ids)
+    order = np.argsort(ids)  # report independent of input order
     per_loss, _ = model.batch_losses(X, labels, loss_kind)
-    for row in order:
-        sid = int(sample_ids[row])
-        grads[sid] = model.per_sample_gradient(X[row], int(labels[row]), loss_kind)
-        losses[sid] = float(per_loss[row])
-    ids = sorted(grads)
-
-    all_pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1 :]]
-    if n > MAX_EXHAUSTIVE_N and len(all_pairs) > PAIR_CAP:
+    ids, losses = ids[order], per_loss[order]
+    grads = model.per_sample_gradients(X[order], labels[order], loss_kind)
+    I, J = np.triu_indices(n, 1)  # row pairs i < j, in lexicographic order
+    if n > MAX_EXHAUSTIVE_N and len(I) > PAIR_CAP:
         rng = np.random.default_rng(seed)
-        pick = rng.choice(len(all_pairs), size=PAIR_CAP, replace=False)
-        all_pairs = [all_pairs[k] for k in sorted(pick)]
-
-    pairs = []
-    for a, b in all_pairs:
-        ga, gb = grads[a], grads[b]
-        na, nb = np.linalg.norm(ga), np.linalg.norm(gb)
-        if na == 0.0 or nb == 0.0:
-            continue
-        cos = float(np.dot(ga, gb) / (na * nb))
-        pairs.append((a, b, cos, losses[a] + losses[b]))
-
-    conflicts = np.asarray([1.0 - c for _, _, c, _ in pairs])
-    loss_sums = np.asarray([s for _, _, _, s in pairs])
+        pick = np.sort(rng.choice(len(I), size=PAIR_CAP, replace=False))
+        I, J = I[pick], J[pick]
+    norms = np.linalg.norm(grads, axis=1)
+    keep = (norms[I] != 0.0) & (norms[J] != 0.0)
+    I, J = I[keep], J[keep]
+    cosines = np.einsum("pk,pk->p", grads[I], grads[J]) / (norms[I] * norms[J])
+    loss_sums = losses[I] + losses[J]
+    pairs = list(zip(ids[I].tolist(), ids[J].tolist(), cosines.tolist(), loss_sums.tolist()))
+    conflicts = 1.0 - cosines
     degenerate = bool(
         len(pairs) < 2
         or np.ptp(conflicts) == 0.0

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import difficulty, scheduler, uncertainty
 from .datagen import Dataset, load_dataset
-from .model import LOSSES, MlpModel
+from .model import ACTIVATIONS, HEADS, LOSSES, MlpModel
 from . import kernels
 
 SCHEDULERS = ("random", "mixed", "anti_mixed", "sp_hard", "sp_linear", "ohem")
@@ -75,6 +75,11 @@ class ExperimentConfig:
             raise ValueError("lr must be positive")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
+        for name, known in (
+            ("activation", ACTIVATIONS), ("head", HEADS), ("loss_kind", LOSSES)
+        ):
+            if getattr(self, name) not in known:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         if not 0.0 < self.ohem_ratio <= 1.0:
             raise ValueError("ohem_ratio must be in (0, 1]")
 
@@ -394,7 +399,8 @@ def _train(runs: List[_Run]) -> Dict[_Run, Exception]:
     return failed
 
 
-def _load(path: str) -> Dataset:
+def load_data(path: str) -> Dataset:
+    """The dataset CSV at ``path``, with its ``.json`` sidecar if present."""
     sidecar = Path(path).with_suffix(".json")
     return load_dataset(path, sidecar if sidecar.exists() else None)
 
@@ -407,7 +413,7 @@ def _start(cfg: ExperimentConfig, dataset: Dataset) -> _Run:
 
 def run(cfg: ExperimentConfig, dataset: Optional[Dataset] = None) -> Path:
     """Execute one training run; returns the run directory."""
-    one = _start(cfg, dataset if dataset is not None else _load(cfg.dataset))
+    one = _start(cfg, dataset if dataset is not None else load_data(cfg.dataset))
     exc = _train([one]).get(one)
     if exc is not None:
         raise exc
@@ -461,7 +467,7 @@ def compare(
             try:
                 ds = dataset if dataset is not None else loaded.get(variant.dataset)
                 if ds is None:
-                    ds = loaded[variant.dataset] = _load(variant.dataset)
+                    ds = loaded[variant.dataset] = load_data(variant.dataset)
                 one = _start(variant, ds)
             except Exception as exc:  # noqa: BLE001 - cell failures are recorded
                 cells[label][seed] = {"error": str(exc)}

@@ -1,5 +1,5 @@
-"""Hot numeric kernels: mini-batch SGD epochs over a stack of runs and the
-G-perturbation prediction averaging.
+"""Hot numeric kernels: the MLP's forward pass and backprop, mini-batch SGD
+epochs over a stack of runs and the G-perturbation prediction averaging.
 
 Integer codes select the model's pieces:
   activation: 0 = tanh, 1 = relu
@@ -36,12 +36,22 @@ def _head_np(Z, head):
     return E / E.sum(axis=-1, keepdims=True)
 
 
-def forward_batch(W1, b1, W2, b2, X, act, head):
-    """Vectorized unperturbed forward pass: returns (F, Z, Y_hat)."""
-    Fpre = X @ W1.T + b1
+def forward(W1, b1, W2, b2, X, act, head, T=None):
+    """Forward pass over any leading run axes: ``W1`` (..., H, d), ``b1``
+    (..., H), ``W2`` (..., C, H), ``b2`` (..., C) and ``X`` (..., N, d).
+    Returns (Fpre, F, Z, Y_hat): pre-activation and hidden map (..., N, H),
+    latent and prediction (..., N, C).
+
+    With a perturbation tensor ``T`` (N, G, H) the hidden map becomes
+    F * (1 + T), and F, Z and Y_hat gain a G axis before their last.
+    """
+    Fpre = X @ W1.swapaxes(-1, -2) + b1[..., None, :]
     F = _activate(Fpre, act)
-    Z = F @ W2.T + b2
-    return F, Z, _head_np(Z, head)
+    if T is not None:
+        F = F[..., None, :] * (1.0 + T)
+        W2, b2 = W2[..., None, :, :], b2[..., None, :]
+    Z = F @ W2.swapaxes(-1, -2) + b2[..., None, :]
+    return Fpre, F, Z, _head_np(Z, head)
 
 
 def _onehot(labels, Y_hat):
@@ -80,26 +90,30 @@ def _dloss_dz_np(Y_hat, labels, head, lossk):
     return Y_hat * (g - (g * Y_hat).sum(axis=-1, keepdims=True))
 
 
-def _sgd_step(W1, b1, W2, b2, Xb, lab, wb, scale, act, head, lossk):
-    """One mini-batch update of S stacked runs, in place on the parameter
-    arrays.  ``Xb`` is (S, n, d), ``lab`` and ``wb`` are (S, n); ``scale`` is
-    lr / n.  Returns the (S, n) raw losses."""
-    Fpre = Xb @ W1.transpose(0, 2, 1) + b1[:, None, :]
-    F = _activate(Fpre, act)
-    Z = F @ W2.transpose(0, 2, 1) + b2[:, None, :]
-    Y = _head_np(Z, head)
-    losses = loss_batch(Y, lab, head, lossk)
-    dz = _dloss_dz_np(Y, lab, head, lossk) * wb[..., None]
+def backward(W2, Fpre, F, Y_hat, labels, w, act, head, lossk):
+    """Backprop through an unperturbed `forward` of each sample's loss times
+    its weight ``w`` (..., N).  Returns dL/dZ (..., N, C) and dL/dFpre
+    (..., N, H); their outer products with F and X are the gradients."""
+    dz = _dloss_dz_np(Y_hat, labels, head, lossk) * w[..., None]
     dF = dz @ W2
     if act == ACT_TANH:
         dFpre = dF * (1.0 - F * F)
     else:
         dFpre = np.where(Fpre > 0.0, dF, 0.0)
+    return dz, dFpre
+
+
+def _sgd_step(W1, b1, W2, b2, Xb, lab, wb, scale, act, head, lossk):
+    """One mini-batch update of S stacked runs, in place on the parameter
+    arrays.  ``Xb`` is (S, n, d), ``lab`` and ``wb`` are (S, n); ``scale`` is
+    lr / n.  Returns the (S, n) raw losses."""
+    Fpre, F, _, Y = forward(W1, b1, W2, b2, Xb, act, head)
+    dz, dFpre = backward(W2, Fpre, F, Y, lab, wb, act, head, lossk)
     W2 -= scale * (dz.transpose(0, 2, 1) @ F)
     b2 -= scale * dz.sum(axis=1)
     W1 -= scale * (dFpre.transpose(0, 2, 1) @ Xb)
     b1 -= scale * dFpre.sum(axis=1)
-    return losses
+    return loss_batch(Y, lab, head, lossk)
 
 
 def sgd_epochs(W1, b1, W2, b2, X, labels, orders, bsz, weights, lr, act, head, lossk):
@@ -156,8 +170,4 @@ def sgd_epoch(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, head, los
 def mean_perturbed_predictions(W1, b1, W2, b2, X, T, act, head):
     """Average prediction per sample under the (N, G, hidden) multiplicative
     perturbation tensor ``T``."""
-    Fpre = X @ W1.T + b1
-    F = _activate(Fpre, act)
-    Fp = F[:, None, :] * (1.0 + T)  # (N, G, H)
-    Z = Fp @ W2.T + b2
-    return _head_np(Z, head).mean(axis=1)
+    return forward(W1, b1, W2, b2, X, act, head, T)[3].mean(axis=1)

@@ -5,6 +5,7 @@ injection at the hidden feature map, per-sample gradients, and SGD updates.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -119,23 +120,23 @@ class MlpModel:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.input_dim,):
             raise ValueError(f"expected input of shape ({self.input_dim},)")
-        fpre = self.W1 @ x + self.b1
-        f = kernels._activate(fpre, self._act)
+        T = None
         if perturbation is not None:
             t = np.asarray(perturbation, dtype=np.float64)
             if t.shape != (self.hidden_dim,):
                 raise ValueError(f"perturbation must have shape ({self.hidden_dim},)")
-            f = f * (1.0 + t)
-        z = self.W2 @ f + self.b2
-        y_hat = kernels._head_np(z[None, :], self._head)[0]
-        return ForwardTrace(f=f, z=z, y_hat=y_hat)
+            T = t[None, None, :]
+        _, f, z, y_hat = kernels.forward(
+            self.W1, self.b1, self.W2, self.b2, x[None], self._act, self._head, T
+        )
+        return ForwardTrace(f=f.reshape(-1), z=z.reshape(-1), y_hat=y_hat.reshape(-1))
 
     def forward_batch(self, X: np.ndarray):
         """Vectorized unperturbed forward; returns (F, Z, Y_hat) arrays."""
         X = np.asarray(X, dtype=np.float64)
-        return kernels.forward_batch(
+        return kernels.forward(
             self.W1, self.b1, self.W2, self.b2, X, self._act, self._head
-        )
+        )[1:]
 
     def batch_losses(self, X: np.ndarray, labels: np.ndarray, loss_kind: str = "mse"):
         """Per-sample losses and predictions over a dataset matrix."""
@@ -145,29 +146,30 @@ class MlpModel:
 
     # -- gradients ---------------------------------------------------------
 
+    def per_sample_gradients(
+        self, X: np.ndarray, labels, loss_kind: str = "mse"
+    ) -> np.ndarray:
+        """Exact gradient of each sample's loss w.r.t. all parameters, (N, P)
+        rows flattened as [W1, b1, W2, b2]: one batched backprop and the
+        per-example outer products (Goodfellow, arXiv:1510.01799)."""
+        X = np.asarray(X, dtype=np.float64)
+        Fpre, F, _, Y = kernels.forward(
+            self.W1, self.b1, self.W2, self.b2, X, self._act, self._head
+        )
+        labels = np.asarray(labels, dtype=np.int64)
+        dz, dFpre = kernels.backward(
+            self.W2, Fpre, F, Y, labels, np.ones(len(X)), self._act, self._head,
+            LOSSES[loss_kind],
+        )
+        dW1 = (dFpre[:, :, None] * X[:, None, :]).reshape(len(X), -1)
+        dW2 = (dz[:, :, None] * F[:, None, :]).reshape(len(X), -1)
+        return np.hstack([dW1, dFpre, dW2, dz])
+
     def per_sample_gradient(
         self, x: np.ndarray, y: int, loss_kind: str = "mse"
     ) -> np.ndarray:
-        """Exact backprop gradient of the per-sample loss w.r.t. all
-        parameters, flattened as [W1, b1, W2, b2]."""
-        x = np.asarray(x, dtype=np.float64)
-        fpre = self.W1 @ x + self.b1
-        F = kernels._activate(fpre, self._act)
-        z = self.W2 @ F + self.b2
-        y_hat = kernels._head_np(z[None, :], self._head)[0]
-        dz = kernels._dloss_dz_np(
-            y_hat[None, :], np.asarray([y], dtype=np.int64), self._head, LOSSES[loss_kind]
-        )[0]
-        dW2 = np.outer(dz, F)
-        db2 = dz
-        dF = self.W2.T @ dz
-        if self.activation == "tanh":
-            dFpre = dF * (1.0 - F * F)
-        else:
-            dFpre = np.where(fpre > 0.0, dF, 0.0)
-        dW1 = np.outer(dFpre, x)
-        db1 = dFpre
-        return np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2])
+        """`per_sample_gradients` of the one sample ``x`` with label ``y``."""
+        return self.per_sample_gradients(np.asarray(x)[None], [y], loss_kind)[0]
 
     def latent_gradient(self, x: np.ndarray, y: int, loss_kind: str = "mse") -> float:
         """Backpropagated dL/dz for sigmoid heads.  Equals the b2 component
@@ -213,19 +215,52 @@ class MlpModel:
 
     @classmethod
     def from_checkpoint(cls, doc: dict) -> "MlpModel":
+        """Model from a `to_checkpoint` document.  A missing key, an unknown
+        activation or head, a ``data`` length other than prod(shape), or
+        shapes that disagree raise ValueError naming the field."""
         model = cls.__new__(cls)
-        model.activation = doc["activation"]
-        model.head = doc["head"]
-        for name in ("W1", "b1", "W2", "b2"):
-            entry = doc["params"][name]
-            arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            setattr(model, name, arr)
+        for key, known in (("activation", ACTIVATIONS), ("head", HEADS)):
+            value = _field(doc, key, key)
+            if value not in known:
+                raise ValueError(f"checkpoint {key}: unknown {value!r}")
+            setattr(model, key, value)
+        params = _field(doc, "params", "params")
+        sizes = {}  # axis name -> size, first seen
+        for name, axes in _PARAM_AXES.items():
+            where = f"params.{name}"
+            entry = _field(params, name, where)
+            shape = tuple(_field(entry, "shape", f"{where}.shape"))
+            data = _field(entry, "data", f"{where}.data")
+            if len(data) != math.prod(shape):
+                raise ValueError(f"checkpoint {where}: {len(data)} values for shape {shape}")
+            if len(shape) != len(axes) or any(
+                sizes.setdefault(axis, size) != size for axis, size in zip(axes, shape)
+            ):
+                raise ValueError(
+                    f"checkpoint {where}: shape {shape} disagrees with "
+                    f"W1 (H, d), b1 (H,), W2 (C, H), b2 (C,)"
+                )
+            setattr(model, name, np.asarray(data, dtype=np.float64).reshape(shape))
+        if model.head == "sigmoid" and model.out_dim != 1:
+            raise ValueError("checkpoint params.W2: sigmoid head requires out_dim 1")
         return model
 
     @classmethod
     def load(cls, path) -> "MlpModel":
         with open(path) as fh:
             return cls.from_checkpoint(json.load(fh))
+
+
+# Checkpoint arrays and the size behind each axis: H hidden, d input, C out.
+_PARAM_AXES = {"W1": "Hd", "b1": "H", "W2": "CH", "b2": "C"}
+
+
+def _field(doc, key, where):
+    """``doc[key]``, or a ValueError naming the checkpoint field ``where``."""
+    try:
+        return doc[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"checkpoint is missing {where}") from None
 
 
 def grad_wrt_prediction(y: int, y_hat: float) -> float:

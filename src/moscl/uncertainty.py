@@ -46,18 +46,10 @@ def _mean_entropy(P: np.ndarray, head: str, mode: str) -> np.ndarray:
     return entropy(P, mode=mode).sum(axis=1)
 
 
-def estimate_uncertainty(
-    model: MlpModel, x: np.ndarray, cfg: UncertaintyConfig, rng=None
-) -> float:
-    """u = H(mean of G perturbed predictions)."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    T = rng.uniform(-cfg.gamma, cfg.gamma, (1, cfg.G, model.hidden_dim))
-    P = kernels.mean_perturbed_predictions(
-        model.W1, model.b1, model.W2, model.b2,
-        np.asarray(x, dtype=np.float64)[None, :], T, model._act, model._head,
-    )
-    return float(_mean_entropy(P, model.head, cfg.entropy_mode)[0])
+def estimate_uncertainty(model: MlpModel, x: np.ndarray, cfg: UncertaintyConfig) -> float:
+    """u = H(mean of G perturbed predictions): `batch_score_uncertainty` of
+    the one sample ``x``, scored as id 0 at epoch 0."""
+    return batch_score_uncertainty(model, np.asarray(x)[None], [0], cfg)[0]
 
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the stream increment and

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
 from moscl.conflict import (
+    MAX_EXHAUSTIVE_N,
+    PAIR_CAP,
     ConflictReport,
     conflict_loss_monotonicity,
     gradient_cosine,
@@ -111,6 +114,63 @@ class TestConflictReport:
         assert (tmp_path / "report.json").exists()
         header = (tmp_path / "pairs.csv").read_text().splitlines()[0]
         assert header == "id_i,id_j,cosine,conflict,loss_sum"
+
+
+def _reference_report(model, X, y, ids, seed):
+    """The pairwise loop over single-sample gradients the batched report
+    must reproduce: (pairs, rho)."""
+    per_loss, _ = model.batch_losses(X, y)
+    grads, losses = {}, {}
+    for row in np.argsort(ids):
+        sid = int(ids[row])
+        grads[sid] = model.per_sample_gradient(X[row], int(y[row]))
+        losses[sid] = float(per_loss[row])
+    keys = sorted(grads)
+    all_pairs = [(a, b) for k, a in enumerate(keys) for b in keys[k + 1 :]]
+    if len(keys) > MAX_EXHAUSTIVE_N and len(all_pairs) > PAIR_CAP:
+        pick = np.random.default_rng(seed).choice(len(all_pairs), PAIR_CAP, replace=False)
+        all_pairs = [all_pairs[k] for k in sorted(pick)]
+    pairs = [
+        (a, b, gradient_cosine(grads[a], grads[b]), losses[a] + losses[b])
+        for a, b in all_pairs
+        if np.linalg.norm(grads[a]) > 0.0 and np.linalg.norm(grads[b]) > 0.0
+    ]
+    rho = spearmanr([1.0 - c for _, _, c, _ in pairs], [s for *_, s in pairs])
+    return pairs, float(rho.statistic)
+
+
+class TestMatchesPairwiseLoop:
+    def _check(self, model, X, y, ids, seed=5):
+        got = conflict_loss_monotonicity(model, X, y, sample_ids=ids, seed=seed)
+        pairs, rho = _reference_report(model, X, y, ids, seed)
+        assert [p[:2] for p in got.pairs] == [p[:2] for p in pairs]
+        assert [p[3] for p in got.pairs] == [p[3] for p in pairs]
+        cos_got = np.array([p[2] for p in got.pairs])
+        cos_ref = np.array([p[2] for p in pairs])
+        assert np.abs(cos_got - cos_ref).max() <= 1e-12
+        assert not got.degenerate
+        assert abs(got.spearman_rho - rho) <= 1e-12
+        return got
+
+    @pytest.mark.parametrize("n", [8, 80])  # exhaustive, sampled
+    def test_shuffled_ids(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 2))
+        y = rng.integers(0, 2, n).astype(np.int64)
+        ids = rng.permutation(3 * n)[:n]  # sparse ids in shuffled order
+        got = self._check(MlpModel(2, 5, seed=n), X, y, ids)
+        assert len(got.pairs) == min(n * (n - 1) // 2, PAIR_CAP)
+
+    def test_zero_gradients_skipped(self):
+        # one relu unit; rows at x=100 saturate p to exactly 1.0 with label
+        # 1, so their gradient is exactly zero and their pairs are dropped
+        m = MlpModel(1, 1, activation="relu", seed=0)
+        m.W1[:], m.b1[:], m.W2[:], m.b2[:] = 1.0, 0.0, 1.0, 0.0
+        X = np.array([[0.1], [100.0], [0.5], [-0.3], [100.0], [0.9], [0.2], [1.5]])
+        y = np.array([0, 1, 1, 0, 1, 0, 1, 0], dtype=np.int64)
+        got = self._check(m, X, y, np.arange(8))
+        assert len(got.pairs) == 15  # the 6 rows with nonzero gradients
+        assert not {1, 4} & {i for p in got.pairs for i in p[:2]}
 
 
 class TestConvergenceRule:

@@ -12,6 +12,7 @@ import pytest
 from moscl import cli, experiment
 from moscl.datagen import GenSpec, generate, save_dataset
 from moscl.experiment import METRICS_HEADER, ExperimentConfig
+from moscl.model import MlpModel
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,21 @@ def test_config_rejects_ohem_ratio_before_writing(tmp_path, ratio):
     with pytest.raises(ValueError, match="ohem_ratio"):
         _cfg(tmp_path, name="ohem_bad", scheduler="ohem", ohem_ratio=ratio)
     assert not (tmp_path / "ohem_bad").exists()
+
+
+@pytest.mark.parametrize("field", ["activation", "head", "loss_kind"])
+def test_cli_train_rejects_unknown_model_field_before_writing(
+    tmp_path, small_dataset, capsys, field
+):
+    data = tmp_path / "data.csv"
+    save_dataset(small_dataset, data, data.with_suffix(".json"))
+    run_dir = tmp_path / "bad_run"
+    flag = "--" + field.replace("_", "-")
+    rc = cli.main(["train", "--dataset", str(data), "--outdir", str(run_dir), flag, "bogus"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": f"unknown {field} 'bogus'"}
+    assert not run_dir.exists()
 
 
 def test_config_rejects_unknown_keys():
@@ -378,6 +394,21 @@ def test_cli_full_pipeline(tmp_path, monkeypatch):
     with open(report) as fh:
         payload = json.load(fh)
     assert "spearman_rho" in payload and "pairs" in payload
+
+
+def test_cli_score_rejects_bad_checkpoint(tmp_path, small_dataset, capsys):
+    data = tmp_path / "data.csv"
+    save_dataset(small_dataset, data, data.with_suffix(".json"))
+    ckpt = tmp_path / "ckpt.json"
+    doc = MlpModel(2, 8, seed=0).to_checkpoint()
+    del doc["params"]["W1"]
+    ckpt.write_text(json.dumps(doc))
+    out = tmp_path / "scores.json"
+    rc = cli.main(["score", "--dataset", str(data), "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "checkpoint is missing params.W1"}
+    assert not out.exists()
 
 
 def test_cli_compare_writes_summary(tmp_path, monkeypatch, capsys):

@@ -74,6 +74,25 @@ def test_sgd_epochs_matches_separate_runs_bitwise(act, head, lossk):
             assert np.array_equal(stacked[k][s], ref[k])
 
 
+@pytest.mark.parametrize("head", [kernels.HEAD_SIGMOID, kernels.HEAD_SOFTMAX])
+def test_forward_over_run_axis_and_perturbations(head):
+    rng = np.random.default_rng(7 + head)
+    S, N, G, d, H, C = 3, 6, 4, 2, 5, 1 if head == kernels.HEAD_SIGMOID else 2
+    X = rng.normal(size=(N, d))
+    T = rng.uniform(-0.3, 0.3, (N, G, H))
+    stacked = [rng.uniform(-1, 1, shape) for shape in ((S, H, d), (S, H), (S, C, H), (S, C))]
+    for perturb in (None, T):
+        got = kernels.forward(*stacked, X, kernels.ACT_TANH, head, perturb)
+        for s in range(S):
+            solo = kernels.forward(*(a[s] for a in stacked), X, kernels.ACT_TANH, head, perturb)
+            for g, o in zip(got, solo):
+                assert np.array_equal(g[s], o)
+    _, F, Z, Y = got
+    assert F.shape == (S, N, G, H) and Z.shape == Y.shape == (S, N, G, C)
+    p_bar = kernels.mean_perturbed_predictions(*(a[0] for a in stacked), X, T, 0, head)
+    assert np.array_equal(p_bar, Y[0].mean(axis=1))
+
+
 # --- compare cells against solo runs ----------------------------------------
 
 

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from moscl import kernels
 from moscl.core_math import loss
-from moscl.model import MlpModel, grad_wrt_latent, grad_wrt_prediction
+from moscl.model import LOSSES, MlpModel, grad_wrt_latent, grad_wrt_prediction
 
 
 def fd_param_gradient(model, x, y, loss_kind="mse", h=1e-6):
@@ -99,6 +102,39 @@ class TestPerSampleGradient:
             assert np.abs(exact - approx).max() / scale < 1e-5
 
 
+COMBOS = list(itertools.product(("tanh", "relu"), ("sigmoid", "softmax"), ("mse", "ce")))
+
+
+def _combo_case(activation, head, loss_kind, n=7):
+    rng = np.random.default_rng(0)
+    m = MlpModel(3, 5, out_dim=1 if head == "sigmoid" else 2,
+                 activation=activation, head=head, seed=n)
+    return m, rng.normal(size=(n, 3)), rng.integers(0, 2, n).astype(np.int64), rng
+
+
+class TestPerSampleGradients:
+    @pytest.mark.parametrize("activation,head,loss_kind", COMBOS)
+    def test_rows_match_single_sample(self, activation, head, loss_kind):
+        m, X, y, _ = _combo_case(activation, head, loss_kind)
+        G = m.per_sample_gradients(X, y, loss_kind)
+        assert G.shape == (len(X), m.n_params)
+        for row, (x, label) in enumerate(zip(X, y)):
+            single = m.per_sample_gradient(x, int(label), loss_kind)
+            assert np.abs(G[row] - single).max() <= 1e-12
+
+    @pytest.mark.parametrize("activation,head,loss_kind", COMBOS)
+    def test_sgd_step_is_weighted_gradient_sum(self, activation, head, loss_kind):
+        m, X, y, rng = _combo_case(activation, head, loss_kind)
+        w, lr, n = rng.uniform(0.0, 2.0, len(X)), 0.3, len(X)
+        before = np.concatenate([m.W1.ravel(), m.b1, m.W2.ravel(), m.b2])
+        params = [m.W1[None].copy(), m.b1[None].copy(), m.W2[None].copy(), m.b2[None].copy()]
+        kernels._sgd_step(*params, X[None], y[None], w[None], lr / n,
+                          m._act, m._head, LOSSES[loss_kind])
+        after = np.concatenate([p[0].ravel() for p in params])
+        expected = -lr / n * (w[:, None] * m.per_sample_gradients(X, y, loss_kind)).sum(axis=0)
+        assert np.abs((after - before) - expected).max() <= 1e-12
+
+
 class TestSgdStep:
     def test_zero_gradient_no_change(self):
         m = MlpModel(2, 3, seed=2)
@@ -159,6 +195,36 @@ class TestLatentGradients:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda d: d.pop("activation"), "is missing activation"),
+            (lambda d: d.update(activation="gelu"), "activation: unknown 'gelu'"),
+            (lambda d: d.update(head="tanh"), "head: unknown 'tanh'"),
+            (lambda d: d["params"].pop("W1"), "is missing params.W1"),
+            (lambda d: d["params"]["b2"].pop("data"), "is missing params.b2.data"),
+            (lambda d: d["params"]["b1"]["data"].pop(), "params.b1: 7 values"),
+            (lambda d: d["params"].update(W2={"shape": [1, 4], "data": [0.0] * 4}),
+             "params.W2: shape"),
+            (lambda d: d["params"]["W1"].update(shape=[24]), "params.W1: shape"),
+            (lambda d: d["params"].update(W2={"shape": [2, 8], "data": [0.0] * 16},
+                                         b2={"shape": [2], "data": [0.0, 0.0]}),
+             "params.W2: sigmoid head"),
+        ],
+    )
+    def test_bad_checkpoint_names_field(self, edit, field):
+        doc = MlpModel(3, 8, seed=6).to_checkpoint()
+        edit(doc)
+        with pytest.raises(ValueError, match=f"checkpoint {field}"):
+            MlpModel.from_checkpoint(doc)
+
+    def test_softmax_round_trip(self):
+        m = MlpModel(3, 4, out_dim=2, activation="relu", head="softmax", seed=6)
+        m2 = MlpModel.from_checkpoint(m.to_checkpoint())
+        for name in ("W1", "b1", "W2", "b2"):
+            assert np.array_equal(getattr(m2, name), getattr(m, name))
+        assert (m2.activation, m2.head) == ("relu", "softmax")
+
     def test_round_trip(self, tmp_path):
         m = MlpModel(3, 4, seed=6)
         path = tmp_path / "ckpt.json"

@@ -105,6 +105,8 @@ class TestBatchScore:
     def test_singleton_matches_estimate_with_shared_stream(self):
         m, X, ids, cfg = self._setup()
         scores = batch_score_uncertainty(m, X[:1], ids[:1], cfg)
+        assert cfg.gamma == 0.3
+        assert estimate_uncertainty(m, X[0], cfg) == scores[0]
         T = perturbations(cfg.seed, [0], 0, (cfg.G, m.hidden_dim), cfg.gamma)
         p_bar = kernels.mean_perturbed_predictions(
             m.W1, m.b1, m.W2, m.b2, X[:1], T, m._act, m._head
