@@ -11,7 +11,7 @@ from .core_math import (
     sigmoid,
 )
 from .datagen import Dataset, GenSpec, generate
-from .difficulty import DifficultyRecord, fuse_ranks, quadrant_classify, rank_descending
+from .difficulty import DifficultyTable, fuse_ranks, quadrant_classify, rank_descending
 from .experiment import ExperimentConfig, compare, run
 from .model import ForwardTrace, MlpModel, grad_wrt_latent, grad_wrt_prediction
 from .scheduler import (

@@ -61,16 +61,17 @@ def cmd_score(args) -> None:
     """Score a dataset with a saved checkpoint: losses, uncertainties, and
     the rank-fused difficulty CSV."""
     dataset = experiment.load_data(args.dataset)
+    X, ids = dataset.X, dataset.ids
     model = MlpModel.load(args.checkpoint)
-    per_loss, _ = model.batch_losses(dataset.X, dataset.labels, args.loss_kind)
-    losses = {int(i): float(per_loss[k]) for k, i in enumerate(dataset.ids)}
+    losses, _ = model.batch_losses(X, dataset.labels, args.loss_kind)
     cfg = uncertainty.UncertaintyConfig(G=args.G, gamma=args.gamma, seed=args.seed)
-    us = uncertainty.batch_score_uncertainty(model, dataset.X, dataset.ids, cfg)
+    us = uncertainty.batch_score_uncertainty(model, X, ids, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    uncertainty.dump_scores(out, losses, us)
-    records = difficulty.fuse_ranks(losses, us)
-    difficulty.dump_difficulty_csv(out.with_suffix(".csv"), records)
+    uncertainty.dump_scores(out, ids, losses, us)
+    difficulty.dump_difficulty_csv(
+        out.with_suffix(".csv"), difficulty.fuse_ranks(losses, us, ids)
+    )
     print(out)
 
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .difficulty import DifficultyRecord, quadrant_classify
+from .difficulty import QUADRANTS, quadrant_classify
 
 JITTER_SCALE = 3.0  # feature noise, in units of the cluster std
 
@@ -128,23 +128,27 @@ def generate(spec: GenSpec) -> Dataset:
 
 
 def quadrant_recovery_rate(
-    dataset: Dataset, records: List[DifficultyRecord]
+    dataset: Dataset, losses, uncertainties
 ) -> Dict[str, Optional[float]]:
     """Per generation tag, the fraction of samples whose measured quadrant
-    matches the tag.  Tags absent from the dataset map to None."""
-    measured = quadrant_classify(records)
-    hits: Dict[str, int] = {}
-    totals: Dict[str, int] = {}
-    for s in dataset.samples:
-        if s.id not in measured:
-            raise ValueError(f"sample {s.id} has no difficulty record")
-        totals[s.true_quadrant] = totals.get(s.true_quadrant, 0) + 1
-        if measured[s.id] == s.true_quadrant:
-            hits[s.true_quadrant] = hits.get(s.true_quadrant, 0) + 1
+    matches the tag; the scores are in dataset-row order.  Tags absent from
+    the dataset map to None."""
+    if len(losses) != len(dataset):
+        raise ValueError(f"{len(losses)} scores for {len(dataset)} samples")
+    tags = np.asarray([s.true_quadrant for s in dataset.samples])
+    hits = quadrant_classify(losses, uncertainties) == tags
     return {
-        tag: (hits.get(tag, 0) / totals[tag] if tag in totals else None)
-        for tag in ("HH", "LH", "LL", "HL")
+        tag: float(hits[tags == tag].mean()) if (tags == tag).any() else None
+        for tag in QUADRANTS
     }
+
+
+def check_unique_ids(ids) -> None:
+    """Rows and sample ids must be a bijection: a ValueError names the
+    first duplicated id."""
+    values, counts = np.unique(np.asarray(ids), return_counts=True)
+    if (counts > 1).any():
+        raise ValueError(f"duplicate id {values[counts > 1][0]}: sample ids must be unique")
 
 
 def save_dataset(dataset: Dataset, csv_path, sidecar_json_path=None) -> None:
@@ -185,6 +189,7 @@ def load_dataset(csv_path, sidecar_json_path=None) -> Dataset:
                     true_quadrant=row["true_quadrant"],
                 )
             )
+    check_unique_ids([s.id for s in samples])
     if spec is None:
         spec = GenSpec(n_total=len(samples), minority_fraction=0.0,
                        label_noise_rate=0.0, feature_noise_rate=0.0,

@@ -1,12 +1,15 @@
 """Rank-fused difficulty scores: descending ranks over loss and uncertainty,
-their sum d (smaller d = harder), and the four-quadrant taxonomy."""
+their sum d (smaller d = harder), and the four-quadrant taxonomy.
+
+Scores, ranks and quadrants are arrays in dataset-row order; sample ids
+only break ties and label the CSV rows."""
 
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -14,17 +17,20 @@ QUADRANTS = ("HH", "LH", "LL", "HL")
 
 
 @dataclass
-class DifficultyRecord:
-    sample_id: int
-    loss: float
-    uncertainty: Optional[float] = None
-    rank_l: Optional[int] = None
-    rank_u: Optional[int] = None
-    d: Optional[int] = None
+class DifficultyTable:
+    """Fused difficulty of a scored dataset: row k is sample ``ids[k]``,
+    and d = rank_l + rank_u (rank 0 is the highest value)."""
+
+    ids: np.ndarray
+    loss: np.ndarray
+    uncertainty: np.ndarray
+    rank_l: np.ndarray
+    rank_u: np.ndarray
+    d: np.ndarray
 
 
-def rank_descending(values: Sequence[float], ids: Sequence[int]) -> Dict[int, int]:
-    """Rank index per id: 0 for the largest value; ties broken by ascending
+def rank_descending(values: Sequence[float], ids: Sequence[int]) -> np.ndarray:
+    """Rank of each row: 0 for the largest value; ties broken by ascending
     sample id."""
     if len(values) == 0:
         raise ValueError("cannot rank an empty list")
@@ -36,80 +42,48 @@ def rank_descending(values: Sequence[float], ids: Sequence[int]) -> Dict[int, in
         raise ValueError(f"non-finite value {v[~finite][0]}")
     # 0.0 - v, not -v: no -0.0 key, so 0.0 and -0.0 tie as they compare
     order = np.lexsort((np.asarray(ids), 0.0 - v))
-    return {ids[k]: rank for rank, k in enumerate(order.tolist())}
+    ranks = np.empty(len(v), dtype=np.int64)
+    ranks[order] = np.arange(len(v))
+    return ranks
 
 
-def fuse_ranks(
-    losses: Dict[int, float],
-    uncertainties: Dict[int, float],
-) -> List[DifficultyRecord]:
-    """Build difficulty records with d = rank_u + rank_l.  Smaller d means
-    harder (rank 0 is the highest loss/uncertainty)."""
-    if set(losses) != set(uncertainties):
-        raise ValueError("loss and uncertainty id sets differ")
-    ids = sorted(losses)
-    rank_l = rank_descending([losses[i] for i in ids], ids)
-    rank_u = rank_descending([uncertainties[i] for i in ids], ids)
-    return [
-        DifficultyRecord(
-            sample_id=i,
-            loss=losses[i],
-            uncertainty=uncertainties[i],
-            rank_l=rank_l[i],
-            rank_u=rank_u[i],
-            d=rank_l[i] + rank_u[i],
-        )
-        for i in ids
-    ]
-
-
-def single_source_records(
-    values: Dict[int, float], source: str
-) -> List[DifficultyRecord]:
-    """Records whose d is a single descending rank (loss-only or
-    uncertainty-only difficulty, the Mo+l / Mo+u ablations)."""
-    ids = sorted(values)
-    ranks = rank_descending([values[i] for i in ids], ids)
-    recs = []
-    for i in ids:
-        r = DifficultyRecord(sample_id=i, loss=values[i] if source == "loss" else 0.0)
-        if source == "loss":
-            r.rank_l = ranks[i]
-        else:
-            r.uncertainty = values[i]
-            r.rank_u = ranks[i]
-        r.d = ranks[i]
-        recs.append(r)
-    return recs
+def fuse_ranks(losses, uncertainties, ids) -> DifficultyTable:
+    """Difficulty d = rank_u + rank_l of each row.  Smaller d means harder
+    (rank 0 is the highest loss/uncertainty)."""
+    rank_l = rank_descending(losses, ids)
+    rank_u = rank_descending(uncertainties, ids)
+    return DifficultyTable(
+        ids=np.asarray(ids),
+        loss=np.asarray(losses, dtype=np.float64),
+        uncertainty=np.asarray(uncertainties, dtype=np.float64),
+        rank_l=rank_l,
+        rank_u=rank_u,
+        d=rank_l + rank_u,
+    )
 
 
 def quadrant_classify(
-    records: Iterable[DifficultyRecord],
+    losses,
+    uncertainties,
     thresholds: Optional[Tuple[float, float]] = None,
-) -> Dict[int, str]:
-    """Map each sample to HH/LH/LL/HL by (uncertainty, loss) against the
-    given (u_split, l_split) thresholds; defaults are the dataset medians.
+) -> np.ndarray:
+    """HH/LH/LL/HL of each row by (uncertainty, loss) against the given
+    (u_split, l_split) thresholds; defaults are the dataset medians.
     'High' means strictly above the threshold, so a degenerate dataset with
     all values equal classifies as all-LL."""
-    recs = list(records)
-    if not recs:
-        raise ValueError("no difficulty records to classify")
+    l = np.asarray(losses, dtype=np.float64)
+    u = np.asarray(uncertainties, dtype=np.float64)
+    if len(l) == 0:
+        raise ValueError("no difficulty scores to classify")
+    if len(l) != len(u):
+        raise ValueError("loss and uncertainty lengths differ")
     if thresholds is None:
-        us = sorted(r.uncertainty for r in recs)
-        ls = sorted(r.loss for r in recs)
-        thresholds = (_median(us), _median(ls))
+        thresholds = (_median(np.sort(u)), _median(np.sort(l)))
     u_split, l_split = thresholds
     if not (math.isfinite(u_split) and math.isfinite(l_split)):
         raise ValueError("thresholds must be finite")
-    out = {}
-    for r in recs:
-        hi_u = r.uncertainty > u_split
-        hi_l = r.loss > l_split
-        if hi_u:
-            out[r.sample_id] = "HH" if hi_l else "HL"
-        else:
-            out[r.sample_id] = "LH" if hi_l else "LL"
-    return out
+    hi_l = l > l_split
+    return np.where(u > u_split, np.where(hi_l, "HH", "HL"), np.where(hi_l, "LH", "LL"))
 
 
 def _median(sorted_vals: Sequence[float]) -> float:
@@ -120,25 +94,23 @@ def _median(sorted_vals: Sequence[float]) -> float:
     return 0.5 * (sorted_vals[mid - 1] + sorted_vals[mid])
 
 
-def dump_difficulty_csv(path, records: Iterable[DifficultyRecord]) -> None:
-    recs = sorted(records, key=lambda r: r.sample_id)
-    quadrants = quadrant_classify(recs) if all(
-        r.uncertainty is not None for r in recs
-    ) else {r.sample_id: "" for r in recs}
+def dump_difficulty_csv(path, table: DifficultyTable) -> None:
+    """One row per sample, in ascending id order, with its quadrant."""
+    rows = np.argsort(table.ids, kind="stable")
+    quadrants = quadrant_classify(table.loss, table.uncertainty)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["sample_id", "loss", "uncertainty", "rank_l", "rank_u", "d", "quadrant"]
         )
-        for r in recs:
-            writer.writerow(
-                [
-                    r.sample_id,
-                    repr(float(r.loss)),
-                    "" if r.uncertainty is None else repr(float(r.uncertainty)),
-                    "" if r.rank_l is None else r.rank_l,
-                    "" if r.rank_u is None else r.rank_u,
-                    r.d,
-                    quadrants[r.sample_id],
-                ]
+        writer.writerows(
+            zip(
+                table.ids[rows].tolist(),
+                map(repr, table.loss[rows].tolist()),
+                map(repr, table.uncertainty[rows].tolist()),
+                table.rank_l[rows].tolist(),
+                table.rank_u[rows].tolist(),
+                table.d[rows].tolist(),
+                quadrants[rows].tolist(),
             )
+        )

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import difficulty, scheduler, uncertainty
-from .datagen import Dataset, load_dataset
+from .datagen import Dataset, check_unique_ids, load_dataset
 from .model import ACTIVATIONS, HEADS, LOSSES, MlpModel
 from . import kernels
 
@@ -168,7 +168,6 @@ class _Run:
         self.X = dataset.X
         self.labels = dataset.labels
         self.ids = dataset.ids
-        self.row_of_id = {int(i): k for k, i in enumerate(self.ids)}
         self.model = MlpModel(
             input_dim=self.X.shape[1],
             hidden_dim=cfg.hidden_dim,
@@ -186,9 +185,8 @@ class _Run:
         self.u_cfg = uncertainty.UncertaintyConfig(G=cfg.G, gamma=cfg.gamma, seed=cfg.seed)
         self.weights = np.ones(len(dataset))
         self.plan: Optional[scheduler.BatchPlan] = None
-        self.order: Optional[np.ndarray] = None
         self.plan_s = 0.0
-        self.d_by_id: Optional[Dict[int, int]] = None
+        self.d: Optional[np.ndarray] = None
         self.last_mean_uncertainty: Optional[float] = None
         self.metrics_rows: List[list] = []
         self.timing_rows: List[list] = []
@@ -201,11 +199,10 @@ class _Run:
         return np.random.default_rng([self.cfg.seed, 1, epoch])
 
     def _score(self, epoch: int):
-        """Loss (and, when needed, uncertainty) snapshot of every sample."""
+        """Loss (and, when needed, uncertainty) of every row."""
         cfg = self.cfg
-        per_loss, _ = self.model.batch_losses(self.X, self.labels, cfg.loss_kind)
-        losses = {int(i): float(per_loss[self.row_of_id[int(i)]]) for i in self.ids}
-        uncertainties: Dict[int, float] = {}
+        losses, _ = self.model.batch_losses(self.X, self.labels, cfg.loss_kind)
+        uncertainties = None
         need_u = cfg.scheduler in ("mixed", "anti_mixed") and cfg.difficulty_source in (
             "uncertainty",
             "both",
@@ -214,66 +211,54 @@ class _Run:
             uncertainties = uncertainty.batch_score_uncertainty(
                 self.model, self.X, self.ids, self.u_cfg, epoch=epoch
             )
-            self.last_mean_uncertainty = float(
-                np.mean([uncertainties[int(i)] for i in self.ids])
-            )
+            self.last_mean_uncertainty = float(np.mean(uncertainties))
         return losses, uncertainties
 
-    def _records(self, losses, uncertainties):
+    def _difficulty(self, losses, uncertainties) -> np.ndarray:
         src = self.cfg.difficulty_source
-        if src == "loss":
-            return difficulty.single_source_records(losses, "loss")
-        if src == "uncertainty":
-            return difficulty.single_source_records(uncertainties, "uncertainty")
-        return difficulty.fuse_ranks(losses, uncertainties)
+        if src == "both":
+            return difficulty.fuse_ranks(losses, uncertainties, self.ids).d
+        return difficulty.rank_descending(
+            losses if src == "loss" else uncertainties, self.ids
+        )
 
     def _build_plan(self, epoch: int) -> scheduler.BatchPlan:
         cfg = self.cfg
+        n = len(self.ids)
         scored = cfg.scheduler in ("mixed", "anti_mixed", "ohem", "sp_hard", "sp_linear")
         in_warmup = epoch < cfg.warmup_epochs
         boundary = (
             not in_warmup and (epoch - cfg.warmup_epochs) % cfg.rescore_every == 0
         )
         if in_warmup or not scored:
-            self.d_by_id = None
-            return scheduler.random_plan(
-                self.ids.tolist(), cfg.batch_size, self._epoch_rng(epoch), epoch
-            )
+            self.d = None
+            return scheduler.random_plan(n, cfg.batch_size, self._epoch_rng(epoch), epoch)
         if boundary or self.plan is None:
             losses, uncertainties = self._score(epoch)
-            self._dump_scores(epoch, losses, uncertainties)
+            uncertainty.dump_scores(
+                self.outdir / f"scores_epoch{epoch}.json", self.ids, losses, uncertainties
+            )
+            self.d = None
             if cfg.scheduler in ("sp_hard", "sp_linear"):
                 lam = scheduler.age_schedule(epoch - cfg.warmup_epochs, self.sp_cfg)
-                for sid, l in losses.items():
-                    self.weights[self.row_of_id[sid]] = scheduler.sp_weight(
-                        l, self.sp_cfg, lam
-                    )
-                self.d_by_id = None
+                self.weights[:] = scheduler.sp_weight(losses, self.sp_cfg, lam)
             elif cfg.scheduler == "ohem":
-                self.d_by_id = None
                 return scheduler.ohem_plan(
-                    losses, cfg.batch_size, cfg.ohem_ratio, self._epoch_rng(epoch), epoch
+                    losses, self.ids, cfg.batch_size, cfg.ohem_ratio,
+                    self._epoch_rng(epoch), epoch,
                 )
             else:
-                records = self._records(losses, uncertainties)
-                self.d_by_id = {r.sample_id: r.d for r in records}
+                self.d = self._difficulty(losses, uncertainties)
                 build = (
                     scheduler.mixed_order_plan
                     if cfg.scheduler == "mixed"
                     else scheduler.anti_mixed_plan
                 )
-                return build(records, cfg.batch_size, epoch)
+                return build(self.d, self.ids, cfg.batch_size, epoch)
         elif cfg.scheduler in ("mixed", "anti_mixed", "ohem"):
             return replace(self.plan, epoch=epoch)
         # sp_* schedulers always batch randomly
-        return scheduler.random_plan(
-            self.ids.tolist(), cfg.batch_size, self._epoch_rng(epoch), epoch
-        )
-
-    def _dump_scores(self, epoch, losses, uncertainties):
-        uncertainty.dump_scores(
-            self.outdir / f"scores_epoch{epoch}.json", losses, uncertainties
-        )
+        return scheduler.random_plan(n, cfg.batch_size, self._epoch_rng(epoch), epoch)
 
     def _recalls(self):
         _, _, Y = self.model.forward_batch(self.X)
@@ -293,9 +278,6 @@ class _Run:
         """Score if due, build this epoch's plan and its visiting order."""
         t0 = time.perf_counter()
         self.plan = self._build_plan(epoch)
-        self.order = np.asarray(
-            [self.row_of_id[i] for i in self.plan.flat_order()], dtype=np.int64
-        )
         self.plan_s = time.perf_counter() - t0
 
     def record_epoch(self, epoch: int, visit_losses: np.ndarray) -> None:
@@ -307,11 +289,7 @@ class _Run:
                 "reduce lr or inspect the dataset"
             )
         recalls = self._recalls()
-        spread = (
-            scheduler.d_sum_spread(self.plan, self.d_by_id)
-            if self.d_by_id is not None
-            else None
-        )
+        spread = scheduler.d_sum_spread(self.plan, self.d) if self.d is not None else None
         self.metrics_rows.append(
             [
                 epoch,
@@ -380,7 +358,7 @@ def _train(runs: List[_Run]) -> Dict[_Run, Exception]:
             t1 = time.perf_counter()
             visit_losses = kernels.sgd_epochs(
                 W1, b1, W2, b2, first.X, first.labels,
-                [run.order for run in stacked], cfg.batch_size, weights, cfg.lr,
+                [run.plan.order for run in stacked], cfg.batch_size, weights, cfg.lr,
                 first.model._act, first.model._head, first.loss_code,
             )
             train_s = time.perf_counter() - t1
@@ -406,6 +384,7 @@ def load_data(path: str) -> Dataset:
 
 
 def _start(cfg: ExperimentConfig, dataset: Dataset) -> _Run:
+    check_unique_ids(dataset.ids)
     outdir = resolve_outdir(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     return _Run(cfg, dataset, outdir)
@@ -436,6 +415,10 @@ def final_metrics(run_dir: Path) -> Dict[str, float]:
         "recall_class0": float(last["recall_class0"]),
         "recall_class1": float(last["recall_class1"]),
     }
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def compare(
@@ -470,7 +453,7 @@ def compare(
                     ds = loaded[variant.dataset] = load_data(variant.dataset)
                 one = _start(variant, ds)
             except Exception as exc:  # noqa: BLE001 - cell failures are recorded
-                cells[label][seed] = {"error": str(exc)}
+                cells[label][seed] = {"error": _error(exc)}
                 continue
             started.append((label, seed, one))
             key = (id(ds),) + tuple(getattr(variant, f) for f in LOCKSTEP_FIELDS)
@@ -481,7 +464,7 @@ def compare(
     for label, seed, one in started:
         exc = failed.get(one)
         cells[label][seed] = (
-            {"error": str(exc)} if exc is not None else final_metrics(one.outdir)
+            {"error": _error(exc)} if exc is not None else final_metrics(one.outdir)
         )
     summary = {"seeds": seeds, "configs": {}, "wins_vs_baseline": {}}
     baseline = labels[0]
@@ -501,6 +484,9 @@ def compare(
             "minority_recall_spread": (max(vals) - min(vals)) if len(vals) > 1 else 0.0,
             "mean_loss_mean": float(np.mean(losses)) if losses else None,
             "failed_seeds": [s for s in seeds if "error" in cells[label][s]],
+            "errors": {
+                str(s): cells[label][s]["error"] for s in seeds if "error" in cells[label][s]
+            },
             "per_seed_minority_recall": {
                 str(s): cells[label][s].get("minority_recall") for s in seeds
             },
@@ -530,11 +516,12 @@ def export_scatter(scores_path, out_csv, mode: str = "value") -> None:
     if any(u is None for u in us):
         raise ValueError("scores file has no uncertainty column to export")
     if mode == "index":
-        rank_l = difficulty.rank_descending(losses, ids)
-        rank_u = difficulty.rank_descending(us, ids)
-        rows = [(rank_l[i], rank_u[i]) for i in ids]
+        rows = zip(
+            difficulty.rank_descending(losses, ids).tolist(),
+            difficulty.rank_descending(us, ids).tolist(),
+        )
     else:
-        rows = list(zip(losses, us))
+        rows = zip(losses, us)
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["loss", "uncertainty"])

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -177,24 +177,6 @@ class MlpModel:
         if self.head != "sigmoid":
             raise ValueError("latent gradient is defined for the sigmoid head")
         return float(self.per_sample_gradient(x, y, loss_kind)[-1])
-
-    def sgd_step(self, gradients: Sequence[np.ndarray], lr: float) -> None:
-        """Update parameters in place with the mean of a batch of flattened
-        per-sample gradients."""
-        if lr <= 0.0:
-            raise ValueError("learning rate must be positive")
-        g = np.mean(np.asarray(gradients, dtype=np.float64), axis=0)
-        if g.shape != (self.n_params,):
-            raise ValueError("gradient dimension mismatch")
-        h, d, c = self.hidden_dim, self.input_dim, self.out_dim
-        i = 0
-        self.W1 -= lr * g[i : i + h * d].reshape(h, d)
-        i += h * d
-        self.b1 -= lr * g[i : i + h]
-        i += h
-        self.W2 -= lr * g[i : i + c * h].reshape(c, h)
-        i += c * h
-        self.b2 -= lr * g[i : i + c]
 
     # -- checkpointing -----------------------------------------------------
 

@@ -1,32 +1,31 @@
 """Per-epoch mini-batch plans: random, mixed-order (hard paired with easy),
-anti-mixed (hard with hard), OHEM oversampling, and self-paced loss weights."""
+anti-mixed (hard with hard), OHEM oversampling, and self-paced loss weights.
+
+Plans, difficulties, losses and weights are arrays in dataset-row order;
+sample ids only break ties."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import List
 
 import numpy as np
-
-from .difficulty import DifficultyRecord
 
 
 @dataclass
 class BatchPlan:
+    """One epoch's visiting order as dataset rows; consecutive chunks of
+    batch_size rows are its mini-batches, the last one possibly short."""
+
     epoch: int
-    batches: List[List[int]]
+    order: np.ndarray
     batch_size: int
     allows_duplicates: bool = False
 
-    def flat_order(self) -> np.ndarray:
-        return np.asarray(
-            [i for batch in self.batches for i in batch], dtype=np.int64
-        )
-
-    def covers_exactly(self, ids: Iterable[int]) -> bool:
-        flat = sorted(i for batch in self.batches for i in batch)
-        return flat == sorted(ids)
+    @property
+    def batches(self) -> List[List[int]]:
+        rows, b = self.order.tolist(), self.batch_size
+        return [rows[k : k + b] for k in range(0, len(rows), b)]
 
 
 @dataclass
@@ -42,94 +41,74 @@ class SpConfig:
             raise ValueError("lambda0 must be positive")
 
 
-def _chunk(order: Sequence[int], b: int) -> List[List[int]]:
-    return [list(order[k : k + b]) for k in range(0, len(order), b)]
+def random_plan(n: int, b: int, rng: np.random.Generator, epoch: int = 0) -> BatchPlan:
+    """Uniform shuffle of n rows chunked into batches of b."""
+    if n < 1:
+        raise ValueError("no samples")
+    return BatchPlan(epoch=epoch, order=rng.permutation(n), batch_size=b)
 
 
-def random_plan(
-    ids: Sequence[int], b: int, rng: np.random.Generator, epoch: int = 0
-) -> BatchPlan:
-    """Uniform shuffle chunked into batches of b."""
-    ids = list(ids)
-    if not ids:
-        raise ValueError("no sample ids")
-    order = [ids[k] for k in rng.permutation(len(ids))]
-    return BatchPlan(epoch=epoch, batches=_chunk(order, b), batch_size=b)
+def _hard_first(d, ids) -> np.ndarray:
+    """Rows by ascending d (smaller d = harder), ties by ascending id."""
+    if len(d) != len(ids):
+        raise ValueError(f"{len(ids)} samples but {len(d)} difficulty scores")
+    return np.lexsort((np.asarray(ids), np.asarray(d)))
 
 
-def _sorted_hard_first(records: Sequence[DifficultyRecord]) -> List[int]:
-    # smaller d = harder; ties broken by ascending sample id
-    for r in records:
-        if r.d is None:
-            raise ValueError(f"sample {r.sample_id} has no difficulty score")
-    return [r.sample_id for r in sorted(records, key=lambda r: (r.d, r.sample_id))]
-
-
-def mixed_order_plan(
-    records: Sequence[DifficultyRecord], b: int, epoch: int = 0
-) -> BatchPlan:
-    """Pair hard with easy: interleave the hardness-sorted list from both
+def mixed_order_plan(d, ids, b: int, epoch: int = 0) -> BatchPlan:
+    """Pair hard with easy: interleave the hardness-sorted rows from both
     ends (hard, easy, hard, easy, ...) and chunk into batches of b.  For b=2
     this pairs position k with position N-1-k; odd N leaves the median
     sample in a short final batch."""
-    order_sorted = _sorted_hard_first(records)
-    n = len(order_sorted)
-    interleaved = []
-    lo, hi = 0, n - 1
-    while lo <= hi:
-        interleaved.append(order_sorted[lo])
-        if hi != lo:
-            interleaved.append(order_sorted[hi])
-        lo += 1
-        hi -= 1
-    return BatchPlan(epoch=epoch, batches=_chunk(interleaved, b), batch_size=b)
+    hard = _hard_first(d, ids)
+    k = np.arange(len(hard))
+    ends = np.where(k % 2 == 0, k // 2, len(hard) - 1 - k // 2)
+    return BatchPlan(epoch=epoch, order=hard[ends], batch_size=b)
 
 
-def anti_mixed_plan(
-    records: Sequence[DifficultyRecord], b: int, epoch: int = 0
-) -> BatchPlan:
-    """Hard with hard: contiguous chunks of the hardness-sorted list."""
-    return BatchPlan(
-        epoch=epoch,
-        batches=_chunk(_sorted_hard_first(records), b),
-        batch_size=b,
-    )
+def anti_mixed_plan(d, ids, b: int, epoch: int = 0) -> BatchPlan:
+    """Hard with hard: contiguous chunks of the hardness-sorted rows."""
+    return BatchPlan(epoch=epoch, order=_hard_first(d, ids), batch_size=b)
 
 
 def ohem_plan(
-    losses: Dict[int, float],
+    losses,
+    ids,
     b: int,
     oversample_ratio: float,
     rng: np.random.Generator,
     epoch: int = 0,
 ) -> BatchPlan:
-    """Online hard example mining: the top-loss fraction of ids appears twice
-    in the shuffled order.  ratio=1 degenerates to plain random coverage."""
+    """Online hard example mining: the top-loss fraction of rows appears
+    twice in the shuffled order.  ratio=1 degenerates to plain random
+    coverage."""
     if not 0.0 < oversample_ratio <= 1.0:
         raise ValueError("oversample_ratio must be in (0, 1]")
-    ids = sorted(losses)
-    n_hard = int(oversample_ratio * len(ids)) if oversample_ratio < 1.0 else 0
-    by_loss = sorted(ids, key=lambda i: (-losses[i], i))
-    pool = ids + by_loss[:n_hard]
-    order = [pool[k] for k in rng.permutation(len(pool))]
+    L = np.asarray(losses, dtype=np.float64)
+    n_hard = int(oversample_ratio * len(L)) if oversample_ratio < 1.0 else 0
+    # every row in id order, then the top-loss rows (ties by ascending id)
+    pool = np.concatenate(
+        [np.argsort(ids, kind="stable"), np.lexsort((np.asarray(ids), 0.0 - L))[:n_hard]]
+    )
     return BatchPlan(
         epoch=epoch,
-        batches=_chunk(order, b),
+        order=pool[rng.permutation(len(pool))],
         batch_size=b,
         allows_duplicates=n_hard > 0,
     )
 
 
-def sp_weight(l: float, cfg: SpConfig, lam: float = None) -> float:
-    """Self-paced loss multiplier v in [0, 1], non-increasing in the loss.
-    hard: 1 if l < lambda else 0; linear: max(0, 1 - l/lambda)."""
+def sp_weight(l, cfg: SpConfig, lam: float = None):
+    """Self-paced loss multiplier v in [0, 1] of a loss or an array of
+    losses, non-increasing in the loss.  hard: 1 if l < lambda else 0;
+    linear: max(0, 1 - l/lambda).  A NaN loss gets 0."""
     if lam is None:
         lam = cfg.lambda0
     if lam <= 0.0:
         raise ValueError("age lambda must be positive")
     if cfg.regularizer == "hard":
-        return 1.0 if l < lam else 0.0
-    return max(0.0, 1.0 - l / lam)
+        return np.where(np.less(l, lam), 1.0, 0.0)
+    return np.fmax(0.0, 1.0 - np.divide(l, lam))
 
 
 def age_schedule(epoch: int, cfg: SpConfig) -> float:
@@ -139,25 +118,12 @@ def age_schedule(epoch: int, cfg: SpConfig) -> float:
     return cfg.lambda0 + cfg.growth * epoch
 
 
-def batch_d_sums(plan: BatchPlan, d_by_id: Dict[int, int]) -> List[int]:
-    return [sum(d_by_id[i] for i in batch) for batch in plan.batches]
-
-
-def d_sum_spread(plan: BatchPlan, d_by_id: Dict[int, int]) -> int:
-    """max - min of batch d-sums over full-size batches (a short final batch
-    is excluded so the spread compares like with like)."""
-    sums = [
-        s
-        for s, batch in zip(batch_d_sums(plan, d_by_id), plan.batches)
-        if len(batch) == plan.batch_size
-    ]
-    if not sums:
+def d_sum_spread(plan: BatchPlan, d) -> int:
+    """max - min of batch d-sums over full-size batches, d given per row (a
+    short final batch is excluded so the spread compares like with like)."""
+    b = plan.batch_size
+    full = len(plan.order) // b * b
+    if full == 0:
         return 0
-    return max(sums) - min(sums)
-
-
-def dump_plan(path, plans: Sequence[BatchPlan]) -> None:
-    """Debug dump: JSON array of epochs, each an array of id batches."""
-    doc = [{"epoch": p.epoch, "batches": p.batches} for p in plans]
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    sums = np.asarray(d)[plan.order[:full]].reshape(-1, b).sum(axis=1)
+    return int(sums.max() - sums.min())

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -49,7 +49,7 @@ def _mean_entropy(P: np.ndarray, head: str, mode: str) -> np.ndarray:
 def estimate_uncertainty(model: MlpModel, x: np.ndarray, cfg: UncertaintyConfig) -> float:
     """u = H(mean of G perturbed predictions): `batch_score_uncertainty` of
     the one sample ``x``, scored as id 0 at epoch 0."""
-    return batch_score_uncertainty(model, np.asarray(x)[None], [0], cfg)[0]
+    return float(batch_score_uncertainty(model, np.asarray(x)[None], [0], cfg)[0])
 
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the stream increment and
@@ -116,11 +116,11 @@ def batch_score_uncertainty(
     sample_ids: np.ndarray,
     cfg: UncertaintyConfig,
     epoch: int = 0,
-) -> Dict[int, float]:
-    """Uncertainty per sample id.  Each sample's disturbances are a pure
-    function of (seed, sample_id, epoch) (see `perturbations`), so scoring
-    is order-independent and the perturbations are resampled at every
-    scoring epoch."""
+) -> np.ndarray:
+    """Uncertainty of each row of X, row k scored as sample ``sample_ids[k]``.
+    Each sample's disturbances are a pure function of (seed, sample_id,
+    epoch) (see `perturbations`), so scoring is order-independent and the
+    perturbations are resampled at every scoring epoch."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise ValueError("dataset is empty")
@@ -128,24 +128,36 @@ def batch_score_uncertainty(
     P = kernels.mean_perturbed_predictions(
         model.W1, model.b1, model.W2, model.b2, X, T, model._act, model._head
     )
-    U = _mean_entropy(P, model.head, cfg.entropy_mode)
-    return dict(zip(np.asarray(sample_ids).tolist(), U.tolist()))
+    return _mean_entropy(P, model.head, cfg.entropy_mode)
 
 
-def dump_scores(path, losses: Dict[int, float], uncertainties: Dict[int, float]) -> None:
+_RECORD = '{"sample_id": %s, "loss": %s, "uncertainty": %s}'
+
+
+def _json_tokens(values: list) -> list:
+    """The JSON text of each value, as the C encoder writes it (repr floats,
+    NaN, Infinity, null)."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def dump_scores(path, sample_ids, losses, uncertainties=None) -> None:
     """Score dump shared with the difficulty module: JSON array of
     {sample_id, loss, uncertainty} records, ordered by sample id, on one
-    line (the C encoder only runs without indent)."""
-    records = [
-        {
-            "sample_id": sid,
-            "loss": losses[sid],
-            "uncertainty": uncertainties.get(sid),
-        }
-        for sid in sorted(losses)
-    ]
+    line.  The arrays are row-aligned; without uncertainties every
+    ``uncertainty`` is null.  The bytes are those of ``json.dumps`` of the
+    record list."""
+    rows = np.argsort(sample_ids, kind="stable")
+    n = len(rows)
+    fields = [None] * (3 * n)
+    fields[0::3] = _json_tokens(np.asarray(sample_ids)[rows].tolist())
+    fields[1::3] = _json_tokens(np.asarray(losses)[rows].tolist())
+    fields[2::3] = (
+        ["null"] * n
+        if uncertainties is None
+        else _json_tokens(np.asarray(uncertainties)[rows].tolist())
+    )
     with open(path, "w") as fh:
-        fh.write(json.dumps(records))
+        fh.write("[" + ", ".join([_RECORD] * n) % tuple(fields) + "]")
 
 
 def load_scores(path):

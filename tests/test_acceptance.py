@@ -20,7 +20,7 @@ from moscl.conflict import (
 )
 from moscl.core_math import loss, loss_based_uncertainty
 from moscl.datagen import GenSpec, generate
-from moscl.difficulty import DifficultyRecord, fuse_ranks
+from moscl.difficulty import fuse_ranks
 from moscl.experiment import ExperimentConfig
 from moscl.model import MlpModel, grad_wrt_latent
 from moscl.scheduler import SpConfig, mixed_order_plan, sp_weight
@@ -144,13 +144,9 @@ def test_criterion_04_mixed_pairing_is_minimax_optimal():
     for n in (4, 6, 8):
         for _ in range(200):
             ds = rng.integers(0, 2 * n, size=n)
-            records = [
-                DifficultyRecord(sample_id=i, loss=0.0, d=int(ds[i]))
-                for i in range(n)
-            ]
-            plan = mixed_order_plan(records, b=2)
+            plan = mixed_order_plan(ds, np.arange(n), b=2)
             d_by_id = {i: int(ds[i]) for i in range(n)}
-            achieved = max(scheduler.batch_d_sums(plan, d_by_id))
+            achieved = max(sum(d_by_id[i] for i in batch) for batch in plan.batches)
             ok = ok and achieved == _brute_force_min_max_pair_sum(d_by_id)
     _report(
         4,
@@ -174,14 +170,13 @@ def test_criterion_05_difficulty_invariant_under_monotone_transforms():
     ]
     ok = True
     for n in (3, 10, 101):
-        losses = {i: float(v) for i, v in enumerate(rng.uniform(0.0, 2.0, n))}
-        us = {i: float(v) for i, v in enumerate(rng.uniform(0.0, 0.7, n))}
-        base = {r.sample_id: r.d for r in fuse_ranks(losses, us)}
+        ids = np.arange(n)
+        losses = rng.uniform(0.0, 2.0, n)
+        us = rng.uniform(0.0, 0.7, n)
+        base = fuse_ranks(losses, us, ids).d
         for t in transforms:
-            tl = {i: float(t(v)) for i, v in losses.items()}
-            tu = {i: float(t(v)) for i, v in us.items()}
-            got = {r.sample_id: r.d for r in fuse_ranks(tl, tu)}
-            ok = ok and got == base
+            got = fuse_ranks(t(losses), t(us), ids).d
+            ok = ok and np.array_equal(got, base)
     _report(
         5,
         "rank-fused difficulty is exactly invariant under 5 strictly "
@@ -215,9 +210,9 @@ def _train_random(dataset, seed, lr=0.1, max_epochs=500):
     losses = []
     for epoch in range(max_epochs):
         plan = scheduler.random_plan(
-            dataset.ids.tolist(), 2, np.random.default_rng([seed, 1, epoch]), epoch
+            len(dataset), 2, np.random.default_rng([seed, 1, epoch]), epoch
         )
-        order = np.asarray(plan.flat_order(), dtype=np.int64)
+        order = plan.order
         raw = kernels.sgd_epoch(
             m.W1, m.b1, m.W2, m.b2,
             dataset.X, dataset.labels, order, 2, weights, lr, m._act, m._head, 0,

@@ -8,7 +8,6 @@ from moscl.datagen import (
     quadrant_recovery_rate,
     save_dataset,
 )
-from moscl.difficulty import DifficultyRecord
 
 
 class TestGenSpec:
@@ -68,21 +67,27 @@ class TestGenerate:
             s.true_quadrant for s in ds.samples
         ]
 
+    def test_duplicate_ids_rejected(self, tmp_path):
+        ds = generate(GenSpec(n_total=40, seed=6))
+        ds.samples[7].id = ds.samples[2].id
+        csv_path = tmp_path / "dup.csv"
+        save_dataset(ds, csv_path)
+        with pytest.raises(ValueError, match="duplicate id 2"):
+            load_dataset(csv_path)
+
 
 class TestQuadrantRecovery:
     # oracle scores: encode each tag at a quadrant corner around (0.5, 0.5)
     _CORNERS = {"HH": (0.9, 0.9), "LH": (0.1, 0.9), "LL": (0.1, 0.1), "HL": (0.9, 0.1)}
 
-    def _oracle_records(self, ds):
-        recs = []
-        for s in ds.samples:
-            u, l = self._CORNERS[s.true_quadrant]
-            recs.append(DifficultyRecord(sample_id=s.id, loss=l, uncertainty=u))
-        return recs
+    def _oracle_scores(self, ds):
+        """(losses, uncertainties) in dataset-row order."""
+        corners = [self._CORNERS[s.true_quadrant] for s in ds.samples]
+        return [l for _, l in corners], [u for u, _ in corners]
 
     def test_perfect_oracle_recovers_all(self):
         ds = generate(GenSpec(n_total=200, seed=7))
-        rates = quadrant_recovery_rate(ds, self._oracle_records(ds))
+        rates = quadrant_recovery_rate(ds, *self._oracle_scores(ds))
         for tag, rate in rates.items():
             if rate is not None:
                 assert rate == 1.0
@@ -93,13 +98,10 @@ class TestQuadrantRecovery:
         per_tag = {tag: [] for tag in ("HH", "LH", "LL", "HL")}
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            recs = [
-                DifficultyRecord(
-                    sample_id=s.id, loss=rng.uniform(), uncertainty=rng.uniform()
-                )
-                for s in ds.samples
-            ]
-            for tag, rate in quadrant_recovery_rate(ds, recs).items():
+            scores = [(rng.uniform(), rng.uniform()) for _ in ds.samples]
+            losses = [l for l, _ in scores]
+            us = [u for _, u in scores]
+            for tag, rate in quadrant_recovery_rate(ds, losses, us).items():
                 per_tag[tag].append(rate)
         for tag, rates in per_tag.items():
             assert abs(np.mean(rates) - 0.25) < 0.1
@@ -109,11 +111,11 @@ class TestQuadrantRecovery:
             GenSpec(n_total=20, minority_fraction=0.0, label_noise_rate=0.0,
                     feature_noise_rate=0.0, seed=9)
         )
-        rates = quadrant_recovery_rate(ds, self._oracle_records(ds))
+        rates = quadrant_recovery_rate(ds, *self._oracle_scores(ds))
         assert rates["LL"] == 1.0
         assert rates["HH"] is None and rates["LH"] is None and rates["HL"] is None
 
     def test_missing_scores_rejected(self):
         ds = generate(GenSpec(n_total=10, seed=10))
         with pytest.raises(ValueError):
-            quadrant_recovery_rate(ds, [])
+            quadrant_recovery_rate(ds, [], [])

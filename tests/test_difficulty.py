@@ -3,24 +3,28 @@ import pytest
 from hypothesis import given, strategies as st
 
 from moscl.difficulty import (
-    DifficultyRecord,
     dump_difficulty_csv,
     fuse_ranks,
     quadrant_classify,
     rank_descending,
-    single_source_records,
 )
+
+
+def _by_id(ids, per_row):
+    return dict(zip(list(ids), np.asarray(per_row).tolist()))
 
 
 class TestRankDescending:
     def test_example(self):
-        assert rank_descending([0.9, 0.1, 0.5], [0, 1, 2]) == {0: 0, 1: 2, 2: 1}
+        ranks = rank_descending([0.9, 0.1, 0.5], [0, 1, 2])
+        assert _by_id([0, 1, 2], ranks) == {0: 0, 1: 2, 2: 1}
 
     def test_single(self):
-        assert rank_descending([3.0], [7]) == {7: 0}
+        assert _by_id([7], rank_descending([3.0], [7])) == {7: 0}
 
     def test_all_equal_ties_by_id(self):
-        assert rank_descending([1.0, 1.0, 1.0], [2, 0, 1]) == {0: 0, 1: 1, 2: 2}
+        ranks = rank_descending([1.0, 1.0, 1.0], [2, 0, 1])
+        assert _by_id([2, 0, 1], ranks) == {0: 0, 1: 1, 2: 2}
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -47,33 +51,31 @@ class TestRankDescending:
     def test_matches_sorted_reference_with_ties(self, values, rnd):
         ids = rnd.sample(range(1000), len(values))
         order = sorted(range(len(ids)), key=lambda k: (-values[k], ids[k]))
-        assert rank_descending(values, ids) == {ids[k]: r for r, k in enumerate(order)}
+        assert _by_id(ids, rank_descending(values, ids)) == {
+            ids[k]: r for r, k in enumerate(order)
+        }
 
 
 class TestFuseRanks:
     def test_example(self):
-        recs = fuse_ranks(
-            {0: 0.8, 1: 0.2, 2: 0.5}, {0: 0.9, 1: 0.1, 2: 0.5}
-        )
-        d = {r.sample_id: r.d for r in recs}
+        d = _by_id([0, 1, 2], fuse_ranks([0.8, 0.2, 0.5], [0.9, 0.1, 0.5], [0, 1, 2]).d)
         assert d == {0: 0, 1: 4, 2: 2}
         # hardness order (smaller d = harder): 0, then 2, then 1
         assert sorted(d, key=d.get) == [0, 2, 1]
 
     def test_singleton(self):
-        recs = fuse_ranks({5: 1.0}, {5: 2.0})
-        assert recs[0].d == 0
+        assert fuse_ranks([1.0], [2.0], [5]).d[0] == 0
 
     def test_opposed_orders_make_flat_d(self):
         n = 7
-        losses = {i: float(n - i) for i in range(n)}
-        uncertainties = {i: float(i) for i in range(n)}
-        recs = fuse_ranks(losses, uncertainties)
-        assert all(r.d == n - 1 for r in recs)
+        losses = [float(n - i) for i in range(n)]
+        uncertainties = [float(i) for i in range(n)]
+        table = fuse_ranks(losses, uncertainties, range(n))
+        assert all(d == n - 1 for d in table.d)
 
     def test_id_mismatch(self):
         with pytest.raises(ValueError):
-            fuse_ranks({0: 1.0}, {1: 1.0})
+            fuse_ranks([1.0], [1.0, 2.0], [0])
 
     @given(
         st.lists(
@@ -87,69 +89,90 @@ class TestFuseRanks:
     )
     def test_d_sum_conserved(self, pairs):
         n = len(pairs)
-        losses = {i: p[0] for i, p in enumerate(pairs)}
-        us = {i: p[1] for i, p in enumerate(pairs)}
-        recs = fuse_ranks(losses, us)
-        assert sum(r.d for r in recs) == n * (n - 1)
+        losses = [p[0] for p in pairs]
+        us = [p[1] for p in pairs]
+        assert int(fuse_ranks(losses, us, range(n)).d.sum()) == n * (n - 1)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(0)
-        losses = {i: float(v) for i, v in enumerate(rng.uniform(0, 2, 20))}
-        us = {i: float(v) for i, v in enumerate(rng.uniform(0, 1, 20))}
-        base = {r.sample_id: r.d for r in fuse_ranks(losses, us)}
+        ids = np.arange(20)
+        losses = rng.uniform(0, 2, 20)
+        us = rng.uniform(0, 1, 20)
+        base = _by_id(ids, fuse_ranks(losses, us, ids).d)
         for f in (lambda x: 3 * x + 1, np.exp, np.sqrt, np.tanh):
-            warped = {i: float(f(v)) for i, v in losses.items()}
-            assert {r.sample_id: r.d for r in fuse_ranks(warped, us)} == base
+            warped = f(losses)
+            assert _by_id(ids, fuse_ranks(warped, us, ids).d) == base
+
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5, 1e-300]),
+                st.sampled_from([0.0, -0.0, 0.25, 0.7, 0.7, 3.0]),
+            ),
+            min_size=1,
+            max_size=41,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_id_keyed_reference(self, pairs, rnd):
+        # the former fuse_ranks: dicts keyed by id, each rank a sort by
+        # (-value, id), d their sum
+        ids = rnd.sample(range(10**6), len(pairs))
+        losses = {i: p[0] for i, p in zip(ids, pairs)}
+        us = {i: p[1] for i, p in zip(ids, pairs)}
+
+        def ranks(values):
+            order = sorted(values, key=lambda i: (-values[i], i))
+            return {i: r for r, i in enumerate(order)}
+
+        rank_l, rank_u = ranks(losses), ranks(us)
+        table = fuse_ranks([p[0] for p in pairs], [p[1] for p in pairs], ids)
+        assert _by_id(ids, table.rank_l) == rank_l
+        assert _by_id(ids, table.rank_u) == rank_u
+        assert _by_id(ids, table.d) == {i: rank_l[i] + rank_u[i] for i in ids}
 
 
 class TestQuadrants:
-    def _rec(self, sid, u, l):
-        return DifficultyRecord(sample_id=sid, loss=l, uncertainty=u)
+    @staticmethod
+    def _scores(*u_l):
+        """(losses, uncertainties) rows from (u, l) pairs."""
+        return [l for _, l in u_l], [u for u, _ in u_l]
 
     def test_grid_around_medians(self):
-        recs = [
-            self._rec(0, 0.9, 0.9),
-            self._rec(1, 0.1, 0.9),
-            self._rec(2, 0.1, 0.1),
-            self._rec(3, 0.9, 0.1),
-        ]
-        q = quadrant_classify(recs, thresholds=(0.5, 0.5))
-        assert q == {0: "HH", 1: "LH", 2: "LL", 3: "HL"}
+        losses, us = self._scores((0.9, 0.9), (0.1, 0.9), (0.1, 0.1), (0.9, 0.1))
+        q = quadrant_classify(losses, us, thresholds=(0.5, 0.5))
+        assert _by_id(range(4), q) == {0: "HH", 1: "LH", 2: "LL", 3: "HL"}
 
     def test_degenerate_all_equal_is_LL(self):
-        recs = [self._rec(i, 0.3, 0.4) for i in range(5)]
-        assert set(quadrant_classify(recs).values()) == {"LL"}
+        losses, us = self._scores(*[(0.3, 0.4)] * 5)
+        assert set(quadrant_classify(losses, us).tolist()) == {"LL"}
 
     def test_default_median_thresholds(self):
-        recs = [
-            self._rec(0, 0.9, 0.9),
-            self._rec(1, 0.1, 0.8),
-            self._rec(2, 0.2, 0.1),
-            self._rec(3, 0.8, 0.2),
-        ]
-        q = quadrant_classify(recs)
-        assert q == {0: "HH", 1: "LH", 2: "LL", 3: "HL"}
+        losses, us = self._scores((0.9, 0.9), (0.1, 0.8), (0.2, 0.1), (0.8, 0.2))
+        q = quadrant_classify(losses, us)
+        assert _by_id(range(4), q) == {0: "HH", 1: "LH", 2: "LL", 3: "HL"}
 
     def test_bad_thresholds(self):
         with pytest.raises(ValueError):
-            quadrant_classify([self._rec(0, 1, 1)], thresholds=(float("nan"), 0.0))
+            quadrant_classify([1.0], [1.0], thresholds=(float("nan"), 0.0))
 
 
 class TestSingleSource:
+    # a loss-only or uncertainty-only difficulty (the Mo+l / Mo+u
+    # ablations) is the one descending rank
     def test_loss_only(self):
-        recs = single_source_records({0: 0.9, 1: 0.1}, "loss")
-        assert [r.d for r in recs] == [0, 1]
+        assert rank_descending([0.9, 0.1], [0, 1]).tolist() == [0, 1]
 
     def test_uncertainty_only(self):
-        recs = single_source_records({0: 0.1, 1: 0.9}, "uncertainty")
-        assert [r.d for r in recs] == [1, 0]
+        assert rank_descending([0.1, 0.9], [0, 1]).tolist() == [1, 0]
 
 
 class TestCsvDump:
     def test_header_and_rows(self, tmp_path):
-        recs = fuse_ranks({0: 0.8, 1: 0.2}, {0: 0.9, 1: 0.1})
+        table = fuse_ranks([0.8, 0.2], [0.9, 0.1], [0, 1])
         path = tmp_path / "difficulty.csv"
-        dump_difficulty_csv(path, recs)
+        dump_difficulty_csv(path, table)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "sample_id,loss,uncertainty,rank_l,rank_u,d,quadrant"
         assert len(lines) == 3

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from moscl import cli, experiment
-from moscl.datagen import GenSpec, generate, save_dataset
+from moscl.datagen import Dataset, GenSpec, generate, save_dataset
 from moscl.experiment import METRICS_HEADER, ExperimentConfig
 from moscl.model import MlpModel
 
@@ -78,6 +78,41 @@ def test_cli_train_rejects_unknown_model_field_before_writing(
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ValueError", "message": f"unknown {field} 'bogus'"}
     assert not run_dir.exists()
+
+
+def _with_duplicate_id(dataset):
+    """The dataset with row 3 relabelled to row 5's id (5)."""
+    samples = list(dataset.samples)
+    samples[3] = replace(samples[3], id=samples[5].id)
+    return Dataset(samples, dataset.spec)
+
+
+def test_run_rejects_duplicate_ids_before_writing(tmp_path, small_dataset):
+    with pytest.raises(ValueError, match="duplicate id 5"):
+        experiment.run(_cfg(tmp_path, name="dup"), dataset=_with_duplicate_id(small_dataset))
+    assert not (tmp_path / "dup").exists()
+
+
+def test_cli_train_rejects_duplicate_ids_before_writing(tmp_path, small_dataset, capsys):
+    data = tmp_path / "data.csv"
+    save_dataset(_with_duplicate_id(small_dataset), data, data.with_suffix(".json"))
+    run_dir = tmp_path / "bad_run"
+    rc = cli.main(["train", "--dataset", str(data), "--outdir", str(run_dir)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "duplicate id 5" in err["message"]
+    assert not run_dir.exists()
+
+
+def test_compare_reports_the_error_of_each_failed_cell(tmp_path, small_dataset):
+    base = _cfg(tmp_path, name="cmp", scheduler="random")
+    configs = [base, replace(base, scheduler="mixed")]
+    summary = experiment.compare(configs, [0, 1], dataset=_with_duplicate_id(small_dataset))
+    message = "ValueError: duplicate id 5: sample ids must be unique"
+    for stats in summary["configs"].values():
+        assert stats["failed_seeds"] == [0, 1]
+        assert stats["errors"] == {"0": message, "1": message}
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_config_rejects_unknown_keys():
@@ -257,6 +292,7 @@ def test_compare_summary_structure(tmp_path, small_dataset):
     for stats in summary["configs"].values():
         assert 0.0 <= stats["minority_recall_mean"] <= 1.0
         assert stats["failed_seeds"] == []
+        assert stats["errors"] == {}
         assert set(stats["per_seed_minority_recall"]) == {"0", "1"}
     assert set(summary["wins_vs_baseline"]) == {"mixed"}
     assert 0 <= summary["wins_vs_baseline"]["mixed"] <= 2

@@ -1,0 +1,99 @@
+"""Training and scoring outputs are byte-identical to committed hashes.
+
+`golden_hashes.json` next to this file holds the SHA-256 of every
+`metrics.csv`, `scores_epoch*.json` and `checkpoint.json` of two small
+compares, and of `moscl score` and `export-scatter` outputs on one
+checkpoint of each.  Both compares run all six schedulers plus the
+loss-only and uncertainty-only difficulty sources on N=60 samples whose
+ids are sparse and shuffled: once tanh-sigmoid-mse at b=2, rescoring every
+epoch, and once relu-softmax-ce at b=4, G=4, rescoring every other epoch.
+
+A change that alters a numeric path on purpose regenerates the file and
+says so in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from moscl import cli, experiment
+from moscl.datagen import Dataset, GenSpec, generate, save_dataset
+from moscl.experiment import SCHEDULERS, ExperimentConfig
+
+FIXTURE = Path(__file__).with_name("golden_hashes.json")
+SEEDS = [0, 1]
+CASES = {
+    "tanh_sigmoid_mse_b2": dict(
+        batch_size=2, activation="tanh", head="sigmoid", loss_kind="mse", rescore_every=1
+    ),
+    "relu_softmax_ce_b4": dict(
+        batch_size=4, G=4, activation="relu", head="softmax", loss_kind="ce", rescore_every=2
+    ),
+}
+HASHED = ("metrics.csv", "checkpoint.json", "scores_epoch*.json")
+
+
+def _dataset() -> Dataset:
+    ds = generate(GenSpec(n_total=60, seed=12))
+    ids = np.random.default_rng(5).choice(10**6, size=len(ds), replace=False)
+    return Dataset([replace(s, id=int(i)) for s, i in zip(ds.samples, ids)], ds.spec)
+
+
+def _sha(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def golden_hashes(work: Path) -> dict:
+    """SHA-256 per output file, keyed by its path under ``work``."""
+    ds = _dataset()
+    data = work / "data.csv"
+    save_dataset(ds, data, data.with_suffix(".json"))
+    for case, fields in CASES.items():
+        base = ExperimentConfig(
+            warmup_epochs=2, total_epochs=10, lr=0.3, sp_lambda0=0.3, sp_growth=0.02,
+            outdir=str(work / case), **fields,
+        )
+        configs = [replace(base, scheduler=s) for s in SCHEDULERS] + [
+            replace(base, scheduler="mixed", difficulty_source="loss"),
+            replace(base, scheduler="anti_mixed", difficulty_source="uncertainty"),
+        ]
+        labels = list(SCHEDULERS) + ["mixed_loss", "anti_mixed_uncertainty"]
+        summary = experiment.compare(configs, SEEDS, dataset=ds, labels=labels)
+        assert all(not c["failed_seeds"] for c in summary["configs"].values()), summary
+        scores = work / case / "score.json"
+        argvs = [
+            ["score", "--dataset", str(data), "--out", str(scores), "--seed", "3",
+             "--checkpoint", str(work / case / "mixed_seed0" / "checkpoint.json"),
+             "--loss-kind", fields["loss_kind"], "--G", str(fields.get("G", 8))],
+            ["export-scatter", "--scores", str(scores), "--out", str(work / case / "value.csv")],
+            ["export-scatter", "--scores", str(scores), "--out", str(work / case / "index.csv"),
+             "--mode", "index"],
+        ]
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
+    files = [p for pattern in HASHED for p in work.rglob(pattern)]
+    files += [work / c / name for c in CASES
+              for name in ("score.json", "score.csv", "value.csv", "index.csv")]
+    return {p.relative_to(work).as_posix(): _sha(p) for p in sorted(files)}
+
+
+def test_outputs_match_golden_hashes(tmp_path):
+    want = json.loads(FIXTURE.read_text())
+    got = golden_hashes(tmp_path)
+    assert sorted(got) == sorted(want)
+    differing = [name for name in want if got[name] != want[name]]
+    assert differing == [], f"{len(differing)} of {len(want)} files differ"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        hashes = golden_hashes(Path(tmp))
+    FIXTURE.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
+    print(f"{len(hashes)} hashes -> {FIXTURE}", file=sys.stderr)

@@ -147,17 +147,19 @@ def test_failing_cell_leaves_the_stack_and_others_match_solo(
 ):
     real_ohem_plan = scheduler.ohem_plan
 
-    def ohem_plan(losses, b, ratio, rng, epoch=0):
+    def ohem_plan(losses, ids, b, ratio, rng, epoch=0):
         # the epoch rng is seeded with [seed, 1, epoch]
         seed = rng.bit_generator.seed_seq.entropy[0]
         if seed == 1 and epoch == 3:
             raise ValueError("planned failure")
-        return real_ohem_plan(losses, b, ratio, rng, epoch)
+        return real_ohem_plan(losses, ids, b, ratio, rng, epoch)
 
     monkeypatch.setattr(scheduler, "ohem_plan", ohem_plan)
     configs = [_cfg(s, tmp_path / "cmp") for s in ("random", "ohem")]
     summary = experiment.compare(configs, [0, 1], dataset=small_dataset)
     assert summary["configs"]["ohem"]["failed_seeds"] == [1]
+    assert summary["configs"]["ohem"]["errors"] == {"1": "ValueError: planned failure"}
+    assert summary["configs"]["random"]["errors"] == {}
     assert summary["configs"]["ohem"]["per_seed_minority_recall"]["1"] is None
     assert summary["configs"]["random"]["failed_seeds"] == []
     with pytest.raises(ValueError, match="planned failure"):

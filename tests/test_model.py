@@ -5,6 +5,7 @@ import pytest
 
 from moscl import kernels
 from moscl.core_math import loss
+from moscl.experiment import ExperimentConfig
 from moscl.model import LOSSES, MlpModel, grad_wrt_latent, grad_wrt_prediction
 
 
@@ -135,20 +136,29 @@ class TestPerSampleGradients:
         assert np.abs((after - before) - expected).max() <= 1e-12
 
 
+def _train_step(m, X, y, w, lr):
+    """One mini-batch of the training SGD step (mse loss) on m, in place."""
+    X = np.asarray(X, dtype=np.float64)
+    kernels.sgd_epoch(
+        m.W1, m.b1, m.W2, m.b2, X, np.asarray(y, dtype=np.int64), np.arange(len(X)),
+        len(X), np.asarray(w, dtype=np.float64), lr, m._act, m._head, LOSSES["mse"],
+    )
+
+
 class TestSgdStep:
     def test_zero_gradient_no_change(self):
         m = MlpModel(2, 3, seed=2)
         before = m.to_checkpoint()
-        m.sgd_step([np.zeros(m.n_params)], lr=0.5)
+        # zero loss weights zero every per-sample gradient
+        _train_step(m, [[0.3, 0.8]], [1], [0.0], lr=0.5)
         assert m.to_checkpoint() == before
 
     def test_duplicate_sample_same_as_single(self):
         x = np.array([0.3, 0.8])
         m1 = MlpModel(2, 3, seed=9)
         m2 = m1.copy()
-        g = m1.per_sample_gradient(x, 0)
-        m1.sgd_step([g], lr=0.1)
-        m2.sgd_step([g, g.copy()], lr=0.1)
+        _train_step(m1, [x], [0], [1.0], lr=0.1)
+        _train_step(m2, [x, x.copy()], [0, 0], [1.0, 1.0], lr=0.1)
         assert np.allclose(m1.W1, m2.W1) and np.allclose(m1.b2, m2.b2)
 
     def test_logistic_closed_form_delta(self):
@@ -157,14 +167,14 @@ class TestSgdStep:
         x = np.array([0.7])
         p = m.forward(x).prob
         b2_before = m.b2.copy()
-        m.sgd_step([m.per_sample_gradient(x, 1)], lr=0.2)
+        _train_step(m, [x], [1], [1.0], lr=0.2)
         expected = -0.2 * 2.0 * (p - 1.0) * p * (1.0 - p)
         assert m.b2[0] - b2_before[0] == pytest.approx(expected, abs=1e-12)
 
     def test_bad_lr(self):
-        m = MlpModel(1, 1, seed=4)
-        with pytest.raises(ValueError):
-            m.sgd_step([np.zeros(m.n_params)], lr=0.0)
+        # training takes its learning rate from a validated config
+        with pytest.raises(ValueError, match="lr"):
+            ExperimentConfig(lr=0.0)
 
 
 class TestLatentGradients:
