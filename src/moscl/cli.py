@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -37,15 +38,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 
 def cmd_gen_data(args) -> None:
-    spec = GenSpec(
-        n_total=args.n_total,
-        minority_fraction=args.minority_fraction,
-        label_noise_rate=args.label_noise_rate,
-        feature_noise_rate=args.feature_noise_rate,
-        cluster_separation=args.cluster_separation,
-        dim=args.dim,
-        seed=args.seed,
-    )
+    spec = GenSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GenSpec)})
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(generate(spec), out, out.with_suffix(".json"))
@@ -114,7 +107,9 @@ def cmd_analyze_conflicts(args) -> None:
     print(json.dumps({"spearman_rho": report.spearman_rho, "degenerate": report.degenerate}))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="moscl",
         description="Mixed-order self-paced curriculum learning lab",
@@ -123,13 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic quadrant dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--n-total", type=int, default=400)
-    p.add_argument("--minority-fraction", type=float, default=0.1)
-    p.add_argument("--label-noise-rate", type=float, default=0.1)
-    p.add_argument("--feature-noise-rate", type=float, default=0.05)
-    p.add_argument("--cluster-separation", type=float, default=3.0)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(GenSpec):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="run one training configuration")

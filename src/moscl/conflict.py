@@ -6,46 +6,52 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 from scipy.stats import spearmanr
 
 from .model import MlpModel
+from .uncertainty import json_records
 
 MAX_EXHAUSTIVE_N = 64
 PAIR_CAP = 2000
+PAIR_DTYPE = np.dtype(
+    [("id_i", np.int64), ("id_j", np.int64), ("cosine", np.float64), ("loss_sum", np.float64)]
+)
 
 
 @dataclass
 class ConflictReport:
-    pairs: List[Tuple[int, int, float, float]]  # (id_i, id_j, cosine, loss_sum)
+    """``pairs`` is a PAIR_DTYPE structured array, one element per kept
+    pair: the two sample ids (id_i < id_j), their gradient cosine and their
+    loss sum."""
+
+    pairs: np.ndarray
     spearman_rho: Optional[float]
     degenerate: bool = False
     model_tag: str = ""
 
-    def to_json(self) -> dict:
-        return {
+    def save(self, path) -> None:
+        """One-line JSON: the summary fields, then the pair records."""
+        head = json.dumps({
             "model_tag": self.model_tag,
             "spearman_rho": self.spearman_rho,
             "degenerate": self.degenerate,
             "n_pairs": len(self.pairs),
-            "pairs": [
-                {"id_i": i, "id_j": j, "cosine": c, "loss_sum": s}
-                for i, j, c, s in self.pairs
-            ],
-        }
-
-    def save(self, path) -> None:
+        })
+        pairs = {name: self.pairs[name].tolist() for name in PAIR_DTYPE.names}
         with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_json()))
+            fh.write(f'{head[:-1]}, "pairs": {json_records(pairs)}}}')
 
     def save_pairs_csv(self, path) -> None:
+        p = self.pairs
+        floats = (p["cosine"], 1.0 - p["cosine"], p["loss_sum"])
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id_i", "id_j", "cosine", "conflict", "loss_sum"])
-            for i, j, c, s in self.pairs:
-                writer.writerow([i, j, repr(c), repr(1.0 - c), repr(s)])
+            writer.writerows(zip(p["id_i"].tolist(), p["id_j"].tolist(),
+                                 *[map(repr, column.tolist()) for column in floats]))
 
 
 def gradient_cosine(g_i: np.ndarray, g_j: np.ndarray) -> float:
@@ -109,7 +115,9 @@ def conflict_loss_monotonicity(
     I, J = I[keep], J[keep]
     cosines = np.einsum("pk,pk->p", grads[I], grads[J]) / (norms[I] * norms[J])
     loss_sums = losses[I] + losses[J]
-    pairs = list(zip(ids[I].tolist(), ids[J].tolist(), cosines.tolist(), loss_sums.tolist()))
+    pairs = np.empty(len(I), dtype=PAIR_DTYPE)
+    pairs["id_i"], pairs["id_j"] = ids[I], ids[J]
+    pairs["cosine"], pairs["loss_sum"] = cosines, loss_sums
     conflicts = 1.0 - cosines
     degenerate = bool(
         len(pairs) < 2

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import difficulty, scheduler, uncertainty
-from .datagen import Dataset, check_unique_ids, load_dataset
+from .datagen import Dataset, check_dataset, load_dataset
 from .model import ACTIVATIONS, HEADS, LOSSES, MlpModel
 from . import kernels
 
@@ -384,7 +384,8 @@ def load_data(path: str) -> Dataset:
 
 
 def _start(cfg: ExperimentConfig, dataset: Dataset) -> _Run:
-    check_unique_ids(dataset.ids)
+    # both heads classify two classes: sigmoid with one output, softmax with two
+    check_dataset(dataset, n_classes=2)
     outdir = resolve_outdir(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     return _Run(cfg, dataset, outdir)

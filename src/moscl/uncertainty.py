@@ -131,33 +131,35 @@ def batch_score_uncertainty(
     return _mean_entropy(P, model.head, cfg.entropy_mode)
 
 
-_RECORD = '{"sample_id": %s, "loss": %s, "uncertainty": %s}'
-
-
-def _json_tokens(values: list) -> list:
-    """The JSON text of each value, as the C encoder writes it (repr floats,
-    NaN, Infinity, null)."""
-    return json.dumps(values)[1:-1].split(", ") if values else []
+def json_records(columns: dict) -> str:
+    """``json.dumps`` of the records ``{name: column[k], ...}``, one per row
+    k, written from the columns: each column (a list of numbers or None) is
+    encoded by one ``json.dumps`` call, as the C encoder writes it, and the
+    tokens fill one ``%`` template of all the records."""
+    n = len(next(iter(columns.values())))
+    if n == 0:
+        return "[]"
+    record = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in columns) + "}"
+    tokens = [None] * (len(columns) * n)
+    for k, values in enumerate(columns.values()):
+        tokens[k :: len(columns)] = json.dumps(values)[1:-1].split(", ")
+    return "[" + ", ".join([record] * n) % tuple(tokens) + "]"
 
 
 def dump_scores(path, sample_ids, losses, uncertainties=None) -> None:
     """Score dump shared with the difficulty module: JSON array of
     {sample_id, loss, uncertainty} records, ordered by sample id, on one
     line.  The arrays are row-aligned; without uncertainties every
-    ``uncertainty`` is null.  The bytes are those of ``json.dumps`` of the
-    record list."""
+    ``uncertainty`` is null."""
     rows = np.argsort(sample_ids, kind="stable")
-    n = len(rows)
-    fields = [None] * (3 * n)
-    fields[0::3] = _json_tokens(np.asarray(sample_ids)[rows].tolist())
-    fields[1::3] = _json_tokens(np.asarray(losses)[rows].tolist())
-    fields[2::3] = (
-        ["null"] * n
-        if uncertainties is None
-        else _json_tokens(np.asarray(uncertainties)[rows].tolist())
-    )
     with open(path, "w") as fh:
-        fh.write("[" + ", ".join([_RECORD] * n) % tuple(fields) + "]")
+        fh.write(json_records({
+            "sample_id": np.asarray(sample_ids)[rows].tolist(),
+            "loss": np.asarray(losses)[rows].tolist(),
+            "uncertainty": [None] * len(rows)
+            if uncertainties is None
+            else np.asarray(uncertainties)[rows].tolist(),
+        }))
 
 
 def load_scores(path):

@@ -1,10 +1,16 @@
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import spearmanr
 
 from moscl.conflict import (
     MAX_EXHAUSTIVE_N,
     PAIR_CAP,
+    PAIR_DTYPE,
     ConflictReport,
     conflict_loss_monotonicity,
     gradient_cosine,
@@ -91,7 +97,7 @@ class TestConflictReport:
             m, X[perm], y[perm], sample_ids=np.arange(len(y))[perm]
         )
         assert a.spearman_rho == pytest.approx(b.spearman_rho)
-        assert sorted(a.pairs) == sorted(b.pairs)
+        assert sorted(a.pairs.tolist()) == sorted(b.pairs.tolist())
 
     def test_small_dataset_rejected(self):
         m = MlpModel(2, 3, seed=1)
@@ -114,6 +120,46 @@ class TestConflictReport:
         assert (tmp_path / "report.json").exists()
         header = (tmp_path / "pairs.csv").read_text().splitlines()[0]
         assert header == "id_i,id_j,cosine,conflict,loss_sum"
+
+
+class TestReportFiles:
+    """The column writers give the bytes of the former per-pair writers."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-(2**63), 2**63 - 1),
+                st.integers(0, 10**6),
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1 + 0.2, 1e-300, -0.7071067811865476]),
+                st.floats(0.0, 1e6) | st.sampled_from([0.0, 1e-300, 2.5]),
+            ),
+            max_size=20,
+        ),
+        st.sampled_from([None, 0.25, -1.0]),
+        st.booleans(),
+        st.text(max_size=8),
+    )
+    def test_bytes_match_per_pair_writers(self, tmp_path_factory, rows, rho, degenerate, tag):
+        report = ConflictReport(
+            pairs=np.array(rows, dtype=PAIR_DTYPE), spearman_rho=rho,
+            degenerate=degenerate, model_tag=tag,
+        )
+        path = tmp_path_factory.mktemp("report")
+        report.save(path / "report.json")
+        report.save_pairs_csv(path / "pairs.csv")
+        want = json.dumps({
+            "model_tag": tag, "spearman_rho": rho, "degenerate": degenerate,
+            "n_pairs": len(rows),
+            "pairs": [{"id_i": i, "id_j": j, "cosine": c, "loss_sum": l} for i, j, c, l in rows],
+        })
+        assert (path / "report.json").read_text() == want
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["id_i", "id_j", "cosine", "conflict", "loss_sum"])
+        for i, j, c, l in rows:
+            writer.writerow([i, j, repr(c), repr(1.0 - c), repr(l)])
+        assert (path / "pairs.csv").read_bytes() == buf.getvalue().encode()
 
 
 def _reference_report(model, X, y, ids, seed):
@@ -143,9 +189,10 @@ class TestMatchesPairwiseLoop:
     def _check(self, model, X, y, ids, seed=5):
         got = conflict_loss_monotonicity(model, X, y, sample_ids=ids, seed=seed)
         pairs, rho = _reference_report(model, X, y, ids, seed)
-        assert [p[:2] for p in got.pairs] == [p[:2] for p in pairs]
-        assert [p[3] for p in got.pairs] == [p[3] for p in pairs]
-        cos_got = np.array([p[2] for p in got.pairs])
+        got_pairs = got.pairs.tolist()
+        assert [p[:2] for p in got_pairs] == [p[:2] for p in pairs]
+        assert [p[3] for p in got_pairs] == [p[3] for p in pairs]
+        cos_got = np.array([p[2] for p in got_pairs])
         cos_ref = np.array([p[2] for p in pairs])
         assert np.abs(cos_got - cos_ref).max() <= 1e-12
         assert not got.degenerate
@@ -170,7 +217,7 @@ class TestMatchesPairwiseLoop:
         y = np.array([0, 1, 1, 0, 1, 0, 1, 0], dtype=np.int64)
         got = self._check(m, X, y, np.arange(8))
         assert len(got.pairs) == 15  # the 6 rows with nonzero gradients
-        assert not {1, 4} & {i for p in got.pairs for i in p[:2]}
+        assert not {1, 4} & {i for p in got.pairs.tolist() for i in p[:2]}
 
 
 class TestConvergenceRule:

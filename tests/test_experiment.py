@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from moscl import cli, experiment
-from moscl.datagen import Dataset, GenSpec, generate, save_dataset
+from moscl.datagen import GenSpec, generate, save_dataset
 from moscl.experiment import METRICS_HEADER, ExperimentConfig
 from moscl.model import MlpModel
 
@@ -82,9 +82,9 @@ def test_cli_train_rejects_unknown_model_field_before_writing(
 
 def _with_duplicate_id(dataset):
     """The dataset with row 3 relabelled to row 5's id (5)."""
-    samples = list(dataset.samples)
-    samples[3] = replace(samples[3], id=samples[5].id)
-    return Dataset(samples, dataset.spec)
+    ids = dataset.ids.copy()
+    ids[3] = ids[5]
+    return replace(dataset, ids=ids)
 
 
 def test_run_rejects_duplicate_ids_before_writing(tmp_path, small_dataset):
@@ -102,6 +102,60 @@ def test_cli_train_rejects_duplicate_ids_before_writing(tmp_path, small_dataset,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and "duplicate id 5" in err["message"]
     assert not run_dir.exists()
+
+
+def _with_label(dataset, value):
+    labels = dataset.labels.copy()
+    labels[4] = value
+    return replace(dataset, labels=labels)
+
+
+def _with_nan_feature(dataset):
+    X = dataset.X.copy()
+    X[4, 1] = np.nan
+    return replace(dataset, X=X)
+
+
+BAD_DATA = {
+    "label_2_sigmoid": (
+        dict(head="sigmoid"), lambda ds: _with_label(ds, 2),
+        "row 4 (id 4): label y=2 must be in [0, 2)",
+    ),
+    "label_minus_1_softmax": (
+        dict(head="softmax", loss_kind="ce"), lambda ds: _with_label(ds, -1),
+        "row 4 (id 4): label y=-1 must be",
+    ),
+    "nan_feature": (
+        dict(), _with_nan_feature, "row 4 (id 4): feature x1 is nan; features must be finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATA))
+def test_run_rejects_bad_rows_before_writing(tmp_path, small_dataset, case):
+    fields, corrupt, message = BAD_DATA[case]
+    with pytest.raises(ValueError) as info:
+        experiment.run(_cfg(tmp_path, name="bad", **fields), dataset=corrupt(small_dataset))
+    assert message in str(info.value)
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATA))
+def test_cli_train_rejects_bad_rows_before_writing(tmp_path, small_dataset, capsys, case):
+    fields, corrupt, message = BAD_DATA[case]
+    data = tmp_path / "data.csv"
+    save_dataset(corrupt(small_dataset), data, data.with_suffix(".json"))
+    run_dir = tmp_path / "bad_run"
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in fields.items()]
+    rc = cli.main(["train", "--dataset", str(data), "--outdir", str(run_dir)] + flags)
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and message in err["message"]
+    assert not run_dir.exists()
+
+
+def test_cli_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_compare_reports_the_error_of_each_failed_cell(tmp_path, small_dataset):

@@ -1,12 +1,13 @@
 """Training and scoring outputs are byte-identical to committed hashes.
 
-`golden_hashes.json` next to this file holds the SHA-256 of every
-`metrics.csv`, `scores_epoch*.json` and `checkpoint.json` of two small
-compares, and of `moscl score` and `export-scatter` outputs on one
-checkpoint of each.  Both compares run all six schedulers plus the
-loss-only and uncertainty-only difficulty sources on N=60 samples whose
-ids are sparse and shuffled: once tanh-sigmoid-mse at b=2, rescoring every
-epoch, and once relu-softmax-ce at b=4, G=4, rescoring every other epoch.
+`golden_hashes.json` next to this file holds the SHA-256 of the dataset
+CSV and its sidecar, of every `metrics.csv`, `scores_epoch*.json` and
+`checkpoint.json` of two small compares, and of `moscl score`,
+`export-scatter` and `analyze-conflicts` outputs on one checkpoint of
+each.  Both compares run all six schedulers plus the loss-only and
+uncertainty-only difficulty sources on N=60 samples whose ids are sparse
+and shuffled: once tanh-sigmoid-mse at b=2, rescoring every epoch, and
+once relu-softmax-ce at b=4, G=4, rescoring every other epoch.
 
 A change that alters a numeric path on purpose regenerates the file and
 says so in CHANGES.md:
@@ -14,6 +15,7 @@ says so in CHANGES.md:
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
 
+import contextlib
 import hashlib
 import json
 import sys
@@ -42,8 +44,7 @@ HASHED = ("metrics.csv", "checkpoint.json", "scores_epoch*.json")
 
 def _dataset() -> Dataset:
     ds = generate(GenSpec(n_total=60, seed=12))
-    ids = np.random.default_rng(5).choice(10**6, size=len(ds), replace=False)
-    return Dataset([replace(s, id=int(i)) for s, i in zip(ds.samples, ids)], ds.spec)
+    return replace(ds, ids=np.random.default_rng(5).choice(10**6, size=len(ds), replace=False))
 
 
 def _sha(path: Path) -> str:
@@ -75,12 +76,20 @@ def golden_hashes(work: Path) -> dict:
             ["export-scatter", "--scores", str(scores), "--out", str(work / case / "value.csv")],
             ["export-scatter", "--scores", str(scores), "--out", str(work / case / "index.csv"),
              "--mode", "index"],
+            # relative to ``work``: the report echoes the checkpoint path
+            ["analyze-conflicts", "--dataset", str(data), "--seed", "3",
+             "--checkpoint", f"{case}/mixed_seed0/checkpoint.json",
+             "--loss-kind", fields["loss_kind"], "--out", str(work / case / "conflict.json"),
+             "--pairs-csv", str(work / case / "pairs.csv")],
         ]
-        for argv in argvs:
-            assert cli.main(argv) == 0, argv
-    files = [p for pattern in HASHED for p in work.rglob(pattern)]
+        with contextlib.chdir(work):
+            for argv in argvs:
+                assert cli.main(argv) == 0, argv
+    files = [data, data.with_suffix(".json")]
+    files += [p for pattern in HASHED for p in work.rglob(pattern)]
     files += [work / c / name for c in CASES
-              for name in ("score.json", "score.csv", "value.csv", "index.csv")]
+              for name in ("score.json", "score.csv", "value.csv", "index.csv",
+                           "conflict.json", "pairs.csv")]
     return {p.relative_to(work).as_posix(): _sha(p) for p in sorted(files)}
 
 
