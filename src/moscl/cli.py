@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import conflict, difficulty, experiment, uncertainty
-from .datagen import GenSpec, generate, save_dataset
+from .datagen import GenSpec, check_dataset, generate, save_dataset
 from .experiment import ExperimentConfig
 from .model import MlpModel
 
@@ -37,6 +37,14 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig.from_strings(overrides)
 
 
+def _load_binary(path):
+    """The dataset CSV at ``path``, checked as a run checks its dataset:
+    both heads classify two classes."""
+    dataset = experiment.load_data(path)
+    check_dataset(dataset, n_classes=2)
+    return dataset
+
+
 def cmd_gen_data(args) -> None:
     spec = GenSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GenSpec)})
     out = Path(args.out)
@@ -53,7 +61,7 @@ def cmd_train(args) -> None:
 def cmd_score(args) -> None:
     """Score a dataset with a saved checkpoint: losses, uncertainties, and
     the rank-fused difficulty CSV."""
-    dataset = experiment.load_data(args.dataset)
+    dataset = _load_binary(args.dataset)
     X, ids = dataset.X, dataset.ids
     model = MlpModel.load(args.checkpoint)
     losses, _ = model.batch_losses(X, dataset.labels, args.loss_kind)
@@ -83,12 +91,12 @@ def cmd_compare(args) -> None:
 
 
 def cmd_export_scatter(args) -> None:
-    experiment.export_scatter(args.scores, args.out, mode=args.mode)
+    experiment.export_scatter(args.scores, args.out, mode=args.mode, epoch=args.epoch)
     print(args.out)
 
 
 def cmd_analyze_conflicts(args) -> None:
-    dataset = experiment.load_data(args.dataset)
+    dataset = _load_binary(args.dataset)
     model = MlpModel.load(args.checkpoint)
     report = conflict.conflict_loss_monotonicity(
         model,
@@ -146,6 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["value", "index"], default="value")
+    p.add_argument("--epoch", type=int, default=None,
+                   help="the epoch to export when --scores is a run's scores.npz")
     p.set_defaults(func=cmd_export_scatter)
 
     p = sub.add_parser("analyze-conflicts", help="pairwise gradient conflict report")

@@ -65,6 +65,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.difficulty_source not in DIFFICULTY_SOURCES:
             raise ValueError(f"unknown difficulty_source {self.difficulty_source!r}")
+        if self.warmup_epochs < 0:
+            raise ValueError("warmup_epochs must be >= 0")
         if self.warmup_epochs >= self.total_epochs:
             raise ValueError("warmup_epochs must be < total_epochs")
         if self.rescore_every < 1:
@@ -82,6 +84,14 @@ class ExperimentConfig:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         if not 0.0 < self.ohem_ratio <= 1.0:
             raise ValueError("ohem_ratio must be in (0, 1]")
+        if self.G < 1:
+            raise ValueError("G must be >= 1")
+        if self.gamma < 0.0:
+            raise ValueError("gamma must be >= 0")
+        if self.sp_lambda0 <= 0.0:
+            raise ValueError("sp_lambda0 must be positive")
+        if self.sp_regularizer not in scheduler.SP_REGULARIZERS:
+            raise ValueError(f"unknown sp_regularizer {self.sp_regularizer!r}")
 
     # -- flat key=value config text -----------------------------------------
 
@@ -157,8 +167,9 @@ class _Run:
 
     `_train` drives the epochs: the run builds its plan (`plan_epoch`), one
     shared SGD step advances it, and it records its metrics row
-    (`record_epoch`).  Rows are buffered and written by `write_logs`, so a
-    run holds no file open between epochs.
+    (`record_epoch`).  Metrics and timing rows, and the scores of each
+    rescore boundary, are buffered and written by `write_logs`, so a run
+    holds no file open between epochs.
     """
 
     def __init__(self, cfg: ExperimentConfig, dataset: Dataset, outdir: Path):
@@ -183,6 +194,20 @@ class _Run:
             growth=cfg.sp_growth,
         )
         self.u_cfg = uncertainty.UncertaintyConfig(G=cfg.G, gamma=cfg.gamma, seed=cfg.seed)
+        self.scored = cfg.scheduler != "random"
+        self.need_u = cfg.scheduler in ("mixed", "anti_mixed") and cfg.difficulty_source in (
+            "uncertainty",
+            "both",
+        )
+        # one row per rescore boundary, the rows of scores.npz
+        n_rows = (
+            len(range(cfg.warmup_epochs, cfg.total_epochs, cfg.rescore_every))
+            if self.scored else 0
+        )
+        self.n_scored = 0
+        self.score_epochs = np.empty(n_rows, dtype=np.int64)
+        self.score_losses = np.empty((n_rows, len(dataset)))
+        self.score_us = np.empty((n_rows, len(dataset))) if self.need_u else None
         self.weights = np.ones(len(dataset))
         self.plan: Optional[scheduler.BatchPlan] = None
         self.plan_s = 0.0
@@ -190,9 +215,10 @@ class _Run:
         self.last_mean_uncertainty: Optional[float] = None
         self.metrics_rows: List[list] = []
         self.timing_rows: List[list] = []
-        # a run owns its dir's score files: none may survive from an earlier run
-        for stale in outdir.glob("scores_epoch*.json"):
-            stale.unlink()
+        # a run owns its dir's score files: none may survive from an earlier
+        # run, nor the per-epoch JSON files that older runs wrote
+        for stale in [outdir / "scores.npz", *outdir.glob("scores_epoch*.json")]:
+            stale.unlink(missing_ok=True)
         cfg.write_resolved(outdir / "config_resolved.txt")
 
     def _epoch_rng(self, epoch: int) -> np.random.Generator:
@@ -203,11 +229,7 @@ class _Run:
         cfg = self.cfg
         losses, _ = self.model.batch_losses(self.X, self.labels, cfg.loss_kind)
         uncertainties = None
-        need_u = cfg.scheduler in ("mixed", "anti_mixed") and cfg.difficulty_source in (
-            "uncertainty",
-            "both",
-        )
-        if need_u:
+        if self.need_u:
             uncertainties = uncertainty.batch_score_uncertainty(
                 self.model, self.X, self.ids, self.u_cfg, epoch=epoch
             )
@@ -225,19 +247,21 @@ class _Run:
     def _build_plan(self, epoch: int) -> scheduler.BatchPlan:
         cfg = self.cfg
         n = len(self.ids)
-        scored = cfg.scheduler in ("mixed", "anti_mixed", "ohem", "sp_hard", "sp_linear")
         in_warmup = epoch < cfg.warmup_epochs
         boundary = (
             not in_warmup and (epoch - cfg.warmup_epochs) % cfg.rescore_every == 0
         )
-        if in_warmup or not scored:
+        if in_warmup or not self.scored:
             self.d = None
             return scheduler.random_plan(n, cfg.batch_size, self._epoch_rng(epoch), epoch)
         if boundary or self.plan is None:
             losses, uncertainties = self._score(epoch)
-            uncertainty.dump_scores(
-                self.outdir / f"scores_epoch{epoch}.json", self.ids, losses, uncertainties
-            )
+            k = self.n_scored
+            self.score_epochs[k] = epoch
+            self.score_losses[k] = losses
+            if uncertainties is not None:
+                self.score_us[k] = uncertainties
+            self.n_scored += 1
             self.d = None
             if cfg.scheduler in ("sp_hard", "sp_linear"):
                 lam = scheduler.age_schedule(epoch - cfg.warmup_epochs, self.sp_cfg)
@@ -303,6 +327,14 @@ class _Run:
         )
 
     def write_logs(self) -> None:
+        """metrics.csv, timings.csv and, for a scored run, scores.npz with
+        the rows scored so far: a failed run keeps those before its error."""
+        if self.scored:
+            k = self.n_scored
+            uncertainty.save_score_table(
+                self.outdir / "scores.npz", self.ids, self.score_epochs[:k],
+                self.score_losses[:k], None if self.score_us is None else self.score_us[:k],
+            )
         for name, header, rows in (
             ("metrics.csv", METRICS_HEADER, self.metrics_rows),
             ("timings.csv", TIMINGS_HEADER, self.timing_rows),
@@ -505,15 +537,42 @@ def compare(
     return summary
 
 
-def export_scatter(scores_path, out_csv, mode: str = "value") -> None:
+def _table_row(path, epoch):
+    """(ids, losses, uncertainties) lists of one epoch's row of a score
+    table, by ascending id as a score JSON holds them; no uncertainties
+    gives a list of None."""
+    if epoch is None:
+        raise ValueError(f"{path} is a score table: pass the epoch to export")
+    table = uncertainty.load_score_table(path)
+    at = np.flatnonzero(table["epochs"] == epoch)
+    if len(at) == 0:
+        raise ValueError(f"epoch {epoch} is not in {path}; it holds {table['epochs'].tolist()}")
+    rows = np.argsort(table["ids"], kind="stable")
+    us = table.get("uncertainty")
+    return (
+        table["ids"][rows].tolist(),
+        table["loss"][at[0], rows].tolist(),
+        [None] * len(rows) if us is None else us[at[0], rows].tolist(),
+    )
+
+
+def export_scatter(scores_path, out_csv, mode: str = "value", epoch: Optional[int] = None) -> None:
     """Fig-style scatter export of (loss, uncertainty) pairs, either raw
-    values or descending rank indices."""
+    values or descending rank indices, one row per sample by ascending id.
+
+    ``scores_path`` is a score JSON (`moscl score`), or a run's
+    ``scores.npz`` table, whose row of ``epoch`` is exported."""
     if mode not in ("value", "index"):
         raise ValueError(f"unknown scatter mode {mode!r}")
-    records = uncertainty.load_scores(scores_path)
-    ids = [r["sample_id"] for r in records]
-    losses = [r["loss"] for r in records]
-    us = [r["uncertainty"] for r in records]
+    if Path(scores_path).suffix == ".npz":
+        ids, losses, us = _table_row(scores_path, epoch)
+    elif epoch is not None:
+        raise ValueError(f"epoch {epoch} given, but {scores_path} is a score JSON, not a table")
+    else:
+        records = uncertainty.load_scores(scores_path)
+        ids = [r["sample_id"] for r in records]
+        losses = [r["loss"] for r in records]
+        us = [r["uncertainty"] for r in records]
     if any(u is None for u in us):
         raise ValueError("scores file has no uncertainty column to export")
     if mode == "index":

@@ -26,12 +26,9 @@ def _activate(fpre, act):
 
 def _head_np(Z, head):
     if head == HEAD_SIGMOID:
-        out = np.empty_like(Z)
-        pos = Z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-Z[pos]))
-        ez = np.exp(Z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: neither overflows
+        e = np.exp(-np.abs(Z))
+        return np.where(Z >= 0, 1.0, e) / (1.0 + e)
     E = np.exp(Z - Z.max(axis=-1, keepdims=True))
     return E / E.sum(axis=-1, keepdims=True)
 

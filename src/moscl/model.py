@@ -26,6 +26,13 @@ HEADS = {"sigmoid": HEAD_SIGMOID, "softmax": HEAD_SOFTMAX}
 LOSSES = {"mse": LOSS_MSE, "ce": LOSS_CE}
 
 
+def _loss_code(loss_kind: str) -> int:
+    """The kernel code of ``loss_kind``, or a ValueError naming the field."""
+    if loss_kind not in LOSSES:
+        raise ValueError(f"unknown loss_kind {loss_kind!r}")
+    return LOSSES[loss_kind]
+
+
 @dataclass
 class ForwardTrace:
     """Record of one forward pass: hidden feature map (post-activation and
@@ -142,7 +149,7 @@ class MlpModel:
         """Per-sample losses and predictions over a dataset matrix."""
         _, _, Y = self.forward_batch(X)
         labels = np.asarray(labels, dtype=np.int64)
-        return kernels.loss_batch(Y, labels, self._head, LOSSES[loss_kind]), Y
+        return kernels.loss_batch(Y, labels, self._head, _loss_code(loss_kind)), Y
 
     # -- gradients ---------------------------------------------------------
 
@@ -153,13 +160,13 @@ class MlpModel:
         rows flattened as [W1, b1, W2, b2]: one batched backprop and the
         per-example outer products (Goodfellow, arXiv:1510.01799)."""
         X = np.asarray(X, dtype=np.float64)
+        lossk = _loss_code(loss_kind)
         Fpre, F, _, Y = kernels.forward(
             self.W1, self.b1, self.W2, self.b2, X, self._act, self._head
         )
         labels = np.asarray(labels, dtype=np.int64)
         dz, dFpre = kernels.backward(
-            self.W2, Fpre, F, Y, labels, np.ones(len(X)), self._act, self._head,
-            LOSSES[loss_kind],
+            self.W2, Fpre, F, Y, labels, np.ones(len(X)), self._act, self._head, lossk
         )
         dW1 = (dFpre[:, :, None] * X[:, None, :]).reshape(len(X), -1)
         dW2 = (dz[:, :, None] * F[:, None, :]).reshape(len(X), -1)

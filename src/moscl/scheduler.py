@@ -28,14 +28,17 @@ class BatchPlan:
         return [rows[k : k + b] for k in range(0, len(rows), b)]
 
 
+SP_REGULARIZERS = ("hard", "linear")
+
+
 @dataclass
 class SpConfig:
-    regularizer: str = "linear"  # "hard" or "linear"
+    regularizer: str = "linear"  # one of SP_REGULARIZERS
     lambda0: float = 0.5
     growth: float = 0.0
 
     def __post_init__(self):
-        if self.regularizer not in ("hard", "linear"):
+        if self.regularizer not in SP_REGULARIZERS:
             raise ValueError(f"unknown SP regularizer {self.regularizer!r}")
         if self.lambda0 <= 0.0:
             raise ValueError("lambda0 must be positive")

@@ -165,3 +165,41 @@ def dump_scores(path, sample_ids, losses, uncertainties=None) -> None:
 def load_scores(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def save_score_table(path, ids, epochs, losses, uncertainties=None) -> None:
+    """One run's scores as an uncompressed ``.npz`` table: ``ids`` (N,) in
+    dataset-row order, the scored ``epochs`` (E,), ``loss`` (E, N) and, only
+    when given, ``uncertainty`` (E, N); row e holds the scores of epoch
+    ``epochs[e]``.  Equal inputs give equal bytes."""
+    table = {
+        "ids": np.asarray(ids, dtype=np.int64),
+        "epochs": np.asarray(epochs, dtype=np.int64),
+        "loss": np.asarray(losses, dtype=np.float64),
+    }
+    if uncertainties is not None:
+        table["uncertainty"] = np.asarray(uncertainties, dtype=np.float64)
+    # a file object, so np.savez adds no ".npz" to the name
+    with open(path, "wb") as fh:
+        np.savez(fh, **table)
+
+
+def load_score_table(path) -> dict:
+    """The arrays of a `save_score_table` file by name; ``uncertainty`` is
+    present only when the run scored it.  A missing array or a shape other
+    than the layout above raises a ValueError naming the array."""
+    with np.load(path, allow_pickle=False) as npz:
+        table = {name: npz[name] for name in npz.files}
+    for name in ("ids", "epochs", "loss"):
+        if name not in table:
+            raise ValueError(f"score table {path} has no {name!r} array")
+    for name in ("ids", "epochs"):
+        if table[name].ndim != 1:
+            raise ValueError(f"score table {name!r} has shape {table[name].shape}; want 1-D")
+    shape = (len(table["epochs"]), len(table["ids"]))
+    for name in ("loss", "uncertainty"):
+        if name in table and table[name].shape != shape:
+            raise ValueError(
+                f"score table {name!r} has shape {table[name].shape}; want (epochs, ids) {shape}"
+            )
+    return table

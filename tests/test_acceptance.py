@@ -7,7 +7,6 @@ pass/fail line per criterion through the test names alone.
 
 import csv
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from moscl.difficulty import fuse_ranks
 from moscl.experiment import ExperimentConfig
 from moscl.model import MlpModel, grad_wrt_latent
 from moscl.scheduler import SpConfig, mixed_order_plan, sp_weight
-from moscl.uncertainty import UncertaintyConfig, estimate_uncertainty
+from moscl.uncertainty import UncertaintyConfig, estimate_uncertainty, load_score_table
 
 
 def _report(n: int, desc: str, ok: bool) -> None:
@@ -330,14 +329,12 @@ def test_criterion_09_reruns_are_byte_identical(tmp_path):
         (dirs[0] / "metrics.csv").read_bytes()
         == (dirs[1] / "metrics.csv").read_bytes()
     )
-    score_names = sorted(p.name for p in dirs[0].glob("scores_epoch*.json"))
-    same_scores = score_names and all(
-        (dirs[0] / n).read_bytes() == (dirs[1] / n).read_bytes()
-        for n in score_names
+    same_scores = (dirs[0] / "scores.npz").exists() and (
+        (dirs[0] / "scores.npz").read_bytes() == (dirs[1] / "scores.npz").read_bytes()
     )
     _report(
         9,
-        "identical configs reproduce metrics.csv and all score files "
+        "identical configs reproduce metrics.csv and the scores.npz table "
         "byte-for-byte",
         same_metrics and bool(same_scores),
     )
@@ -359,14 +356,21 @@ def test_criterion_10_scatter_export(tmp_path):
         outdir=str(tmp_path / "run"),
     )
     run_dir = experiment.run(cfg, dataset=ds)
-    scores = sorted(run_dir.glob("scores_epoch*.json"))[0]
+    scores = run_dir / "scores.npz"
+    table = load_score_table(scores)
+    epoch = int(table["epochs"][0])
 
     value_csv = tmp_path / "value.csv"
-    experiment.export_scatter(scores, value_csv, mode="value")
+    experiment.export_scatter(scores, value_csv, mode="value", epoch=epoch)
     with open(value_csv, newline="") as fh:
         vrows = list(csv.DictReader(fh))
-    with open(scores) as fh:
-        records = json.load(fh)
+    # the first epoch's row by ascending id, as the export writes it
+    by_id = np.argsort(table["ids"], kind="stable")
+    records = [
+        {"loss": l, "uncertainty": u}
+        for l, u in zip(table["loss"][0, by_id].tolist(),
+                        table["uncertainty"][0, by_id].tolist())
+    ]
     round_trips = len(vrows) == len(records) and all(
         float(r["loss"]) == rec["loss"]
         and float(r["uncertainty"]) == rec["uncertainty"]
@@ -374,7 +378,7 @@ def test_criterion_10_scatter_export(tmp_path):
     )
 
     index_csv = tmp_path / "index.csv"
-    experiment.export_scatter(scores, index_csv, mode="index")
+    experiment.export_scatter(scores, index_csv, mode="index", epoch=epoch)
     with open(index_csv, newline="") as fh:
         irows = list(csv.DictReader(fh))
     n = len(irows)

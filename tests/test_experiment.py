@@ -3,16 +3,19 @@ export, and the command-line interface."""
 
 import csv
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from moscl import cli, experiment
+from moscl import cli, experiment, uncertainty
 from moscl.datagen import GenSpec, generate, save_dataset
 from moscl.experiment import METRICS_HEADER, ExperimentConfig
 from moscl.model import MlpModel
+from moscl.uncertainty import dump_scores, load_score_table, save_score_table
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +66,40 @@ def test_config_rejects_ohem_ratio_before_writing(tmp_path, ratio):
     with pytest.raises(ValueError, match="ohem_ratio"):
         _cfg(tmp_path, name="ohem_bad", scheduler="ohem", ohem_ratio=ratio)
     assert not (tmp_path / "ohem_bad").exists()
+
+
+BAD_CONFIG = {
+    "G": (dict(G=0), "G must be >= 1"),
+    "gamma": (dict(gamma=-0.1), "gamma must be >= 0"),
+    "sp_lambda0": (dict(sp_lambda0=0.0), "sp_lambda0 must be positive"),
+    "sp_regularizer": (dict(sp_regularizer="bogus"), "unknown sp_regularizer 'bogus'"),
+    "warmup_epochs": (dict(warmup_epochs=-1, total_epochs=0), "warmup_epochs must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_CONFIG))
+def test_run_rejects_bad_config_field_before_writing(tmp_path, small_dataset, field):
+    fields, message = BAD_CONFIG[field]
+    with pytest.raises(ValueError) as info:
+        experiment.run(_cfg(tmp_path, name="bad", **fields), dataset=small_dataset)
+    assert str(info.value) == message
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("field", sorted(BAD_CONFIG))
+def test_cli_train_rejects_bad_config_field_before_writing(
+    tmp_path, small_dataset, capsys, field
+):
+    fields, message = BAD_CONFIG[field]
+    data = tmp_path / "data.csv"
+    save_dataset(small_dataset, data, data.with_suffix(".json"))
+    run_dir = tmp_path / "bad_run"
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in fields.items()]
+    rc = cli.main(["train", "--dataset", str(data), "--outdir", str(run_dir)] + flags)
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": message}
+    assert not run_dir.exists()
 
 
 @pytest.mark.parametrize("field", ["activation", "head", "loss_kind"])
@@ -154,6 +191,33 @@ def test_cli_train_rejects_bad_rows_before_writing(tmp_path, small_dataset, caps
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["score", "analyze-conflicts"])
+@pytest.mark.parametrize("case", ["label_2", "loss_kind"])
+def test_cli_score_and_analyze_reject_bad_input_before_writing(
+    tmp_path, small_dataset, capsys, command, case
+):
+    data = tmp_path / "data.csv"
+    ds = _with_label(small_dataset, 2) if case == "label_2" else small_dataset
+    save_dataset(ds, data, data.with_suffix(".json"))
+    ckpt = tmp_path / "ckpt.json"
+    MlpModel(2, 8, seed=0).save(ckpt)
+    out = tmp_path / "out"
+    argv = [command, "--dataset", str(data), "--checkpoint", str(ckpt),
+            "--out", str(out / "result.json")]
+    if command == "analyze-conflicts":
+        argv += ["--pairs-csv", str(out / "pairs.csv")]
+    if case == "loss_kind":
+        argv += ["--loss-kind", "bogus"]
+    rc = cli.main(argv)
+    assert rc == 1
+    message = {
+        "label_2": "row 4 (id 4): label y=2 must be in [0, 2)",
+        "loss_kind": "unknown loss_kind 'bogus'",
+    }[case]
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
 def test_cli_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
@@ -212,10 +276,13 @@ def test_run_writes_expected_artifacts(tmp_path, small_dataset):
     rows = _read_metrics(run_dir)
     assert len(rows) == cfg.total_epochs
     assert list(rows[0]) == METRICS_HEADER
-    # scores are dumped starting at the first post-warmup boundary
-    for epoch in range(cfg.warmup_epochs, cfg.total_epochs):
-        assert (run_dir / f"scores_epoch{epoch}.json").exists()
-    assert not (run_dir / "scores_epoch0.json").exists()
+    # scores are kept starting at the first post-warmup boundary
+    table = load_score_table(run_dir / "scores.npz")
+    assert table["epochs"].tolist() == list(range(cfg.warmup_epochs, cfg.total_epochs))
+    assert table["ids"].tolist() == small_dataset.ids.tolist()
+    n = (cfg.total_epochs - cfg.warmup_epochs, len(small_dataset))
+    assert table["loss"].shape == table["uncertainty"].shape == n
+    assert not list(run_dir.glob("scores_epoch*.json"))
     with open(run_dir / "timings.csv", newline="") as fh:
         trows = list(csv.DictReader(fh))
     assert len(trows) == cfg.total_epochs
@@ -234,17 +301,19 @@ def test_run_is_byte_deterministic(tmp_path, small_dataset):
     first = experiment.run(_cfg(tmp_path, name="det_a"), dataset=small_dataset)
     second = experiment.run(_cfg(tmp_path, name="det_b"), dataset=small_dataset)
     assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
-    for score in sorted(first.glob("scores_epoch*.json")):
-        assert score.read_bytes() == (second / score.name).read_bytes()
+    assert (first / "scores.npz").read_bytes() == (second / "scores.npz").read_bytes()
 
 
 def test_rerun_into_used_dir_leaves_no_stale_scores(tmp_path, small_dataset):
     mixed = experiment.run(_cfg(tmp_path, name="reused"), dataset=small_dataset)
-    assert list(mixed.glob("scores_epoch*.json"))
+    assert (mixed / "scores.npz").exists()
+    # a per-epoch score file as runs once wrote them
+    (mixed / "scores_epoch3.json").write_text("[]")
     again = experiment.run(
         _cfg(tmp_path, name="reused", scheduler="random"), dataset=small_dataset
     )
     assert again == mixed
+    assert not (again / "scores.npz").exists()
     assert not list(again.glob("scores_epoch*.json"))
     assert (again / "metrics.csv").exists() and (again / "checkpoint.json").exists()
 
@@ -361,28 +430,30 @@ def test_compare_needs_two_configs(tmp_path):
 
 
 def _run_with_scores(tmp_path, dataset, name):
+    """A mixed run's score table and its first scored epoch."""
     run_dir = experiment.run(_cfg(tmp_path, name=name), dataset=dataset)
-    return next(iter(sorted(run_dir.glob("scores_epoch*.json"))))
+    table = run_dir / "scores.npz"
+    return table, int(load_score_table(table)["epochs"][0])
 
 
 def test_export_scatter_value_round_trips(tmp_path, small_dataset):
-    scores = _run_with_scores(tmp_path, small_dataset, "scatter_v")
+    scores, epoch = _run_with_scores(tmp_path, small_dataset, "scatter_v")
     out = tmp_path / "scatter_value.csv"
-    experiment.export_scatter(scores, out, mode="value")
+    experiment.export_scatter(scores, out, mode="value", epoch=epoch)
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    with open(scores) as fh:
-        records = json.load(fh)
-    assert len(rows) == len(records)
-    for row, rec in zip(rows, records):
-        assert float(row["loss"]) == rec["loss"]
-        assert float(row["uncertainty"]) == rec["uncertainty"]
+    table = load_score_table(scores)
+    by_id = np.argsort(table["ids"], kind="stable")
+    assert len(rows) == len(by_id)
+    for row, loss, u in zip(rows, table["loss"][0, by_id], table["uncertainty"][0, by_id]):
+        assert float(row["loss"]) == loss
+        assert float(row["uncertainty"]) == u
 
 
 def test_export_scatter_index_is_permutation(tmp_path, small_dataset):
-    scores = _run_with_scores(tmp_path, small_dataset, "scatter_i")
+    scores, epoch = _run_with_scores(tmp_path, small_dataset, "scatter_i")
     out = tmp_path / "scatter_index.csv"
-    experiment.export_scatter(scores, out, mode="index")
+    experiment.export_scatter(scores, out, mode="index", epoch=epoch)
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     n = len(rows)
@@ -393,6 +464,80 @@ def test_export_scatter_index_is_permutation(tmp_path, small_dataset):
 def test_export_scatter_rejects_unknown_mode(tmp_path):
     with pytest.raises(ValueError, match="mode"):
         experiment.export_scatter(tmp_path / "x.json", tmp_path / "y.csv", mode="blob")
+
+
+def test_export_scatter_needs_the_epoch_of_a_table_only(tmp_path, small_dataset, capsys):
+    scores, _ = _run_with_scores(tmp_path, small_dataset, "scatter_e")
+    json_scores = tmp_path / "scores.json"
+    dump_scores(json_scores, [0, 1], [0.5, 0.25], [0.1, 0.2])
+    out = tmp_path / "scatter.csv"
+    for path, epoch in ((scores, None), (scores, 99), (json_scores, 2)):
+        with pytest.raises(ValueError, match="epoch"):
+            experiment.export_scatter(path, out, epoch=epoch)
+    rc = cli.main(["export-scatter", "--scores", str(scores), "--out", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "epoch" in err["message"]
+    assert not out.exists()
+
+
+FINITE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1 + 0.2, 1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# ranks need finite scores, so only value mode exports the others
+SCORE_FLOATS = {
+    "value": st.one_of(FINITE_FLOATS, st.sampled_from([math.inf, -math.inf, math.nan])),
+    "index": FINITE_FLOATS,
+}
+
+
+@pytest.mark.parametrize("mode", ["value", "index"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_table_export_matches_export_of_its_json_row(tmp_path_factory, mode, data):
+    n = data.draw(st.integers(1, 20), label="n")
+    epochs = data.draw(st.lists(st.integers(0, 99), min_size=1, max_size=4, unique=True))
+    # sparse ids in shuffled row order
+    ids = data.draw(st.randoms(use_true_random=False)).sample(range(10**6), n)
+    cells = st.lists(SCORE_FLOATS[mode], min_size=len(epochs) * n, max_size=len(epochs) * n)
+    losses = np.array(data.draw(cells)).reshape(len(epochs), n)
+    us = np.array(data.draw(cells)).reshape(len(epochs), n)
+    k = data.draw(st.integers(0, len(epochs) - 1), label="row")
+    work = tmp_path_factory.mktemp("export")
+    save_score_table(work / "scores.npz", ids, epochs, losses, us)
+    dump_scores(work / "row.json", ids, losses[k], us[k])
+    experiment.export_scatter(work / "scores.npz", work / "table.csv", mode, epoch=epochs[k])
+    experiment.export_scatter(work / "row.json", work / "json.csv", mode)
+    assert (work / "table.csv").read_bytes() == (work / "json.csv").read_bytes()
+
+
+def test_failed_cell_keeps_the_scores_of_the_epochs_before_its_error(
+    tmp_path, small_dataset, monkeypatch
+):
+    clean = load_score_table(
+        experiment.run(_cfg(tmp_path, name="clean", seed=1), dataset=small_dataset)
+        / "scores.npz"
+    )
+    real = uncertainty.batch_score_uncertainty
+
+    def batch_score_uncertainty(model, X, sample_ids, cfg, epoch=0):
+        if cfg.seed == 1 and epoch == 4:
+            raise ValueError("planned failure")
+        return real(model, X, sample_ids, cfg, epoch)
+
+    monkeypatch.setattr(uncertainty, "batch_score_uncertainty", batch_score_uncertainty)
+    base = _cfg(tmp_path, name="cmp")
+    summary = experiment.compare([base, replace(base, scheduler="anti_mixed")], [0, 1],
+                                 dataset=small_dataset, labels=["mixed", "anti"])
+    assert summary["configs"]["mixed"]["errors"] == {"1": "ValueError: planned failure"}
+    failed = load_score_table(tmp_path / "cmp" / "mixed_seed1" / "scores.npz")
+    assert failed["epochs"].tolist() == [2, 3]
+    assert np.array_equal(failed["ids"], clean["ids"])
+    for name in ("loss", "uncertainty"):
+        assert np.array_equal(failed[name], clean[name][:2])
+    kept = load_score_table(tmp_path / "cmp" / "mixed_seed0" / "scores.npz")
+    assert kept["epochs"].tolist() == [2, 3, 4, 5]
 
 
 # --- CLI --------------------------------------------------------------------

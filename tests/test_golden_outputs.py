@@ -1,10 +1,13 @@
 """Training and scoring outputs are byte-identical to committed hashes.
 
 `golden_hashes.json` next to this file holds the SHA-256 of the dataset
-CSV and its sidecar, of every `metrics.csv`, `scores_epoch*.json` and
+CSV and its sidecar, of every `metrics.csv`, `scores.npz` and
 `checkpoint.json` of two small compares, and of `moscl score`,
 `export-scatter` and `analyze-conflicts` outputs on one checkpoint of
-each.  Both compares run all six schedulers plus the loss-only and
+each.  It also pins each row of every `scores.npz` as the
+`scores_epoch{E}.json` that `dump_scores` writes from it, next to the
+table: the per-boundary files that runs once wrote, so their hashes hold
+across the change of format.  Both compares run all six schedulers plus the loss-only and
 uncertainty-only difficulty sources on N=60 samples whose ids are sparse
 and shuffled: once tanh-sigmoid-mse at b=2, rescoring every epoch, and
 once relu-softmax-ce at b=4, G=4, rescoring every other epoch.
@@ -13,6 +16,8 @@ A change that alters a numeric path on purpose regenerates the file and
 says so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+It prints how many hashes it added, changed and removed.
 """
 
 import contextlib
@@ -25,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from moscl import cli, experiment
+from moscl import cli, experiment, uncertainty
 from moscl.datagen import Dataset, GenSpec, generate, save_dataset
 from moscl.experiment import SCHEDULERS, ExperimentConfig
 
@@ -39,7 +44,7 @@ CASES = {
         batch_size=4, G=4, activation="relu", head="softmax", loss_kind="ce", rescore_every=2
     ),
 }
-HASHED = ("metrics.csv", "checkpoint.json", "scores_epoch*.json")
+HASHED = ("metrics.csv", "checkpoint.json", "scores.npz", "scores_epoch*.json")
 
 
 def _dataset() -> Dataset:
@@ -49,6 +54,18 @@ def _dataset() -> Dataset:
 
 def _sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _render_score_files(table_path: Path) -> None:
+    """``scores_epoch{E}.json`` of each row of a run's score table, written
+    by `dump_scores` next to it."""
+    table = uncertainty.load_score_table(table_path)
+    us = table.get("uncertainty")
+    for k, epoch in enumerate(table["epochs"].tolist()):
+        uncertainty.dump_scores(
+            table_path.with_name(f"scores_epoch{epoch}.json"), table["ids"],
+            table["loss"][k], None if us is None else us[k],
+        )
 
 
 def golden_hashes(work: Path) -> dict:
@@ -85,6 +102,8 @@ def golden_hashes(work: Path) -> dict:
         with contextlib.chdir(work):
             for argv in argvs:
                 assert cli.main(argv) == 0, argv
+    for table in work.rglob("scores.npz"):
+        _render_score_files(table)
     files = [data, data.with_suffix(".json")]
     files += [p for pattern in HASHED for p in work.rglob(pattern)]
     files += [work / c / name for c in CASES
@@ -104,5 +123,10 @@ def test_outputs_match_golden_hashes(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         hashes = golden_hashes(Path(tmp))
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    added = len(hashes.keys() - old.keys())
+    removed = len(old.keys() - hashes.keys())
+    changed = sum(old[name] != hashes[name] for name in hashes.keys() & old.keys())
     FIXTURE.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
-    print(f"{len(hashes)} hashes -> {FIXTURE}", file=sys.stderr)
+    print(f"{len(hashes)} hashes -> {FIXTURE}: {added} added, {changed} changed, "
+          f"{removed} removed", file=sys.stderr)

@@ -113,9 +113,9 @@ def _cfg(scheduler_name, outdir, **kw):
 
 def _outputs(run_dir):
     """Every artifact of a run that must be byte-identical across reruns."""
-    names = ["metrics.csv", "checkpoint.json"] + sorted(
-        p.name for p in run_dir.glob("scores_epoch*.json")
-    )
+    names = ["metrics.csv", "checkpoint.json"]
+    # a random run scores nothing and writes no table
+    names += [p.name for p in run_dir.glob("scores.npz")]
     return {name: (run_dir / name).read_bytes() for name in names}
 
 

@@ -13,8 +13,10 @@ from moscl.uncertainty import (
     batch_score_uncertainty,
     dump_scores,
     estimate_uncertainty,
+    load_score_table,
     load_scores,
     perturbations,
+    save_score_table,
     sample_perturbation,
 )
 
@@ -237,6 +239,31 @@ class TestScoreDump:
             for sid in sorted(loss_by_id)
         ]
         assert path.read_text() == json.dumps(records)
+
+
+class TestScoreTable:
+    def test_round_trip_and_repeatable_bytes(self, tmp_path):
+        losses, us = np.arange(6.0).reshape(2, 3), np.full((2, 3), 0.5)
+        for name in ("a.npz", "b.npz"):
+            save_score_table(tmp_path / name, [7, 3, 5], [2, 4], losses, us)
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+        table = load_score_table(tmp_path / "a.npz")
+        assert sorted(table) == ["epochs", "ids", "loss", "uncertainty"]
+        assert table["ids"].tolist() == [7, 3, 5] and table["epochs"].tolist() == [2, 4]
+        assert np.array_equal(table["loss"], losses) and np.array_equal(table["uncertainty"], us)
+
+    def test_uncertainty_only_when_given(self, tmp_path):
+        save_score_table(tmp_path / "t.npz", [0, 1], [], np.empty((0, 2)))
+        table = load_score_table(tmp_path / "t.npz")
+        assert "uncertainty" not in table and table["loss"].shape == (0, 2)
+
+    def test_bad_layout_names_the_array(self, tmp_path):
+        save_score_table(tmp_path / "t.npz", [0, 1], [2], np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="'loss' has shape"):
+            load_score_table(tmp_path / "t.npz")
+        np.savez(tmp_path / "u.npz", ids=np.arange(2), loss=np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="no 'epochs' array"):
+            load_score_table(tmp_path / "u.npz")
 
 
 class TestConfigValidation:
