@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -65,7 +66,8 @@ def cmd_score(args) -> None:
     X, ids = dataset.X, dataset.ids
     model = MlpModel.load(args.checkpoint)
     losses, _ = model.batch_losses(X, dataset.labels, args.loss_kind)
-    cfg = uncertainty.UncertaintyConfig(G=args.G, gamma=args.gamma, seed=args.seed)
+    fields = dataclasses.fields(uncertainty.UncertaintyConfig)
+    cfg = uncertainty.UncertaintyConfig(**{f.name: getattr(args, f.name) for f in fields})
     us = uncertainty.batch_score_uncertainty(model, X, ids, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -105,7 +107,8 @@ def cmd_analyze_conflicts(args) -> None:
         sample_ids=dataset.ids,
         loss_kind=args.loss_kind,
         seed=args.seed,
-        model_tag=args.checkpoint,
+        # the checkpoint's bytes, not the spelling of its path, name the model
+        model_tag=hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest(),
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -139,9 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--loss-kind", default="mse")
-    p.add_argument("--G", type=int, default=8)
-    p.add_argument("--gamma", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    for f in dataclasses.fields(uncertainty.UncertaintyConfig):
+        p.add_argument(f"--{f.name}", type=type(f.default), default=f.default)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("compare", help="scheduler comparison over seeds")

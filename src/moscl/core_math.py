@@ -20,31 +20,21 @@ __all__ = [
     "loss_based_uncertainty",
     "finite_difference_gradient",
     "LOSS_KINDS",
-    "ENTROPY_MODES",
 ]
 
 LOSS_KINDS = ("mse", "ce")
-ENTROPY_MODES = ("paper", "binary")
 
 
-def entropy(p, mode: str = "paper"):
-    """Entropy score of a probability, or elementwise of an array of them
-    (a float in, a float out; an array in, an array of its shape out).
-
-    mode="paper" is H(p) = -p*ln(p) with H(0) = 0 by the limit convention.
-    mode="binary" is the symmetric binary entropy -p*ln(p) - (1-p)*ln(1-p),
-    kept as a flag for sensitivity studies only.
-    """
-    if mode not in ENTROPY_MODES:
-        raise ValueError(f"unknown entropy mode {mode!r}")
+def entropy(p):
+    """The paper's entropy score H(p) = -p*ln(p), with H(0) = 0 by the limit
+    convention, of a probability or elementwise of an array of them (a float
+    in, a float out; an array in, an array of its shape out)."""
     a = np.asarray(p, dtype=np.float64)
     ok = (a >= 0.0) & (a <= 1.0)
     if not ok.all():
         raise ValueError(f"probability {a[~ok][0]} outside [0, 1]")
     # entr(x) = -x*ln(x) with entr(0) = 0
     h = entr(a)
-    if mode == "binary":
-        h += entr(1.0 - a)
     return float(h) if h.ndim == 0 else h
 
 
@@ -102,12 +92,10 @@ def inverse_loss(kind: str, y: int, l: float) -> float:
     return p if y == 1 else 1.0 - p
 
 
-def loss_based_uncertainty(
-    kind: str, y: int, l: float, mode: str = "paper"
-) -> float:
+def loss_based_uncertainty(kind: str, y: int, l: float) -> float:
     """Uncertainty score read off the loss alone: entropy of the prediction
     recovered by inverting the loss function."""
-    return entropy(inverse_loss(kind, y, l), mode=mode)
+    return entropy(inverse_loss(kind, y, l))
 
 
 def finite_difference_gradient(

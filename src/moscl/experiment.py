@@ -10,6 +10,7 @@ configured scheduler rebuilds the epoch's batch plan.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, replace
@@ -53,7 +54,6 @@ class ExperimentConfig:
     loss_kind: str = "mse"
     G: int = 8
     gamma: float = 0.3
-    sp_regularizer: str = "linear"
     sp_lambda0: float = 0.5
     sp_growth: float = 0.0
     ohem_ratio: float = 0.25
@@ -61,6 +61,9 @@ class ExperimentConfig:
     outdir: str = ""
 
     def __post_init__(self):
+        for name in ("lr", "gamma", "sp_lambda0", "sp_growth"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.difficulty_source not in DIFFICULTY_SOURCES:
@@ -90,8 +93,15 @@ class ExperimentConfig:
             raise ValueError("gamma must be >= 0")
         if self.sp_lambda0 <= 0.0:
             raise ValueError("sp_lambda0 must be positive")
-        if self.sp_regularizer not in scheduler.SP_REGULARIZERS:
-            raise ValueError(f"unknown sp_regularizer {self.sp_regularizer!r}")
+        # the age lambda is linear in the epoch and positive at the first
+        # rescore boundary, so it stays positive if it is at the last one
+        last = self.total_epochs - 1 - self.warmup_epochs
+        age = last // self.rescore_every * self.rescore_every
+        if self.sp_lambda0 + self.sp_growth * age <= 0.0:
+            raise ValueError(
+                f"age lambda sp_lambda0 + sp_growth * {age} must be positive "
+                f"at the last rescore boundary, epoch {self.warmup_epochs + age}"
+            )
 
     # -- flat key=value config text -----------------------------------------
 
@@ -127,16 +137,13 @@ class ExperimentConfig:
 
 
 def _cast(cls, name: str, value) -> object:
-    if not isinstance(value, str):
+    kind = type(cls.__dataclass_fields__[name].default)
+    if not isinstance(value, str) or kind is str:
         return value
-    proto = cls.__dataclass_fields__[name].default
-    if isinstance(proto, bool):
-        return value.lower() in ("1", "true", "yes")
-    if isinstance(proto, int):
-        return int(value)
-    if isinstance(proto, float):
-        return float(value)
-    return value
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}") from None
 
 
 def _fmt(value) -> str:
@@ -189,7 +196,7 @@ class _Run:
         )
         self.loss_code = LOSSES[cfg.loss_kind]
         self.sp_cfg = scheduler.SpConfig(
-            regularizer="hard" if cfg.scheduler == "sp_hard" else cfg.sp_regularizer,
+            regularizer="hard" if cfg.scheduler == "sp_hard" else "linear",
             lambda0=cfg.sp_lambda0,
             growth=cfg.sp_growth,
         )
@@ -225,15 +232,20 @@ class _Run:
         return np.random.default_rng([self.cfg.seed, 1, epoch])
 
     def _score(self, epoch: int):
-        """Loss (and, when needed, uncertainty) of every row."""
-        cfg = self.cfg
-        losses, _ = self.model.batch_losses(self.X, self.labels, cfg.loss_kind)
+        """Loss (and, when needed, uncertainty) of every row, kept as the
+        next row of the score table."""
+        losses, _ = self.model.batch_losses(self.X, self.labels, self.cfg.loss_kind)
         uncertainties = None
+        k = self.n_scored
+        self.score_epochs[k] = epoch
+        self.score_losses[k] = losses
         if self.need_u:
             uncertainties = uncertainty.batch_score_uncertainty(
                 self.model, self.X, self.ids, self.u_cfg, epoch=epoch
             )
+            self.score_us[k] = uncertainties
             self.last_mean_uncertainty = float(np.mean(uncertainties))
+        self.n_scored += 1
         return losses, uncertainties
 
     def _difficulty(self, losses, uncertainties) -> np.ndarray:
@@ -245,44 +257,32 @@ class _Run:
         )
 
     def _build_plan(self, epoch: int) -> scheduler.BatchPlan:
+        """This epoch's plan.  At a rescore boundary every row is scored, and
+        an sp_* run reweights the losses while the other scored runs build
+        the plan they keep until the next boundary; otherwise the kept plan,
+        or a random one."""
         cfg = self.cfg
-        n = len(self.ids)
-        in_warmup = epoch < cfg.warmup_epochs
-        boundary = (
-            not in_warmup and (epoch - cfg.warmup_epochs) % cfg.rescore_every == 0
-        )
-        if in_warmup or not self.scored:
-            self.d = None
-            return scheduler.random_plan(n, cfg.batch_size, self._epoch_rng(epoch), epoch)
-        if boundary or self.plan is None:
+        since = epoch - cfg.warmup_epochs
+        if self.scored and since >= 0 and since % cfg.rescore_every == 0:
             losses, uncertainties = self._score(epoch)
-            k = self.n_scored
-            self.score_epochs[k] = epoch
-            self.score_losses[k] = losses
-            if uncertainties is not None:
-                self.score_us[k] = uncertainties
-            self.n_scored += 1
-            self.d = None
-            if cfg.scheduler in ("sp_hard", "sp_linear"):
-                lam = scheduler.age_schedule(epoch - cfg.warmup_epochs, self.sp_cfg)
-                self.weights[:] = scheduler.sp_weight(losses, self.sp_cfg, lam)
-            elif cfg.scheduler == "ohem":
+            if cfg.scheduler == "ohem":
                 return scheduler.ohem_plan(
-                    losses, self.ids, cfg.batch_size, cfg.ohem_ratio,
-                    self._epoch_rng(epoch), epoch,
+                    losses, self.ids, cfg.batch_size, cfg.ohem_ratio, self._epoch_rng(epoch)
                 )
-            else:
+            if cfg.scheduler in ("mixed", "anti_mixed"):
                 self.d = self._difficulty(losses, uncertainties)
                 build = (
                     scheduler.mixed_order_plan
                     if cfg.scheduler == "mixed"
                     else scheduler.anti_mixed_plan
                 )
-                return build(self.d, self.ids, cfg.batch_size, epoch)
-        elif cfg.scheduler in ("mixed", "anti_mixed", "ohem"):
-            return replace(self.plan, epoch=epoch)
-        # sp_* schedulers always batch randomly
-        return scheduler.random_plan(n, cfg.batch_size, self._epoch_rng(epoch), epoch)
+                return build(self.d, self.ids, cfg.batch_size)
+            lam = scheduler.age_schedule(since, self.sp_cfg)
+            self.weights[:] = scheduler.sp_weight(losses, self.sp_cfg, lam)
+        elif self.scored and since >= 0 and cfg.scheduler not in ("sp_hard", "sp_linear"):
+            return self.plan
+        # warmup, random and sp_* runs batch randomly
+        return scheduler.random_plan(len(self.ids), cfg.batch_size, self._epoch_rng(epoch))
 
     def _recalls(self):
         _, _, Y = self.model.forward_batch(self.X)
@@ -397,7 +397,6 @@ def _train(runs: List[_Run]) -> Dict[_Run, Exception]:
             by_run = dict(zip(stacked, visit_losses))
             each(lambda run: run.record_epoch(epoch, by_run[run]))
             wall = time.perf_counter() - t0
-            # 10 us resolution keeps the timing logs small next to the scores
             for run in live:
                 run.timing_rows.append([
                     epoch, f"{wall:.5f}", f"{run.plan_s:.5f}", f"{train_s:.5f}", len(stacked)
@@ -471,6 +470,11 @@ def compare(
         raise ValueError("compare needs at least 2 configs")
     if labels is None:
         labels = [c.scheduler for c in configs]
+    # a repeated label or seed would train two cells into one run dir
+    for name, values in (("labels", labels), ("seeds", seeds)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ValueError(f"duplicate {name}: {repeated}")
     cells: Dict[str, Dict[int, Optional[Dict[str, float]]]] = {l: {} for l in labels}
     loaded: Dict[str, Dataset] = {}
     started = []

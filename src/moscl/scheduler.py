@@ -17,10 +17,8 @@ class BatchPlan:
     """One epoch's visiting order as dataset rows; consecutive chunks of
     batch_size rows are its mini-batches, the last one possibly short."""
 
-    epoch: int
     order: np.ndarray
     batch_size: int
-    allows_duplicates: bool = False
 
     @property
     def batches(self) -> List[List[int]]:
@@ -44,11 +42,11 @@ class SpConfig:
             raise ValueError("lambda0 must be positive")
 
 
-def random_plan(n: int, b: int, rng: np.random.Generator, epoch: int = 0) -> BatchPlan:
+def random_plan(n: int, b: int, rng: np.random.Generator) -> BatchPlan:
     """Uniform shuffle of n rows chunked into batches of b."""
     if n < 1:
         raise ValueError("no samples")
-    return BatchPlan(epoch=epoch, order=rng.permutation(n), batch_size=b)
+    return BatchPlan(order=rng.permutation(n), batch_size=b)
 
 
 def _hard_first(d, ids) -> np.ndarray:
@@ -58,7 +56,7 @@ def _hard_first(d, ids) -> np.ndarray:
     return np.lexsort((np.asarray(ids), np.asarray(d)))
 
 
-def mixed_order_plan(d, ids, b: int, epoch: int = 0) -> BatchPlan:
+def mixed_order_plan(d, ids, b: int) -> BatchPlan:
     """Pair hard with easy: interleave the hardness-sorted rows from both
     ends (hard, easy, hard, easy, ...) and chunk into batches of b.  For b=2
     this pairs position k with position N-1-k; odd N leaves the median
@@ -66,21 +64,16 @@ def mixed_order_plan(d, ids, b: int, epoch: int = 0) -> BatchPlan:
     hard = _hard_first(d, ids)
     k = np.arange(len(hard))
     ends = np.where(k % 2 == 0, k // 2, len(hard) - 1 - k // 2)
-    return BatchPlan(epoch=epoch, order=hard[ends], batch_size=b)
+    return BatchPlan(order=hard[ends], batch_size=b)
 
 
-def anti_mixed_plan(d, ids, b: int, epoch: int = 0) -> BatchPlan:
+def anti_mixed_plan(d, ids, b: int) -> BatchPlan:
     """Hard with hard: contiguous chunks of the hardness-sorted rows."""
-    return BatchPlan(epoch=epoch, order=_hard_first(d, ids), batch_size=b)
+    return BatchPlan(order=_hard_first(d, ids), batch_size=b)
 
 
 def ohem_plan(
-    losses,
-    ids,
-    b: int,
-    oversample_ratio: float,
-    rng: np.random.Generator,
-    epoch: int = 0,
+    losses, ids, b: int, oversample_ratio: float, rng: np.random.Generator
 ) -> BatchPlan:
     """Online hard example mining: the top-loss fraction of rows appears
     twice in the shuffled order.  ratio=1 degenerates to plain random
@@ -93,12 +86,7 @@ def ohem_plan(
     pool = np.concatenate(
         [np.argsort(ids, kind="stable"), np.lexsort((np.asarray(ids), 0.0 - L))[:n_hard]]
     )
-    return BatchPlan(
-        epoch=epoch,
-        order=pool[rng.permutation(len(pool))],
-        batch_size=b,
-        allows_duplicates=n_hard > 0,
-    )
+    return BatchPlan(order=pool[rng.permutation(len(pool))], batch_size=b)
 
 
 def sp_weight(l, cfg: SpConfig, lam: float = None):

@@ -11,7 +11,7 @@ from typing import Tuple
 import numpy as np
 
 from . import kernels
-from .core_math import ENTROPY_MODES, entropy
+from .core_math import entropy
 from .model import MlpModel
 
 
@@ -20,30 +20,20 @@ class UncertaintyConfig:
     G: int = 8
     gamma: float = 0.3
     seed: int = 0
-    entropy_mode: str = "paper"
 
     def __post_init__(self):
         if self.G < 1:
             raise ValueError("G must be >= 1")
         if self.gamma < 0.0:
             raise ValueError("gamma must be >= 0")
-        if self.entropy_mode not in ENTROPY_MODES:
-            raise ValueError(f"unknown entropy_mode {self.entropy_mode!r}")
 
 
-def sample_perturbation(dim: int, gamma: float, rng: np.random.Generator) -> np.ndarray:
-    """One disturbance vector with entries i.i.d. uniform on [-gamma, +gamma]."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return rng.uniform(-gamma, gamma, dim)
-
-
-def _mean_entropy(P: np.ndarray, head: str, mode: str) -> np.ndarray:
+def _mean_entropy(P: np.ndarray, head: str) -> np.ndarray:
     """Uncertainty per row of the (N, C) mean predictions."""
     if head == "sigmoid":
-        return entropy(P[:, 0], mode=mode)
+        return entropy(P[:, 0])
     # multi-class extension: sum the per-component entropy terms
-    return entropy(P, mode=mode).sum(axis=1)
+    return entropy(P).sum(axis=1)
 
 
 def estimate_uncertainty(model: MlpModel, x: np.ndarray, cfg: UncertaintyConfig) -> float:
@@ -128,7 +118,7 @@ def batch_score_uncertainty(
     P = kernels.mean_perturbed_predictions(
         model.W1, model.b1, model.W2, model.b2, X, T, model._act, model._head
     )
-    return _mean_entropy(P, model.head, cfg.entropy_mode)
+    return _mean_entropy(P, model.head)
 
 
 def json_records(columns: dict) -> str:

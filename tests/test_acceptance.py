@@ -208,9 +208,7 @@ def _train_random(dataset, seed, lr=0.1, max_epochs=500):
     weights = np.ones(len(dataset))
     losses = []
     for epoch in range(max_epochs):
-        plan = scheduler.random_plan(
-            len(dataset), 2, np.random.default_rng([seed, 1, epoch]), epoch
-        )
+        plan = scheduler.random_plan(len(dataset), 2, np.random.default_rng([seed, 1, epoch]))
         order = plan.order
         raw = kernels.sgd_epoch(
             m.W1, m.b1, m.W2, m.b2,

@@ -6,11 +6,14 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
-from moscl import kernels  # noqa: E402
+from moscl import cli, experiment, kernels  # noqa: E402
+from moscl.datagen import GenSpec, generate, save_dataset  # noqa: E402
+from moscl.model import MlpModel  # noqa: E402
 
 
 def _owner(module_name):
@@ -58,3 +61,48 @@ def test_install_then_uninstall_restores_every_attribute():
     finally:
         tracer.uninstall()
     assert _snapshot() == before
+
+
+def test_traced_round_computes_every_counter(tmp_path, capsys):
+    """A tiny traced compare of every scheduler and one score, export-scatter
+    and analyze-conflicts round: each counter reads the arguments of its
+    traced function by name, so a renamed or dropped parameter fails here."""
+    dataset = generate(GenSpec(n_total=24, minority_fraction=0.25, seed=3))
+    data = tmp_path / "data.csv"
+    save_dataset(dataset, data, data.with_suffix(".json"))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        configs = [
+            experiment.ExperimentConfig(scheduler=s, warmup_epochs=2, total_epochs=4,
+                                        outdir=str(tmp_path / "cmp"))
+            for s in experiment.SCHEDULERS
+        ]
+        summary = experiment.compare(configs, [0], dataset=dataset)
+        # training steps through sgd_epochs; the one-run entry is called here
+        m = MlpModel(2, 4, seed=0)
+        kernels.sgd_epoch(m.W1, m.b1, m.W2, m.b2, dataset.X, dataset.labels,
+                          np.arange(len(dataset)), 2, np.ones(len(dataset)), 0.1,
+                          m._act, m._head, 0)
+        ckpt = str(tmp_path / "cmp" / "mixed_seed0" / "checkpoint.json")
+        scores = str(tmp_path / "scores.json")
+        codes = [cli.main(argv) for argv in (
+            ["score", "--dataset", str(data), "--checkpoint", ckpt, "--out", scores],
+            ["export-scatter", "--scores", scores, "--out", str(tmp_path / "scatter.csv")],
+            ["analyze-conflicts", "--dataset", str(data), "--checkpoint", ckpt,
+             "--out", str(tmp_path / "conflict.json")],
+        )]
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert all(not c["failed_seeds"] for c in summary["configs"].values()), summary
+    assert codes == [0, 0, 0]
+    spans, counters = tracer.take()
+    assert sorted(counters) == sorted(
+        f"{module}.{attr}" for module, attr, count in tracing.TARGETS if count is not None
+    )
+    stats = tracing.summarize(spans, counters)
+    for builder in ("mixed_order_plan", "anti_mixed_plan", "ohem_plan", "random_plan"):
+        assert stats[f"scheduler.{builder}"]["calls"] >= 1, builder
+    metrics = tracing.layer_metrics(stats)
+    assert all(np.isfinite(m["value"]) for m in metrics.values())

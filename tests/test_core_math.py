@@ -42,24 +42,17 @@ class TestEntropy:
         assert grid[k] == pytest.approx(1.0 / math.e, abs=1e-5)
         assert vals[k] == pytest.approx(1.0 / math.e, abs=1e-8)
 
-    def test_binary_mode(self):
-        assert entropy(0.5, mode="binary") == pytest.approx(math.log(2.0), abs=1e-12)
-        assert entropy(0.0, mode="binary") == 0.0
-
-    @pytest.mark.parametrize("mode", ["paper", "binary"])
-    def test_array_matches_scalar_elementwise(self, mode):
+    def test_array_matches_scalar_elementwise(self):
         p = np.array([[0.0, 0.25, 0.5], [1 / math.e, 0.9, 1.0]])
-        h = entropy(p, mode=mode)
+        h = entropy(p)
         assert h.shape == p.shape
-        assert h.tolist() == [[entropy(float(v), mode=mode) for v in row] for row in p]
+        assert h.tolist() == [[entropy(float(v)) for v in row] for row in p]
 
-    def test_array_domain_and_mode_errors(self):
+    def test_array_domain_errors(self):
         with pytest.raises(ValueError, match="1.5"):
             entropy(np.array([0.5, 1.5]))
         with pytest.raises(ValueError):
             entropy(np.array([0.5, float("nan")]))
-        with pytest.raises(ValueError, match="mode"):
-            entropy(np.array([0.5]), mode="bogus")
 
 
 class TestSigmoid:

@@ -2,6 +2,7 @@
 export, and the command-line interface."""
 
 import csv
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -71,8 +72,17 @@ def test_config_rejects_ohem_ratio_before_writing(tmp_path, ratio):
 BAD_CONFIG = {
     "G": (dict(G=0), "G must be >= 1"),
     "gamma": (dict(gamma=-0.1), "gamma must be >= 0"),
+    "gamma_nan": (dict(gamma=math.nan), "gamma must be finite, got nan"),
+    "lr_nan": (dict(lr=math.nan), "lr must be finite, got nan"),
     "sp_lambda0": (dict(sp_lambda0=0.0), "sp_lambda0 must be positive"),
-    "sp_regularizer": (dict(sp_regularizer="bogus"), "unknown sp_regularizer 'bogus'"),
+    "sp_growth_inf": (dict(sp_growth=math.inf), "sp_growth must be finite, got inf"),
+    # lambda = 0.5 - 0.2 * 4 < 0 at the last boundary, epoch 5
+    "sp_growth_age": (
+        dict(scheduler="sp_linear", sp_lambda0=0.5, sp_growth=-0.2,
+             warmup_epochs=1, total_epochs=6),
+        "age lambda sp_lambda0 + sp_growth * 4 must be positive "
+        "at the last rescore boundary, epoch 5",
+    ),
     "warmup_epochs": (dict(warmup_epochs=-1, total_epochs=0), "warmup_epochs must be >= 0"),
 }
 
@@ -114,6 +124,33 @@ def test_cli_train_rejects_unknown_model_field_before_writing(
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ValueError", "message": f"unknown {field} 'bogus'"}
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("source, line, message", [
+    ("flag", "batch_size=two", "batch_size must be int, got 'two'"),
+    ("config", "batch_size=two", "batch_size must be int, got 'two'"),
+    ("flag", "lr=fast", "lr must be float, got 'fast'"),
+    ("config", "lr=fast", "lr must be float, got 'fast'"),
+    # a config_resolved.txt of a run from before sp_regularizer was dropped
+    ("config", "sp_regularizer=hard", "unknown config keys: ['sp_regularizer']"),
+])
+def test_cli_train_rejects_bad_config_text_before_writing(
+    tmp_path, small_dataset, capsys, source, line, message
+):
+    data = tmp_path / "data.csv"
+    save_dataset(small_dataset, data, data.with_suffix(".json"))
+    run_dir = tmp_path / "bad_run"
+    if source == "flag":
+        key, _, value = line.partition("=")
+        extra = [f"--{key.replace('_', '-')}", value]
+    else:
+        config = tmp_path / "config.txt"
+        config.write_text(f"scheduler=mixed\n{line}\n")
+        extra = ["--config", str(config)]
+    rc = cli.main(["train", "--dataset", str(data), "--outdir", str(run_dir)] + extra)
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
     assert not run_dir.exists()
 
 
@@ -426,6 +463,23 @@ def test_compare_needs_two_configs(tmp_path):
         experiment.compare([_cfg(tmp_path)], seeds=[0])
 
 
+@pytest.mark.parametrize("schedulers, seeds, message", [
+    (["mixed", "mixed"], [0, 1], "duplicate labels: ['mixed']"),
+    (["random", "mixed"], [0, 1, 0], "duplicate seeds: [0]"),
+])
+def test_compare_rejects_duplicate_labels_and_seeds_before_writing(
+    tmp_path, small_dataset, schedulers, seeds, message
+):
+    configs = [
+        _cfg(tmp_path, name="cmp", scheduler=s, lr=0.1 + 0.4 * k)
+        for k, s in enumerate(schedulers)
+    ]
+    with pytest.raises(ValueError) as info:
+        experiment.compare(configs, seeds, dataset=small_dataset)
+    assert str(info.value) == message
+    assert not (tmp_path / "cmp").exists()
+
+
 # --- scatter export ---------------------------------------------------------
 
 
@@ -675,6 +729,42 @@ def test_cli_compare_writes_summary(tmp_path, monkeypatch, capsys):
     assert set(summary["configs"]) == {"random", "mixed"}
     printed = json.loads(capsys.readouterr().out)
     assert set(printed) == {"random", "mixed"}
+
+
+@pytest.mark.parametrize("schedulers, seeds, message", [
+    ("mixed,mixed", "0,1", "duplicate labels: ['mixed']"),
+    ("random,mixed", "0,0", "duplicate seeds: [0]"),
+])
+def test_cli_compare_rejects_duplicates_before_writing(
+    tmp_path, small_dataset, capsys, schedulers, seeds, message
+):
+    data = tmp_path / "data.csv"
+    save_dataset(small_dataset, data, data.with_suffix(".json"))
+    rc = cli.main(["compare", "--dataset", str(data), "--schedulers", schedulers,
+                   "--seeds", seeds, "--outdir", str(tmp_path / "cmp")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_cli_conflict_report_names_the_checkpoint_by_its_bytes(
+    tmp_path, small_dataset, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    data = tmp_path / "data.csv"
+    save_dataset(small_dataset, data, data.with_suffix(".json"))
+    ckpt = tmp_path / "ckpt.json"
+    MlpModel(2, 8, seed=0).save(ckpt)
+    reports = []
+    for name, path in (("abs", str(ckpt)), ("rel", "ckpt.json")):
+        out = tmp_path / f"{name}.json"
+        argv = ["analyze-conflicts", "--dataset", str(data), "--checkpoint", path,
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    tag = json.loads(reports[0])["model_tag"]
+    assert tag == hashlib.sha256(ckpt.read_bytes()).hexdigest()
 
 
 def test_cli_errors_emit_json_and_nonzero(tmp_path, capsys):

@@ -20,7 +20,6 @@ says so in CHANGES.md:
 It prints how many hashes it added, changed and removed.
 """
 
-import contextlib
 import hashlib
 import json
 import sys
@@ -93,15 +92,13 @@ def golden_hashes(work: Path) -> dict:
             ["export-scatter", "--scores", str(scores), "--out", str(work / case / "value.csv")],
             ["export-scatter", "--scores", str(scores), "--out", str(work / case / "index.csv"),
              "--mode", "index"],
-            # relative to ``work``: the report echoes the checkpoint path
             ["analyze-conflicts", "--dataset", str(data), "--seed", "3",
-             "--checkpoint", f"{case}/mixed_seed0/checkpoint.json",
+             "--checkpoint", str(work / case / "mixed_seed0" / "checkpoint.json"),
              "--loss-kind", fields["loss_kind"], "--out", str(work / case / "conflict.json"),
              "--pairs-csv", str(work / case / "pairs.csv")],
         ]
-        with contextlib.chdir(work):
-            for argv in argvs:
-                assert cli.main(argv) == 0, argv
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
     for table in work.rglob("scores.npz"):
         _render_score_files(table)
     files = [data, data.with_suffix(".json")]

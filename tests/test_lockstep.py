@@ -147,12 +147,12 @@ def test_failing_cell_leaves_the_stack_and_others_match_solo(
 ):
     real_ohem_plan = scheduler.ohem_plan
 
-    def ohem_plan(losses, ids, b, ratio, rng, epoch=0):
+    def ohem_plan(losses, ids, b, ratio, rng):
         # the epoch rng is seeded with [seed, 1, epoch]
-        seed = rng.bit_generator.seed_seq.entropy[0]
+        seed, _, epoch = rng.bit_generator.seed_seq.entropy
         if seed == 1 and epoch == 3:
             raise ValueError("planned failure")
-        return real_ohem_plan(losses, ids, b, ratio, rng, epoch)
+        return real_ohem_plan(losses, ids, b, ratio, rng)
 
     monkeypatch.setattr(scheduler, "ohem_plan", ohem_plan)
     configs = [_cfg(s, tmp_path / "cmp") for s in ("random", "ohem")]

@@ -17,26 +17,7 @@ from moscl.uncertainty import (
     load_scores,
     perturbations,
     save_score_table,
-    sample_perturbation,
 )
-
-
-class TestSamplePerturbation:
-    def test_zero_gamma(self):
-        t = sample_perturbation(6, 0.0, np.random.default_rng(0))
-        assert np.array_equal(t, np.zeros(6))
-
-    def test_bounds(self):
-        t = sample_perturbation(1000, 0.3, np.random.default_rng(1))
-        assert np.all(t >= -0.3) and np.all(t <= 0.3)
-
-    def test_empirical_mean(self):
-        t = sample_perturbation(10**5, 0.3, np.random.default_rng(2))
-        assert abs(t.mean()) < 0.01
-
-    def test_bad_dim(self):
-        with pytest.raises(ValueError):
-            sample_perturbation(0, 0.3, np.random.default_rng(0))
 
 
 class TestEstimateUncertainty:
@@ -274,10 +255,6 @@ class TestConfigValidation:
     def test_bad_gamma(self):
         with pytest.raises(ValueError):
             UncertaintyConfig(gamma=-0.1)
-
-    def test_bad_entropy_mode(self):
-        with pytest.raises(ValueError, match="entropy_mode"):
-            UncertaintyConfig(entropy_mode="bogus")
 
     def test_paper_defaults(self):
         cfg = UncertaintyConfig()
