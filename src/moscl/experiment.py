@@ -470,6 +470,8 @@ def compare(
         raise ValueError("compare needs at least 2 configs")
     if labels is None:
         labels = [c.scheduler for c in configs]
+    if len(labels) != len(configs):
+        raise ValueError(f"{len(labels)} labels for {len(configs)} configs; want one per config")
     # a repeated label or seed would train two cells into one run dir
     for name, values in (("labels", labels), ("seeds", seeds)):
         repeated = sorted({v for v in values if values.count(v) > 1})

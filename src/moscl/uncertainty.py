@@ -64,6 +64,54 @@ def _as_u64(value: int) -> np.uint64:
     return np.uint64(int(value) % (1 << 64))
 
 
+# Values of the (rows, G, H) perturbation tensor drawn and pushed through
+# the perturbed forward pass at a time: about 2**15 float64s (256 KiB) per
+# array, so a block's hash state, disturbances and perturbed hidden map stay
+# in a core's L2 cache.  A block holds rows = max(2, BLOCK_VALUES // (G * H))
+# rows, or rows + 1 when a lone last row joins it (see `_row_blocks` for why
+# never one), so an array takes at most (rows + 1) * G * H * 8 bytes.
+BLOCK_VALUES = 1 << 15
+
+
+def _row_blocks(n: int, rows: int):
+    """Slices of ``rows`` rows (``rows`` >= 2) covering range(n).  A lone
+    last row joins the block before it: numpy multiplies a one-row matrix
+    as a matrix-vector product, whose rounding differs from the matrix
+    product that row gets among others."""
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
+def _stream_keys(seed: int, sample_ids, epoch: int) -> np.ndarray:
+    """Per-sample stream key mix(mix(mix(seed) ^ id) ^ epoch), as uint64."""
+    ids = np.asarray(sample_ids, dtype=np.int64).astype(np.uint64)
+    key = np.full(len(ids), _as_u64(seed))
+    scratch = np.empty(len(ids), dtype=np.uint64)
+    _mix(key, scratch)
+    key ^= ids
+    _mix(key, scratch)
+    key ^= _as_u64(epoch)
+    _mix(key, scratch)
+    return key
+
+
+def _draw(keys: np.ndarray, m: int, gamma: float) -> np.ndarray:
+    """The first m disturbances of each stream key, shaped (len(keys), m)."""
+    counter = np.arange(1, m + 1, dtype=np.uint64)
+    counter *= _GOLDEN
+    z = np.add(keys[:, None], counter[None, :])
+    # the output buffer doubles as the hash's scratch space
+    out = np.empty(z.shape)
+    _mix(z, out.view(np.uint64))
+    z >>= np.uint64(11)
+    # k * (2 gamma / 2**53) - gamma lies in [-gamma, gamma) for k < 2**53
+    np.multiply(z, 2.0 * gamma / 2.0**53, out=out)
+    out -= gamma
+    return out
+
+
 def perturbations(
     seed: int, sample_ids, epoch: int, shape: Tuple[int, ...], gamma: float
 ) -> np.ndarray:
@@ -77,27 +125,8 @@ def perturbations(
     become the uniform.  So a block depends only on its own id, equal ids
     get equal blocks, and every epoch draws anew.
     """
-    ids = np.asarray(sample_ids, dtype=np.int64).astype(np.uint64)
-    n, m = len(ids), math.prod(shape)
-    # per-sample stream key: mix(mix(mix(seed) ^ id) ^ epoch)
-    key = np.full(n, _as_u64(seed))
-    scratch = np.empty(n, dtype=np.uint64)
-    _mix(key, scratch)
-    key ^= ids
-    _mix(key, scratch)
-    key ^= _as_u64(epoch)
-    _mix(key, scratch)
-    counter = np.arange(1, m + 1, dtype=np.uint64)
-    counter *= _GOLDEN
-    z = np.add(key[:, None], counter[None, :])
-    # the output buffer doubles as the hash's scratch space
-    out = np.empty((n, m))
-    _mix(z, out.view(np.uint64))
-    z >>= np.uint64(11)
-    # k * (2 gamma / 2**53) - gamma lies in [-gamma, gamma) for k < 2**53
-    np.multiply(z, 2.0 * gamma / 2.0**53, out=out)
-    out -= gamma
-    return out.reshape((n, *shape))
+    keys = _stream_keys(seed, sample_ids, epoch)
+    return _draw(keys, math.prod(shape), gamma).reshape((len(keys), *shape))
 
 
 def batch_score_uncertainty(
@@ -110,14 +139,26 @@ def batch_score_uncertainty(
     """Uncertainty of each row of X, row k scored as sample ``sample_ids[k]``.
     Each sample's disturbances are a pure function of (seed, sample_id,
     epoch) (see `perturbations`), so scoring is order-independent and the
-    perturbations are resampled at every scoring epoch."""
+    perturbations are resampled at every scoring epoch.
+
+    Rows are scored in blocks of about `BLOCK_VALUES` disturbances and at
+    least two rows (`_row_blocks`); each value and each row of the forward
+    pass depends on its own row alone, so the scores equal those of one
+    call over all rows, bit for bit."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise ValueError("dataset is empty")
-    T = perturbations(cfg.seed, sample_ids, epoch, (cfg.G, model.hidden_dim), cfg.gamma)
-    P = kernels.mean_perturbed_predictions(
-        model.W1, model.b1, model.W2, model.b2, X, T, model._act, model._head
-    )
+    keys = _stream_keys(cfg.seed, sample_ids, epoch)
+    if len(keys) != len(X):
+        raise ValueError(f"{len(keys)} sample ids for {len(X)} rows of X; want one id per row")
+    shape = (cfg.G, model.hidden_dim)
+    m = math.prod(shape)
+    P = np.empty((len(X), model.out_dim))
+    for at in _row_blocks(len(X), max(2, BLOCK_VALUES // m)):
+        T = _draw(keys[at], m, cfg.gamma).reshape((-1, *shape))
+        P[at] = kernels.mean_perturbed_predictions(
+            model.W1, model.b1, model.W2, model.b2, X[at], T, model._act, model._head
+        )
     return _mean_entropy(P, model.head)
 
 

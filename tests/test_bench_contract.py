@@ -11,7 +11,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
-from moscl import cli, experiment, kernels  # noqa: E402
+from moscl import cli, experiment, kernels, uncertainty  # noqa: E402
 from moscl.datagen import GenSpec, generate, save_dataset  # noqa: E402
 from moscl.model import MlpModel  # noqa: E402
 
@@ -63,13 +63,20 @@ def test_install_then_uninstall_restores_every_attribute():
     assert _snapshot() == before
 
 
-def test_traced_round_computes_every_counter(tmp_path, capsys):
+def test_traced_round_computes_every_counter(tmp_path, capsys, monkeypatch):
     """A tiny traced compare of every scheduler and one score, export-scatter
     and analyze-conflicts round: each counter reads the arguments of its
-    traced function by name, so a renamed or dropped parameter fails here."""
+    traced function by name, so a renamed or dropped parameter fails here.
+    Scoring runs in blocks of 5 rows, and the perturbed-forward counters
+    still sum to N * G forwards and N * G * H float64s per scoring call."""
     dataset = generate(GenSpec(n_total=24, minority_fraction=0.25, seed=3))
     data = tmp_path / "data.csv"
     save_dataset(dataset, data, data.with_suffix(".json"))
+    # every scoring call below scores all 24 rows with the default G and H
+    defaults = experiment.ExperimentConfig()
+    n, g, h = len(dataset), defaults.G, defaults.hidden_dim
+    assert uncertainty.UncertaintyConfig().G == g
+    monkeypatch.setattr(uncertainty, "BLOCK_VALUES", 5 * g * h)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -104,5 +111,12 @@ def test_traced_round_computes_every_counter(tmp_path, capsys):
     stats = tracing.summarize(spans, counters)
     for builder in ("mixed_order_plan", "anti_mixed_plan", "ohem_plan", "random_plan"):
         assert stats[f"scheduler.{builder}"]["calls"] >= 1, builder
+    scoring = stats["uncertainty.batch_score_uncertainty"]
+    assert scoring["calls"] >= 1
+    assert scoring["streams"] == scoring["calls"] * n
+    perturbed = stats["kernels.mean_perturbed_predictions"]
+    assert perturbed["calls"] == scoring["calls"] * 5  # blocks of 5, 5, 5, 5, 4 rows
+    assert perturbed["forwards"] == scoring["calls"] * n * g
+    assert perturbed["computed_bytes"] == scoring["calls"] * n * g * h * 8
     metrics = tracing.layer_metrics(stats)
     assert all(np.isfinite(m["value"]) for m in metrics.values())

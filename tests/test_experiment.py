@@ -480,6 +480,20 @@ def test_compare_rejects_duplicate_labels_and_seeds_before_writing(
     assert not (tmp_path / "cmp").exists()
 
 
+@pytest.mark.parametrize("labels, message", [
+    (["random", "mixed"], "2 labels for 3 configs; want one per config"),
+    (["random", "mixed", "ohem", "extra"], "4 labels for 3 configs; want one per config"),
+])
+def test_compare_rejects_labels_not_one_per_config_before_writing(
+    tmp_path, small_dataset, labels, message
+):
+    configs = [_cfg(tmp_path, name="cmp", scheduler=s) for s in ("random", "mixed", "ohem")]
+    with pytest.raises(ValueError) as info:
+        experiment.compare(configs, [0], dataset=small_dataset, labels=labels)
+    assert str(info.value) == message
+    assert not (tmp_path / "cmp").exists()
+
+
 # --- scatter export ---------------------------------------------------------
 
 
@@ -744,6 +758,27 @@ def test_cli_compare_rejects_duplicates_before_writing(
                    "--seeds", seeds, "--outdir", str(tmp_path / "cmp")])
     assert rc == 1
     assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_cli_compare_reports_labels_not_one_per_config_before_writing(
+    tmp_path, small_dataset, capsys, monkeypatch
+):
+    """The CLI labels each config by its scheduler; a label list that loses
+    one on the way fails through the CLI's error contract, writing nothing."""
+    data = tmp_path / "data.csv"
+    save_dataset(small_dataset, data, data.with_suffix(".json"))
+    real = experiment.compare
+    monkeypatch.setattr(
+        experiment, "compare",
+        lambda configs, seeds, labels: real(configs, seeds, labels=labels[:-1]),
+    )
+    rc = cli.main(["compare", "--dataset", str(data), "--schedulers", "random,mixed,ohem",
+                   "--seeds", "0", "--outdir", str(tmp_path / "cmp")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "2 labels for 3 configs; want one per config",
+    }
     assert not (tmp_path / "cmp").exists()
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from moscl import kernels
+from moscl import kernels, uncertainty
 from moscl.core_math import entropy, loss, loss_based_uncertainty
 from moscl.model import MlpModel
 from moscl.uncertainty import (
@@ -124,6 +124,103 @@ class TestBatchScore:
         m, X, ids, cfg = self._setup()
         with pytest.raises(ValueError):
             batch_score_uncertainty(m, X[:0], ids[:0], cfg)
+
+    @pytest.mark.parametrize("n_rows, n_ids", [(5, 1), (1, 5), (5, 4), (5, 6)])
+    def test_ids_not_one_per_row_rejected(self, n_rows, n_ids):
+        m, X, _, cfg = self._setup()
+        with pytest.raises(ValueError, match=f"^{n_ids} sample ids for {n_rows} rows of X"):
+            batch_score_uncertainty(m, X[:n_rows], np.arange(n_ids), cfg)
+
+
+def _block_sizes(n, rows):
+    """Rows per block: blocks of max(2, rows), a lone last row joining the
+    block before it."""
+    rows = max(2, rows)
+    sizes = [rows] * (n // rows) + [n % rows] * (n % rows > 0)
+    if len(sizes) > 1 and sizes[-1] == 1:
+        sizes[-2:] = [rows + 1]
+    return sizes
+
+
+class TestBlockedScoring:
+    """`batch_score_uncertainty` scores rows in blocks; its scores equal
+    those of one perturbed forward pass over all rows, bit for bit."""
+
+    @staticmethod
+    def _reference(m, X, ids, cfg, epoch):
+        T = perturbations(cfg.seed, ids, epoch, (cfg.G, m.hidden_dim), cfg.gamma)
+        P = kernels.mean_perturbed_predictions(
+            m.W1, m.b1, m.W2, m.b2, X, T, m._act, m._head
+        )
+        return entropy(P[:, 0]) if m.head == "sigmoid" else entropy(P).sum(axis=1)
+
+    @staticmethod
+    def _score_counting_blocks(m, X, ids, cfg, epoch, block_values):
+        """The scores with `BLOCK_VALUES` set to ``block_values``, and the
+        row count of each block's perturbed forward pass."""
+        real = kernels.mean_perturbed_predictions
+        rows = []
+
+        def counting(W1, b1, W2, b2, X, T, act, head):
+            assert T.shape == (len(X), cfg.G, m.hidden_dim)
+            rows.append(len(X))
+            return real(W1, b1, W2, b2, X, T, act, head)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(uncertainty, "BLOCK_VALUES", block_values)
+            mp.setattr(kernels, "mean_perturbed_predictions", counting)
+            return batch_score_uncertainty(m, X, ids, cfg, epoch=epoch), rows
+
+    @given(st.data())
+    def test_blocks_match_one_shot_reference(self, data):
+        # 1 row per block asks for less than the two-row floor
+        rows = data.draw(st.sampled_from([1, 3, 7]), label="rows per block")
+        block = max(2, rows)
+        n = data.draw(
+            st.sampled_from(sorted({1, block - 1, block, block + 1}))
+            | st.integers(1, 4 * block + 2),
+            label="N",
+        )
+        G, H = data.draw(st.integers(1, 5), label="G"), data.draw(st.integers(1, 6), label="H")
+        head = data.draw(st.sampled_from(["sigmoid", "softmax"]), label="head")
+        act = data.draw(st.sampled_from(["tanh", "relu"]), label="activation")
+        # sparse ids in any order, repeated when the pool is smaller than N
+        pool = data.draw(
+            st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=n, unique=True), label="pool"
+        )
+        ids = np.array(
+            data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n), label="ids"),
+            dtype=np.int64,
+        )
+        seed = data.draw(st.integers(-(2**31), 2**31), label="seed")
+        epoch = data.draw(st.integers(0, 50), label="epoch")
+        m = MlpModel(3, H, out_dim=1 if head == "sigmoid" else 3, activation=act, head=head,
+                     seed=abs(seed) % 1000)
+        X = np.random.default_rng(abs(seed)).normal(size=(n, 3))
+        cfg = UncertaintyConfig(G=G, gamma=0.3, seed=seed)
+        got, rows_seen = self._score_counting_blocks(m, X, ids, cfg, epoch, rows * G * H)
+        assert rows_seen == _block_sizes(n, rows)
+        want = self._reference(m, X, ids, cfg, epoch)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("G, n, sizes", [
+        # 2**15 // (16 * 8) = 256 rows per block, an 88-row tail
+        (16, 600, [256, 256, 88]),
+        # a lone 513th row joins the last block
+        (16, 513, [256, 257]),
+        # one row holds 2**15 values: two rows per block
+        (2**12, 7, [2, 2, 3]),
+        (8, 1, [1]),
+    ])
+    def test_block_rows_follow_G_times_H(self, G, n, sizes):
+        m = MlpModel(2, 8, seed=1)
+        X = np.random.default_rng(0).normal(size=(n, 2))
+        cfg = UncertaintyConfig(G=G)
+        got, rows_seen = self._score_counting_blocks(
+            m, X, np.arange(n), cfg, 0, uncertainty.BLOCK_VALUES
+        )
+        assert rows_seen == sizes
+        assert np.array_equal(got, self._reference(m, X, np.arange(n), cfg, 0))
 
 
 class TestPerturbations:
