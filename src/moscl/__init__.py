@@ -16,14 +16,12 @@ from .experiment import ExperimentConfig, compare, run
 from .model import ForwardTrace, MlpModel, grad_wrt_latent, grad_wrt_prediction
 from .scheduler import (
     BatchPlan,
-    SpConfig,
-    age_schedule,
     anti_mixed_plan,
     mixed_order_plan,
     ohem_plan,
     random_plan,
     sp_weight,
 )
-from .uncertainty import UncertaintyConfig, batch_score_uncertainty, estimate_uncertainty
+from .uncertainty import batch_score_uncertainty
 
 __version__ = "0.1.0"

@@ -66,9 +66,7 @@ def cmd_score(args) -> None:
     X, ids = dataset.X, dataset.ids
     model = MlpModel.load(args.checkpoint)
     losses, _ = model.batch_losses(X, dataset.labels, args.loss_kind)
-    fields = dataclasses.fields(uncertainty.UncertaintyConfig)
-    cfg = uncertainty.UncertaintyConfig(**{f.name: getattr(args, f.name) for f in fields})
-    us = uncertainty.batch_score_uncertainty(model, X, ids, cfg)
+    us = uncertainty.batch_score_uncertainty(model, X, ids, args.G, args.gamma, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     uncertainty.dump_scores(out, ids, losses, us)
@@ -81,7 +79,10 @@ def cmd_score(args) -> None:
 def cmd_compare(args) -> None:
     base = _config_from_args(args)
     schedulers = args.schedulers.split(",")
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ValueError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     configs = [dataclasses.replace(base, scheduler=s) for s in schedulers]
     summary = experiment.compare(configs, seeds, labels=schedulers)
     out = experiment.resolve_outdir(base.outdir or "compare") / "comparison.json"
@@ -142,8 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--loss-kind", default="mse")
-    for f in dataclasses.fields(uncertainty.UncertaintyConfig):
-        p.add_argument(f"--{f.name}", type=type(f.default), default=f.default)
+    # the scoring settings of a run, with a run's defaults
+    for name in ("G", "gamma", "seed"):
+        default = getattr(ExperimentConfig, name)
+        p.add_argument(f"--{name}", type=type(default), default=default)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("compare", help="scheduler comparison over seeds")

@@ -61,7 +61,7 @@ class ExperimentConfig:
     outdir: str = ""
 
     def __post_init__(self):
-        for name in ("lr", "gamma", "sp_lambda0", "sp_growth"):
+        for name in ("lr", "sp_lambda0", "sp_growth"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.scheduler not in SCHEDULERS:
@@ -87,10 +87,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         if not 0.0 < self.ohem_ratio <= 1.0:
             raise ValueError("ohem_ratio must be in (0, 1]")
-        if self.G < 1:
-            raise ValueError("G must be >= 1")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
+        uncertainty.check_scoring(self.G, self.gamma)
         if self.sp_lambda0 <= 0.0:
             raise ValueError("sp_lambda0 must be positive")
         # the age lambda is linear in the epoch and positive at the first
@@ -195,12 +192,6 @@ class _Run:
             seed=cfg.seed,
         )
         self.loss_code = LOSSES[cfg.loss_kind]
-        self.sp_cfg = scheduler.SpConfig(
-            regularizer="hard" if cfg.scheduler == "sp_hard" else "linear",
-            lambda0=cfg.sp_lambda0,
-            growth=cfg.sp_growth,
-        )
-        self.u_cfg = uncertainty.UncertaintyConfig(G=cfg.G, gamma=cfg.gamma, seed=cfg.seed)
         self.scored = cfg.scheduler != "random"
         self.need_u = cfg.scheduler in ("mixed", "anti_mixed") and cfg.difficulty_source in (
             "uncertainty",
@@ -240,8 +231,9 @@ class _Run:
         self.score_epochs[k] = epoch
         self.score_losses[k] = losses
         if self.need_u:
+            cfg = self.cfg
             uncertainties = uncertainty.batch_score_uncertainty(
-                self.model, self.X, self.ids, self.u_cfg, epoch=epoch
+                self.model, self.X, self.ids, cfg.G, cfg.gamma, cfg.seed, epoch=epoch
             )
             self.score_us[k] = uncertainties
             self.last_mean_uncertainty = float(np.mean(uncertainties))
@@ -277,8 +269,9 @@ class _Run:
                     else scheduler.anti_mixed_plan
                 )
                 return build(self.d, self.ids, cfg.batch_size)
-            lam = scheduler.age_schedule(since, self.sp_cfg)
-            self.weights[:] = scheduler.sp_weight(losses, self.sp_cfg, lam)
+            # the age lambda grows linearly from the first rescore boundary
+            lam = cfg.sp_lambda0 + cfg.sp_growth * since
+            self.weights[:] = scheduler.sp_weight(losses, lam, hard=cfg.scheduler == "sp_hard")
         elif self.scored and since >= 0 and cfg.scheduler not in ("sp_hard", "sp_linear"):
             return self.plan
         # warmup, random and sp_* runs batch randomly
@@ -470,6 +463,8 @@ def compare(
         raise ValueError("compare needs at least 2 configs")
     if labels is None:
         labels = [c.scheduler for c in configs]
+    if not seeds:
+        raise ValueError("compare needs at least 1 seed")
     if len(labels) != len(configs):
         raise ValueError(f"{len(labels)} labels for {len(configs)} configs; want one per config")
     # a repeated label or seed would train two cells into one run dir

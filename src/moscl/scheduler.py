@@ -26,22 +26,6 @@ class BatchPlan:
         return [rows[k : k + b] for k in range(0, len(rows), b)]
 
 
-SP_REGULARIZERS = ("hard", "linear")
-
-
-@dataclass
-class SpConfig:
-    regularizer: str = "linear"  # one of SP_REGULARIZERS
-    lambda0: float = 0.5
-    growth: float = 0.0
-
-    def __post_init__(self):
-        if self.regularizer not in SP_REGULARIZERS:
-            raise ValueError(f"unknown SP regularizer {self.regularizer!r}")
-        if self.lambda0 <= 0.0:
-            raise ValueError("lambda0 must be positive")
-
-
 def random_plan(n: int, b: int, rng: np.random.Generator) -> BatchPlan:
     """Uniform shuffle of n rows chunked into batches of b."""
     if n < 1:
@@ -89,24 +73,16 @@ def ohem_plan(
     return BatchPlan(order=pool[rng.permutation(len(pool))], batch_size=b)
 
 
-def sp_weight(l, cfg: SpConfig, lam: float = None):
+def sp_weight(l, lam: float, hard: bool):
     """Self-paced loss multiplier v in [0, 1] of a loss or an array of
-    losses, non-increasing in the loss.  hard: 1 if l < lambda else 0;
-    linear: max(0, 1 - l/lambda).  A NaN loss gets 0."""
-    if lam is None:
-        lam = cfg.lambda0
-    if lam <= 0.0:
-        raise ValueError("age lambda must be positive")
-    if cfg.regularizer == "hard":
+    losses under the age lambda ``lam``, non-increasing in the loss.  hard:
+    1 if l < lambda else 0; linear (not hard): max(0, 1 - l/lambda).  A NaN
+    loss gets 0."""
+    if not lam > 0.0:
+        raise ValueError(f"age lambda must be positive, got {lam!r}")
+    if hard:
         return np.where(np.less(l, lam), 1.0, 0.0)
     return np.fmax(0.0, 1.0 - np.divide(l, lam))
-
-
-def age_schedule(epoch: int, cfg: SpConfig) -> float:
-    """Linear age growth: lambda = lambda0 + growth * epoch."""
-    if epoch < 0:
-        raise ValueError("epoch must be >= 0")
-    return cfg.lambda0 + cfg.growth * epoch
 
 
 def d_sum_spread(plan: BatchPlan, d) -> int:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -15,17 +14,15 @@ from .core_math import entropy
 from .model import MlpModel
 
 
-@dataclass
-class UncertaintyConfig:
-    G: int = 8
-    gamma: float = 0.3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.G < 1:
-            raise ValueError("G must be >= 1")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
+def check_scoring(G: int, gamma: float) -> None:
+    """Reject a disturbance count G < 1 and a non-finite or negative
+    disturbance scale gamma, naming the value."""
+    if G < 1:
+        raise ValueError("G must be >= 1")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
+    if gamma < 0.0:
+        raise ValueError("gamma must be >= 0")
 
 
 def _mean_entropy(P: np.ndarray, head: str) -> np.ndarray:
@@ -34,12 +31,6 @@ def _mean_entropy(P: np.ndarray, head: str) -> np.ndarray:
         return entropy(P[:, 0])
     # multi-class extension: sum the per-component entropy terms
     return entropy(P).sum(axis=1)
-
-
-def estimate_uncertainty(model: MlpModel, x: np.ndarray, cfg: UncertaintyConfig) -> float:
-    """u = H(mean of G perturbed predictions): `batch_score_uncertainty` of
-    the one sample ``x``, scored as id 0 at epoch 0."""
-    return float(batch_score_uncertainty(model, np.asarray(x)[None], [0], cfg)[0])
 
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the stream increment and
@@ -133,33 +124,41 @@ def batch_score_uncertainty(
     model: MlpModel,
     X: np.ndarray,
     sample_ids: np.ndarray,
-    cfg: UncertaintyConfig,
+    G: int,
+    gamma: float,
+    seed: int,
     epoch: int = 0,
 ) -> np.ndarray:
-    """Uncertainty of each row of X, row k scored as sample ``sample_ids[k]``.
-    Each sample's disturbances are a pure function of (seed, sample_id,
-    epoch) (see `perturbations`), so scoring is order-independent and the
-    perturbations are resampled at every scoring epoch.
+    """Uncertainty of each row of X, row k scored as sample ``sample_ids[k]``
+    under G disturbances uniform on [-gamma, gamma).  Each sample's
+    disturbances are a pure function of (seed, sample_id, epoch) (see
+    `perturbations`), so scoring is order-independent and the perturbations
+    are resampled at every scoring epoch.
 
     Rows are scored in blocks of about `BLOCK_VALUES` disturbances and at
     least two rows (`_row_blocks`); each value and each row of the forward
     pass depends on its own row alone, so the scores equal those of one
-    call over all rows, bit for bit."""
+    call over all rows, bit for bit.  A lone row is scored twice in one
+    block for the same reason, so it gets the score it gets among others."""
+    check_scoring(G, gamma)
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise ValueError("dataset is empty")
-    keys = _stream_keys(cfg.seed, sample_ids, epoch)
+    keys = _stream_keys(seed, sample_ids, epoch)
     if len(keys) != len(X):
         raise ValueError(f"{len(keys)} sample ids for {len(X)} rows of X; want one id per row")
-    shape = (cfg.G, model.hidden_dim)
+    n = len(X)
+    if n == 1:
+        X, keys = np.repeat(X, 2, axis=0), np.repeat(keys, 2)
+    shape = (G, model.hidden_dim)
     m = math.prod(shape)
     P = np.empty((len(X), model.out_dim))
     for at in _row_blocks(len(X), max(2, BLOCK_VALUES // m)):
-        T = _draw(keys[at], m, cfg.gamma).reshape((-1, *shape))
+        T = _draw(keys[at], m, gamma).reshape((-1, *shape))
         P[at] = kernels.mean_perturbed_predictions(
             model.W1, model.b1, model.W2, model.b2, X[at], T, model._act, model._head
         )
-    return _mean_entropy(P, model.head)
+    return _mean_entropy(P[:n], model.head)
 
 
 def json_records(columns: dict) -> str:

@@ -22,8 +22,8 @@ from moscl.datagen import GenSpec, generate
 from moscl.difficulty import fuse_ranks
 from moscl.experiment import ExperimentConfig
 from moscl.model import MlpModel, grad_wrt_latent
-from moscl.scheduler import SpConfig, mixed_order_plan, sp_weight
-from moscl.uncertainty import UncertaintyConfig, estimate_uncertainty, load_score_table
+from moscl.scheduler import mixed_order_plan, sp_weight
+from moscl.uncertainty import batch_score_uncertainty, load_score_table
 
 
 def _report(n: int, desc: str, ok: bool) -> None:
@@ -36,13 +36,12 @@ def _report(n: int, desc: str, ok: bool) -> None:
 
 def test_criterion_01_zero_gamma_uncertainty_equals_loss_entropy():
     rng = np.random.default_rng(11)
-    cfg = UncertaintyConfig(G=8, gamma=0.0, seed=0)
     worst = 0.0
     for _ in range(100):
         m = MlpModel(3, 5, seed=int(rng.integers(1 << 30)))
         x = rng.normal(size=3)
         y = int(rng.integers(2))
-        u = estimate_uncertainty(m, x, cfg)
+        u = batch_score_uncertainty(m, x[None], [0], G=8, gamma=0.0, seed=0)[0]
         l = loss("mse", y, m.forward(x).prob)
         worst = max(worst, abs(u - loss_based_uncertainty("mse", y, l)))
     _report(
@@ -188,14 +187,12 @@ def test_criterion_05_difficulty_invariant_under_monotone_transforms():
 
 
 def test_criterion_06_self_paced_weight_closed_forms():
-    hard = SpConfig(regularizer="hard", lambda0=0.5)
-    linear = SpConfig(regularizer="linear", lambda0=0.5)
     ok = True
     for l in np.linspace(0.0, 2.0, 201):
-        ok = ok and sp_weight(float(l), hard) == (1.0 if l < 0.5 else 0.0)
-        ok = ok and sp_weight(float(l), linear) == max(0.0, 1.0 - l / 0.5)
+        ok = ok and sp_weight(float(l), 0.5, hard=True) == (1.0 if l < 0.5 else 0.0)
+        ok = ok and sp_weight(float(l), 0.5, hard=False) == max(0.0, 1.0 - l / 0.5)
         for lam in (0.1, 1.0, 3.0):
-            v = sp_weight(float(l), linear, lam)
+            v = sp_weight(float(l), lam, hard=False)
             ok = ok and 0.0 <= v <= 1.0
     _report(6, "hard and linear self-paced weights match their closed forms", ok)
 

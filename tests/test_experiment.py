@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moscl import cli, experiment, uncertainty
+from moscl import cli, experiment, scheduler, uncertainty
 from moscl.datagen import GenSpec, generate, save_dataset
 from moscl.experiment import METRICS_HEADER, ExperimentConfig
 from moscl.model import MlpModel
@@ -408,6 +408,32 @@ def test_sp_with_huge_lambda_matches_random(tmp_path, small_dataset):
     ]
 
 
+def test_sp_age_lambda_grows_linearly_from_the_first_rescore_boundary(
+    tmp_path, small_dataset, monkeypatch
+):
+    """At each rescore boundary an sp_* run weights its losses under the age
+    lambda sp_lambda0 + sp_growth * (epochs since warmup)."""
+    seen = []
+    real = scheduler.sp_weight
+
+    def sp_weight(l, lam, hard):
+        seen.append((lam, hard))
+        return real(l, lam, hard)
+
+    monkeypatch.setattr(scheduler, "sp_weight", sp_weight)
+    for name in ("sp_linear", "sp_hard"):
+        experiment.run(
+            _cfg(tmp_path, name=name, scheduler=name, total_epochs=13, rescore_every=2,
+                 sp_lambda0=0.1, sp_growth=0.05),
+            dataset=small_dataset,
+        )
+    since = range(0, 11, 2)
+    assert seen == [(0.1 + 0.05 * k, False) for k in since] + [
+        (0.1 + 0.05 * k, True) for k in since
+    ]
+    assert [lam for lam, _ in seen[:6]] == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+
+
 def test_ohem_run_completes_and_duplicates(tmp_path, small_dataset):
     run_dir = experiment.run(
         _cfg(tmp_path, name="ohem", scheduler="ohem", ohem_ratio=0.25),
@@ -466,6 +492,7 @@ def test_compare_needs_two_configs(tmp_path):
 @pytest.mark.parametrize("schedulers, seeds, message", [
     (["mixed", "mixed"], [0, 1], "duplicate labels: ['mixed']"),
     (["random", "mixed"], [0, 1, 0], "duplicate seeds: [0]"),
+    (["random", "mixed"], [], "compare needs at least 1 seed"),
 ])
 def test_compare_rejects_duplicate_labels_and_seeds_before_writing(
     tmp_path, small_dataset, schedulers, seeds, message
@@ -589,10 +616,10 @@ def test_failed_cell_keeps_the_scores_of_the_epochs_before_its_error(
     )
     real = uncertainty.batch_score_uncertainty
 
-    def batch_score_uncertainty(model, X, sample_ids, cfg, epoch=0):
-        if cfg.seed == 1 and epoch == 4:
+    def batch_score_uncertainty(model, X, sample_ids, G, gamma, seed, epoch=0):
+        if seed == 1 and epoch == 4:
             raise ValueError("planned failure")
-        return real(model, X, sample_ids, cfg, epoch)
+        return real(model, X, sample_ids, G, gamma, seed, epoch)
 
     monkeypatch.setattr(uncertainty, "batch_score_uncertainty", batch_score_uncertainty)
     base = _cfg(tmp_path, name="cmp")
@@ -748,6 +775,8 @@ def test_cli_compare_writes_summary(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("schedulers, seeds, message", [
     ("mixed,mixed", "0,1", "duplicate labels: ['mixed']"),
     ("random,mixed", "0,0", "duplicate seeds: [0]"),
+    ("random,mixed", "0,x", "--seeds must be comma-separated integers, got '0,x'"),
+    ("random,mixed", "", "--seeds must be comma-separated integers, got ''"),
 ])
 def test_cli_compare_rejects_duplicates_before_writing(
     tmp_path, small_dataset, capsys, schedulers, seeds, message

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from moscl.scheduler import (
-    SpConfig,
-    age_schedule,
     anti_mixed_plan,
     d_sum_spread,
     mixed_order_plan,
@@ -170,39 +168,25 @@ class TestOhemPlan:
 
 class TestSpWeight:
     def test_hard_indicator(self):
-        cfg = SpConfig(regularizer="hard", lambda0=0.5)
         for l in np.linspace(0.0, 1.0, 21):
-            assert sp_weight(float(l), cfg) == (1.0 if l < 0.5 else 0.0)
+            assert sp_weight(float(l), 0.5, hard=True) == (1.0 if l < 0.5 else 0.0)
 
     def test_linear(self):
-        cfg = SpConfig(regularizer="linear", lambda0=0.5)
-        assert sp_weight(0.0, cfg) == 1.0
-        assert sp_weight(0.25, cfg) == pytest.approx(0.5)
-        assert sp_weight(0.5, cfg) == 0.0
-        assert sp_weight(2.0, cfg) == 0.0
+        assert sp_weight(0.0, 0.5, hard=False) == 1.0
+        assert sp_weight(0.25, 0.5, hard=False) == pytest.approx(0.5)
+        assert sp_weight(0.5, 0.5, hard=False) == 0.0
+        assert sp_weight(2.0, 0.5, hard=False) == 0.0
 
     def test_monotone_non_increasing(self):
-        cfg = SpConfig(regularizer="linear", lambda0=0.7)
         ls = np.linspace(0, 2, 100)
-        ws = [sp_weight(float(l), cfg) for l in ls]
+        ws = [sp_weight(float(l), 0.7, hard=False) for l in ls]
         assert all(a >= b for a, b in zip(ws, ws[1:]))
         assert all(0.0 <= w <= 1.0 for w in ws)
 
     def test_bad_lambda(self):
-        with pytest.raises(ValueError):
-            SpConfig(lambda0=0.0)
-
-
-class TestAgeSchedule:
-    def test_values(self):
-        cfg = SpConfig(lambda0=0.1, growth=0.05)
-        assert age_schedule(0, cfg) == pytest.approx(0.1)
-        assert age_schedule(10, cfg) == pytest.approx(0.6)
-        assert age_schedule(3, SpConfig(lambda0=0.2, growth=0.0)) == pytest.approx(0.2)
-
-    def test_negative_epoch(self):
-        with pytest.raises(ValueError):
-            age_schedule(-1, SpConfig())
+        for lam, hard in itertools.product([0.0, -0.5, math.nan], [True, False]):
+            with pytest.raises(ValueError, match=f"age lambda must be positive, got {lam!r}"):
+                sp_weight(np.array([0.1, 0.2]), lam, hard=hard)
 
 
 # --- row-indexed plans against the id-keyed logic they replaced -------------
@@ -243,8 +227,8 @@ def _ref_ohem(losses, ratio, rng):
     return [pool[k] for k in rng.permutation(len(pool))]
 
 
-def _ref_sp_weight(l, cfg, lam):
-    if cfg.regularizer == "hard":
+def _ref_sp_weight(l, lam, hard):
+    if hard:
         return 1.0 if l < lam else 0.0
     return max(0.0, 1.0 - l / lam)
 
@@ -289,11 +273,10 @@ class TestAgainstIdKeyedReference:
         st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.15, 0.5, 2.0, math.inf, math.nan]),
                  min_size=1, max_size=41),
         st.sampled_from([0.15, 0.5, 1.0]),
-        st.sampled_from(["hard", "linear"]),
+        st.booleans(),
     )
-    def test_sp_weights(self, losses, lam, regularizer):
-        cfg = SpConfig(regularizer=regularizer, lambda0=0.5)
-        got = sp_weight(np.asarray(losses), cfg, lam)
-        want = [_ref_sp_weight(l, cfg, lam) for l in losses]
+    def test_sp_weights(self, losses, lam, hard):
+        got = sp_weight(np.asarray(losses), lam, hard)
+        want = [_ref_sp_weight(l, lam, hard) for l in losses]
         # Python's max(0.0, nan) is 0.0: a NaN loss gets weight 0
         assert got.tolist() == want

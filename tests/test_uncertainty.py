@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from moscl import kernels, uncertainty
+from moscl import cli, kernels, uncertainty
 from moscl.core_math import entropy, loss, loss_based_uncertainty
+from moscl.datagen import GenSpec, generate, save_dataset
+from moscl.experiment import ExperimentConfig
 from moscl.model import MlpModel
 from moscl.uncertainty import (
-    UncertaintyConfig,
     batch_score_uncertainty,
     dump_scores,
-    estimate_uncertainty,
     load_score_table,
     load_scores,
     perturbations,
@@ -20,46 +20,49 @@ from moscl.uncertainty import (
 )
 
 
+def _score_one(m, x, G, gamma, seed):
+    """The uncertainty of the one sample ``x``, scored as id 0 at epoch 0."""
+    return float(batch_score_uncertainty(m, np.asarray(x)[None], [0], G, gamma, seed)[0])
+
+
 class TestEstimateUncertainty:
+    """The uncertainty estimate of a single sample."""
+
     def test_gamma_zero_is_entropy_of_prediction(self):
         m = MlpModel(2, 4, seed=3)
         x = np.array([0.4, -0.7])
-        cfg = UncertaintyConfig(G=8, gamma=0.0, seed=0)
-        u = estimate_uncertainty(m, x, cfg)
+        u = _score_one(m, x, G=8, gamma=0.0, seed=0)
         assert u == pytest.approx(entropy(m.forward(x).prob), abs=1e-12)
 
     def test_zero_output_weights_ignore_perturbation(self):
         m = MlpModel(2, 4, seed=3)
         m.W2[:] = 0.0
-        cfg = UncertaintyConfig(G=8, gamma=0.3, seed=5)
         x = np.array([1.0, 2.0])
         from moscl.core_math import sigmoid
 
-        assert estimate_uncertainty(m, x, cfg) == pytest.approx(
+        assert _score_one(m, x, G=8, gamma=0.3, seed=5) == pytest.approx(
             entropy(sigmoid(m.b2[0])), abs=1e-12
         )
 
     def test_gamma_zero_matches_loss_based_uncertainty(self):
         # Lemma-style consistency: u at gamma=0 equals lu at the sample's loss
         rng = np.random.default_rng(9)
-        cfg = UncertaintyConfig(G=4, gamma=0.0, seed=0)
         for trial in range(20):
             m = MlpModel(3, 4, seed=trial)
             x = rng.normal(size=3)
             y = int(rng.integers(0, 2))
             l = loss("mse", y, m.forward(x).prob)
             assert abs(
-                estimate_uncertainty(m, x, cfg) - loss_based_uncertainty("mse", y, l)
+                _score_one(m, x, G=4, gamma=0.0, seed=0) - loss_based_uncertainty("mse", y, l)
             ) < 1e-10
 
     def test_nonnegative_and_zero_iff_saturated(self):
         m = MlpModel(2, 4, seed=3)
-        cfg = UncertaintyConfig(G=8, gamma=0.3, seed=1)
-        u = estimate_uncertainty(m, np.array([0.1, 0.1]), cfg)
+        u = _score_one(m, np.array([0.1, 0.1]), G=8, gamma=0.3, seed=1)
         assert u >= 0.0
         m.b2[:] = 1000.0  # saturate the head
         m.W2[:] = 0.0
-        assert estimate_uncertainty(m, np.array([0.1, 0.1]), cfg) == 0.0
+        assert _score_one(m, np.array([0.1, 0.1]), G=8, gamma=0.3, seed=1) == 0.0
 
     def test_variance_shrinks_with_more_disturbances(self):
         m = MlpModel(2, 4, seed=3)
@@ -67,8 +70,7 @@ class TestEstimateUncertainty:
         us = {G: [] for G in (2, 32)}
         for G in us:
             for rep in range(200):
-                cfg = UncertaintyConfig(G=G, gamma=0.3, seed=rep)
-                us[G].append(estimate_uncertainty(m, x, cfg))
+                us[G].append(_score_one(m, x, G=G, gamma=0.3, seed=rep))
         assert np.var(us[32]) < np.var(us[2])
 
 
@@ -77,65 +79,85 @@ class TestBatchScore:
         m = MlpModel(2, 4, seed=1)
         X = np.random.default_rng(0).normal(size=(5, 2))
         ids = np.arange(5)
-        cfg = UncertaintyConfig(G=8, gamma=0.3, seed=7)
+        cfg = dict(G=8, gamma=0.3, seed=7)
         return m, X, ids, cfg
 
     def test_deterministic(self):
         m, X, ids, cfg = self._setup()
-        a = batch_score_uncertainty(m, X, ids, cfg)
-        b = batch_score_uncertainty(m, X, ids, cfg)
+        a = batch_score_uncertainty(m, X, ids, **cfg)
+        b = batch_score_uncertainty(m, X, ids, **cfg)
         assert np.array_equal(a, b)
 
     def test_singleton_matches_estimate_with_shared_stream(self):
         m, X, ids, cfg = self._setup()
-        scores = batch_score_uncertainty(m, X[:1], ids[:1], cfg)
-        assert cfg.gamma == 0.3
-        assert estimate_uncertainty(m, X[0], cfg) == scores[0]
-        T = perturbations(cfg.seed, [0], 0, (cfg.G, m.hidden_dim), cfg.gamma)
+        scores = batch_score_uncertainty(m, X[:1], ids[:1], **cfg)
+        assert cfg["gamma"] == 0.3
+        # the lone row is scored as the first of two copies of itself
+        T = perturbations(cfg["seed"], [0, 0], 0, (cfg["G"], m.hidden_dim), cfg["gamma"])
+        P = kernels.mean_perturbed_predictions(
+            m.W1, m.b1, m.W2, m.b2, X[[0, 0]], T, m._act, m._head
+        )
+        assert scores[0] == entropy(P[:, 0])[0]
+        T = perturbations(cfg["seed"], [0], 0, (cfg["G"], m.hidden_dim), cfg["gamma"])
         p_bar = kernels.mean_perturbed_predictions(
             m.W1, m.b1, m.W2, m.b2, X[:1], T, m._act, m._head
         )[0, 0]
         assert scores[0] == pytest.approx(entropy(float(p_bar)), abs=1e-12)
 
+    def test_lone_row_scores_as_among_others(self):
+        """A row scored alone gets the score it gets in a batch: numpy
+        multiplies a one-row matrix as a matrix-vector product, whose
+        rounding differs for some rows."""
+        for s in range(50):
+            m = MlpModel(2, 8, seed=s)
+            X = np.random.default_rng(s).normal(size=(20, 2))
+            ids = np.arange(20)
+            batch = batch_score_uncertainty(m, X, ids, G=8, gamma=0.3, seed=1)
+            alone = [
+                batch_score_uncertainty(m, X[k : k + 1], ids[k : k + 1], G=8, gamma=0.3, seed=1)[0]
+                for k in range(len(X))
+            ]
+            assert np.array_equal(alone, batch), s
+
     def test_duplicated_sample_distinct_ids_differ_only_by_stream(self):
         m, X, ids, cfg = self._setup()
         X2 = np.stack([X[0], X[0]])
-        scores = batch_score_uncertainty(m, X2, np.array([3, 9]), cfg)
+        scores = batch_score_uncertainty(m, X2, np.array([3, 9]), **cfg)
         # identical features, different streams: generally different values
         assert scores[0] != scores[1]
         # forcing a shared stream makes them equal
-        again = batch_score_uncertainty(m, X2, np.array([3, 3]), cfg)
+        again = batch_score_uncertainty(m, X2, np.array([3, 3]), **cfg)
         assert len({round(v, 15) for v in again.tolist()}) == 1
 
     def test_order_independent(self):
         m, X, ids, cfg = self._setup()
-        fwd = batch_score_uncertainty(m, X, ids, cfg)
-        rev = batch_score_uncertainty(m, X[::-1].copy(), ids[::-1].copy(), cfg)
+        fwd = batch_score_uncertainty(m, X, ids, **cfg)
+        rev = batch_score_uncertainty(m, X[::-1].copy(), ids[::-1].copy(), **cfg)
         for row in range(len(ids)):
             assert fwd[row] == pytest.approx(rev[len(ids) - 1 - row], abs=1e-15)
 
     def test_epoch_resamples(self):
         m, X, ids, cfg = self._setup()
-        a = batch_score_uncertainty(m, X, ids, cfg, epoch=0)
-        b = batch_score_uncertainty(m, X, ids, cfg, epoch=1)
+        a = batch_score_uncertainty(m, X, ids, **cfg, epoch=0)
+        b = batch_score_uncertainty(m, X, ids, **cfg, epoch=1)
         assert not np.array_equal(a, b)
 
     def test_empty_rejected(self):
         m, X, ids, cfg = self._setup()
         with pytest.raises(ValueError):
-            batch_score_uncertainty(m, X[:0], ids[:0], cfg)
+            batch_score_uncertainty(m, X[:0], ids[:0], **cfg)
 
     @pytest.mark.parametrize("n_rows, n_ids", [(5, 1), (1, 5), (5, 4), (5, 6)])
     def test_ids_not_one_per_row_rejected(self, n_rows, n_ids):
         m, X, _, cfg = self._setup()
         with pytest.raises(ValueError, match=f"^{n_ids} sample ids for {n_rows} rows of X"):
-            batch_score_uncertainty(m, X[:n_rows], np.arange(n_ids), cfg)
+            batch_score_uncertainty(m, X[:n_rows], np.arange(n_ids), **cfg)
 
 
 def _block_sizes(n, rows):
     """Rows per block: blocks of max(2, rows), a lone last row joining the
-    block before it."""
-    rows = max(2, rows)
+    block before it; a lone row is scored as two."""
+    n, rows = max(2, n), max(2, rows)
     sizes = [rows] * (n // rows) + [n % rows] * (n % rows > 0)
     if len(sizes) > 1 and sizes[-1] == 1:
         sizes[-2:] = [rows + 1]
@@ -144,14 +166,18 @@ def _block_sizes(n, rows):
 
 class TestBlockedScoring:
     """`batch_score_uncertainty` scores rows in blocks; its scores equal
-    those of one perturbed forward pass over all rows, bit for bit."""
+    those of one perturbed forward pass over all rows, bit for bit, with a
+    lone row scored as the first of two copies of itself."""
 
     @staticmethod
     def _reference(m, X, ids, cfg, epoch):
-        T = perturbations(cfg.seed, ids, epoch, (cfg.G, m.hidden_dim), cfg.gamma)
+        n = len(X)
+        if n == 1:
+            X, ids = np.repeat(X, 2, axis=0), np.repeat(ids, 2)
+        T = perturbations(cfg["seed"], ids, epoch, (cfg["G"], m.hidden_dim), cfg["gamma"])
         P = kernels.mean_perturbed_predictions(
             m.W1, m.b1, m.W2, m.b2, X, T, m._act, m._head
-        )
+        )[:n]
         return entropy(P[:, 0]) if m.head == "sigmoid" else entropy(P).sum(axis=1)
 
     @staticmethod
@@ -162,14 +188,14 @@ class TestBlockedScoring:
         rows = []
 
         def counting(W1, b1, W2, b2, X, T, act, head):
-            assert T.shape == (len(X), cfg.G, m.hidden_dim)
+            assert T.shape == (len(X), cfg["G"], m.hidden_dim)
             rows.append(len(X))
             return real(W1, b1, W2, b2, X, T, act, head)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(uncertainty, "BLOCK_VALUES", block_values)
             mp.setattr(kernels, "mean_perturbed_predictions", counting)
-            return batch_score_uncertainty(m, X, ids, cfg, epoch=epoch), rows
+            return batch_score_uncertainty(m, X, ids, **cfg, epoch=epoch), rows
 
     @given(st.data())
     def test_blocks_match_one_shot_reference(self, data):
@@ -197,7 +223,7 @@ class TestBlockedScoring:
         m = MlpModel(3, H, out_dim=1 if head == "sigmoid" else 3, activation=act, head=head,
                      seed=abs(seed) % 1000)
         X = np.random.default_rng(abs(seed)).normal(size=(n, 3))
-        cfg = UncertaintyConfig(G=G, gamma=0.3, seed=seed)
+        cfg = dict(G=G, gamma=0.3, seed=seed)
         got, rows_seen = self._score_counting_blocks(m, X, ids, cfg, epoch, rows * G * H)
         assert rows_seen == _block_sizes(n, rows)
         want = self._reference(m, X, ids, cfg, epoch)
@@ -210,12 +236,13 @@ class TestBlockedScoring:
         (16, 513, [256, 257]),
         # one row holds 2**15 values: two rows per block
         (2**12, 7, [2, 2, 3]),
-        (8, 1, [1]),
+        # a lone row is scored as two
+        (8, 1, [2]),
     ])
     def test_block_rows_follow_G_times_H(self, G, n, sizes):
         m = MlpModel(2, 8, seed=1)
         X = np.random.default_rng(0).normal(size=(n, 2))
-        cfg = UncertaintyConfig(G=G)
+        cfg = dict(G=G, gamma=ExperimentConfig.gamma, seed=ExperimentConfig.seed)
         got, rows_seen = self._score_counting_blocks(
             m, X, np.arange(n), cfg, 0, uncertainty.BLOCK_VALUES
         )
@@ -345,14 +372,45 @@ class TestScoreTable:
 
 
 class TestConfigValidation:
-    def test_bad_G(self):
-        with pytest.raises(ValueError):
-            UncertaintyConfig(G=0)
+    """`batch_score_uncertainty` checks its settings, and `moscl score`,
+    which passes its flags straight through, fails on them writing nothing."""
 
-    def test_bad_gamma(self):
-        with pytest.raises(ValueError):
-            UncertaintyConfig(gamma=-0.1)
+    BAD = [
+        (dict(G=0), "G must be >= 1"),
+        (dict(gamma=-0.1), "gamma must be >= 0"),
+        (dict(gamma=math.nan), "gamma must be finite, got nan"),
+        (dict(gamma=math.inf), "gamma must be finite, got inf"),
+    ]
+
+    def _check(self, tmp_path, capsys, bad, message):
+        m = MlpModel(2, 8, seed=0)
+        X = np.random.default_rng(0).normal(size=(4, 2))
+        settings = {"G": 8, "gamma": 0.3, "seed": 0, **bad}
+        with pytest.raises(ValueError) as info:
+            batch_score_uncertainty(m, X, np.arange(4), **settings)
+        assert str(info.value) == message
+        data = tmp_path / "data.csv"
+        save_dataset(generate(GenSpec(n_total=8, seed=1)), data, data.with_suffix(".json"))
+        m.save(tmp_path / "ckpt.json")
+        out = tmp_path / "out" / "scores.json"
+        flags = [f"--{name}={value}" for name, value in bad.items()]
+        rc = cli.main(["score", "--dataset", str(data), "--checkpoint",
+                       str(tmp_path / "ckpt.json"), "--out", str(out)] + flags)
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+        assert not out.parent.exists()
+
+    def test_bad_G(self, tmp_path, capsys):
+        self._check(tmp_path, capsys, *self.BAD[0])
+
+    def test_bad_gamma(self, tmp_path_factory, capsys):
+        for bad, message in self.BAD[1:]:
+            self._check(tmp_path_factory.mktemp("gamma"), capsys, bad, message)
 
     def test_paper_defaults(self):
-        cfg = UncertaintyConfig()
-        assert cfg.G == 8 and cfg.gamma == 0.3
+        args = cli.build_parser().parse_args(
+            ["score", "--dataset", "d.csv", "--checkpoint", "c.json", "--out", "s.json"]
+        )
+        assert (args.G, args.gamma, args.seed) == (8, 0.3, 0)
+        defaults = ExperimentConfig()
+        assert (args.G, args.gamma, args.seed) == (defaults.G, defaults.gamma, defaults.seed)
