@@ -2,18 +2,10 @@
 perturbation uncertainty, rank-fused difficulty, mixed-order batch plans,
 self-paced and OHEM baselines, and gradient-conflict analysis."""
 
-from .core_math import (
-    entropy,
-    finite_difference_gradient,
-    inverse_loss,
-    loss,
-    loss_based_uncertainty,
-    sigmoid,
-)
 from .datagen import Dataset, GenSpec, generate
 from .difficulty import DifficultyTable, fuse_ranks, quadrant_classify, rank_descending
 from .experiment import ExperimentConfig, compare, run
-from .model import ForwardTrace, MlpModel, grad_wrt_latent, grad_wrt_prediction
+from .model import MlpModel
 from .scheduler import (
     BatchPlan,
     anti_mixed_plan,
@@ -22,6 +14,6 @@ from .scheduler import (
     random_plan,
     sp_weight,
 )
-from .uncertainty import batch_score_uncertainty
+from .uncertainty import batch_score_uncertainty, entropy
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.stats import spearmanr
@@ -52,31 +52,6 @@ class ConflictReport:
             writer.writerow(["id_i", "id_j", "cosine", "conflict", "loss_sum"])
             writer.writerows(zip(p["id_i"].tolist(), p["id_j"].tolist(),
                                  *[map(repr, column.tolist()) for column in floats]))
-
-
-def gradient_cosine(g_i: np.ndarray, g_j: np.ndarray) -> float:
-    """Cosine of the angle between two gradient vectors."""
-    g_i = np.asarray(g_i, dtype=np.float64)
-    g_j = np.asarray(g_j, dtype=np.float64)
-    if g_i.shape != g_j.shape:
-        raise ValueError("gradient dimension mismatch")
-    ni = np.linalg.norm(g_i)
-    nj = np.linalg.norm(g_j)
-    if ni == 0.0 or nj == 0.0:
-        raise ValueError("conflict undefined for a zero gradient")
-    return float(np.dot(g_i, g_j) / (ni * nj))
-
-
-def latent_gradient_scale(y: int, y_hat: float) -> float:
-    """Magnitude of dL/dz for the sigmoid+MSE model, written through the
-    squared residual: 2*y_hat*l when y=1 (l = (1-y_hat)^2), and
-    2*y_hat^2*sqrt(r) with r = (1-y_hat)^2 when y=0, so that the scale is an
-    exact rewrite of the closed-form latent gradient on both branches."""
-    if y == 1:
-        return 2.0 * y_hat * (1.0 - y_hat) ** 2
-    if y == 0:
-        return 2.0 * y_hat**2 * np.sqrt((1.0 - y_hat) ** 2)
-    raise ValueError(f"label must be 0 or 1, got {y}")
 
 
 def conflict_loss_monotonicity(
@@ -130,17 +105,3 @@ def conflict_loss_monotonicity(
     return ConflictReport(
         pairs=pairs, spearman_rho=rho, degenerate=degenerate, model_tag=model_tag
     )
-
-
-def has_converged(epoch_losses: List[float], rel_tol: float = 1e-4, window: int = 5) -> bool:
-    """Convergence rule: relative improvement of mean epoch loss below
-    rel_tol for `window` consecutive epochs."""
-    if len(epoch_losses) < window + 1:
-        return False
-    recent = epoch_losses[-(window + 1):]
-    for prev, cur in zip(recent, recent[1:]):
-        if prev <= 0.0:
-            continue
-        if (prev - cur) / abs(prev) >= rel_tol:
-            return False
-    return True

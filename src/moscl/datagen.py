@@ -12,11 +12,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
-
-from .difficulty import QUADRANTS, quadrant_classify
 
 JITTER_SCALE = 3.0  # feature noise, in units of the cluster std
 
@@ -65,10 +63,6 @@ class Dataset:
     def minority_label(self) -> int:
         return 1
 
-    def tag_counts(self) -> Dict[str, int]:
-        tags, counts = np.unique(self.tag, return_counts=True)
-        return dict(zip(tags.tolist(), counts.tolist()))
-
 
 def generate(spec: GenSpec) -> Dataset:
     """Two Gaussian clusters (std 1, centers separated by
@@ -99,22 +93,6 @@ def generate(spec: GenSpec) -> Dataset:
     labels[flip] = 1
     return Dataset(ids=np.arange(spec.n_total), X=np.concatenate([X_maj, X_min]),
                    labels=labels, clean_label=clean_label, tag=tag, spec=spec)
-
-
-def quadrant_recovery_rate(
-    dataset: Dataset, losses, uncertainties
-) -> Dict[str, Optional[float]]:
-    """Per generation tag, the fraction of samples whose measured quadrant
-    matches the tag; the scores are in dataset-row order.  Tags absent from
-    the dataset map to None."""
-    if len(losses) != len(dataset):
-        raise ValueError(f"{len(losses)} scores for {len(dataset)} samples")
-    tags = dataset.tag
-    hits = quadrant_classify(losses, uncertainties) == tags
-    return {
-        tag: float(hits[tags == tag].mean()) if (tags == tag).any() else None
-        for tag in QUADRANTS
-    }
 
 
 def check_dataset(dataset: Dataset, n_classes: Optional[int] = None) -> None:

@@ -78,20 +78,12 @@ def quadrant_classify(
     if len(l) != len(u):
         raise ValueError("loss and uncertainty lengths differ")
     if thresholds is None:
-        thresholds = (_median(np.sort(u)), _median(np.sort(l)))
+        thresholds = (np.median(u), np.median(l))
     u_split, l_split = thresholds
     if not (math.isfinite(u_split) and math.isfinite(l_split)):
         raise ValueError("thresholds must be finite")
     hi_l = l > l_split
     return np.where(u > u_split, np.where(hi_l, "HH", "HL"), np.where(hi_l, "LH", "LL"))
-
-
-def _median(sorted_vals: Sequence[float]) -> float:
-    n = len(sorted_vals)
-    mid = n // 2
-    if n % 2:
-        return sorted_vals[mid]
-    return 0.5 * (sorted_vals[mid - 1] + sorted_vals[mid])
 
 
 def dump_difficulty_csv(path, table: DifficultyTable) -> None:

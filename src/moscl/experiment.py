@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ValueError("lr must be positive")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name, known in (
             ("activation", ACTIVATIONS), ("head", HEADS), ("loss_kind", LOSSES)
         ):
@@ -431,8 +433,13 @@ def resolve_outdir(outdir: str) -> Path:
 
 
 def final_metrics(run_dir: Path) -> Dict[str, float]:
-    with open(Path(run_dir) / "metrics.csv", newline="") as fh:
+    """The last epoch row of a run's metrics.csv; a run that failed before
+    its first epoch row raises a ValueError naming the file."""
+    path = Path(run_dir) / "metrics.csv"
+    with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    if not rows:
+        raise ValueError(f"{path} has no epoch rows: the run failed before its first epoch")
     last = rows[-1]
     return {
         "mean_loss": float(last["mean_loss"]),
@@ -478,10 +485,10 @@ def compare(
     groups: Dict[tuple, List[_Run]] = {}
     for label, cfg in zip(labels, configs):
         for seed in seeds:
-            variant = replace(
-                cfg, seed=seed, outdir=str(Path(cfg.outdir or "compare") / f"{label}_seed{seed}")
-            )
             try:
+                # a bad seed fails here, as its cell's error, before any dir exists
+                outdir = Path(cfg.outdir or "compare") / f"{label}_seed{seed}"
+                variant = replace(cfg, seed=seed, outdir=str(outdir))
                 ds = dataset if dataset is not None else loaded.get(variant.dataset)
                 if ds is None:
                     ds = loaded[variant.dataset] = load_data(variant.dataset)

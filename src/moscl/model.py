@@ -1,13 +1,11 @@
-"""Two-layer perceptron with manual backprop, multiplicative perturbation
-injection at the hidden feature map, per-sample gradients, and SGD updates.
+"""Two-layer perceptron: its parameters and checkpoints, batched losses and
+per-sample gradients over the forward pass and backprop of `kernels`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,21 +29,6 @@ def _loss_code(loss_kind: str) -> int:
     if loss_kind not in LOSSES:
         raise ValueError(f"unknown loss_kind {loss_kind!r}")
     return LOSSES[loss_kind]
-
-
-@dataclass
-class ForwardTrace:
-    """Record of one forward pass: hidden feature map (post-activation and
-    post-perturbation), pre-head latent, and prediction."""
-
-    f: np.ndarray
-    z: np.ndarray
-    y_hat: np.ndarray
-
-    @property
-    def prob(self) -> float:
-        """Scalar prediction for sigmoid heads."""
-        return float(self.y_hat[0])
 
 
 class MlpModel:
@@ -83,20 +66,12 @@ class MlpModel:
     # -- basic geometry ----------------------------------------------------
 
     @property
-    def input_dim(self) -> int:
-        return self.W1.shape[1]
-
-    @property
     def hidden_dim(self) -> int:
         return self.W1.shape[0]
 
     @property
     def out_dim(self) -> int:
         return self.W2.shape[0]
-
-    @property
-    def n_params(self) -> int:
-        return self.W1.size + self.b1.size + self.W2.size + self.b2.size
 
     @property
     def _act(self) -> int:
@@ -106,37 +81,7 @@ class MlpModel:
     def _head(self) -> int:
         return HEADS[self.head]
 
-    def copy(self) -> "MlpModel":
-        other = MlpModel.__new__(MlpModel)
-        other.activation = self.activation
-        other.head = self.head
-        other.W1 = self.W1.copy()
-        other.b1 = self.b1.copy()
-        other.W2 = self.W2.copy()
-        other.b2 = self.b2.copy()
-        return other
-
     # -- forward -----------------------------------------------------------
-
-    def forward(
-        self, x: np.ndarray, perturbation: Optional[np.ndarray] = None
-    ) -> ForwardTrace:
-        """Single-sample forward pass.  If a perturbation vector ``t`` is
-        given, the hidden feature map becomes f * (1 + t) elementwise before
-        the head."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.input_dim,):
-            raise ValueError(f"expected input of shape ({self.input_dim},)")
-        T = None
-        if perturbation is not None:
-            t = np.asarray(perturbation, dtype=np.float64)
-            if t.shape != (self.hidden_dim,):
-                raise ValueError(f"perturbation must have shape ({self.hidden_dim},)")
-            T = t[None, None, :]
-        _, f, z, y_hat = kernels.forward(
-            self.W1, self.b1, self.W2, self.b2, x[None], self._act, self._head, T
-        )
-        return ForwardTrace(f=f.reshape(-1), z=z.reshape(-1), y_hat=y_hat.reshape(-1))
 
     def forward_batch(self, X: np.ndarray):
         """Vectorized unperturbed forward; returns (F, Z, Y_hat) arrays."""
@@ -177,13 +122,6 @@ class MlpModel:
     ) -> np.ndarray:
         """`per_sample_gradients` of the one sample ``x`` with label ``y``."""
         return self.per_sample_gradients(np.asarray(x)[None], [y], loss_kind)[0]
-
-    def latent_gradient(self, x: np.ndarray, y: int, loss_kind: str = "mse") -> float:
-        """Backpropagated dL/dz for sigmoid heads.  Equals the b2 component
-        of the full parameter gradient."""
-        if self.head != "sigmoid":
-            raise ValueError("latent gradient is defined for the sigmoid head")
-        return float(self.per_sample_gradient(x, y, loss_kind)[-1])
 
     # -- checkpointing -----------------------------------------------------
 
@@ -250,20 +188,3 @@ def _field(doc, key, where):
         return doc[key]
     except (KeyError, TypeError):
         raise ValueError(f"checkpoint is missing {where}") from None
-
-
-def grad_wrt_prediction(y: int, y_hat: float) -> float:
-    """MSE loss gradient w.r.t. the prediction: 2 * (y_hat - y)."""
-    return 2.0 * (y_hat - y)
-
-
-def grad_wrt_latent(y: int, y_hat: float, head: str = "sigmoid") -> float:
-    """Closed-form dL/dz for the sigmoid+MSE model:
-    -2*y_hat*(1-y_hat)^2 when y=1, +2*y_hat^2*(1-y_hat) when y=0."""
-    if head != "sigmoid":
-        raise ValueError("closed form is sigmoid-specific")
-    if y == 1:
-        return -2.0 * y_hat * (1.0 - y_hat) ** 2
-    if y == 0:
-        return 2.0 * y_hat**2 * (1.0 - y_hat)
-    raise ValueError(f"label must be 0 or 1, got {y}")

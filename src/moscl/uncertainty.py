@@ -8,10 +8,23 @@ import math
 from typing import Tuple
 
 import numpy as np
+from scipy.special import entr
 
 from . import kernels
-from .core_math import entropy
 from .model import MlpModel
+
+
+def entropy(p):
+    """The paper's entropy score H(p) = -p*ln(p), with H(0) = 0 by the limit
+    convention, of a probability or elementwise of an array of them (a float
+    in, a float out; an array in, an array of its shape out)."""
+    a = np.asarray(p, dtype=np.float64)
+    ok = (a >= 0.0) & (a <= 1.0)
+    if not ok.all():
+        raise ValueError(f"probability {a[~ok][0]} outside [0, 1]")
+    # entr(x) = -x*ln(x) with entr(0) = 0
+    h = entr(a)
+    return float(h) if h.ndim == 0 else h
 
 
 def check_scoring(G: int, gamma: float) -> None:

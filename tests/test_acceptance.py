@@ -6,24 +6,27 @@ pass/fail line per criterion through the test names alone.
 """
 
 import csv
-import itertools
 
 import numpy as np
 import pytest
 
 from moscl import experiment, kernels, scheduler
-from moscl.conflict import (
-    conflict_loss_monotonicity,
-    has_converged,
-    latent_gradient_scale,
-)
-from moscl.core_math import loss, loss_based_uncertainty
+from moscl.conflict import conflict_loss_monotonicity
 from moscl.datagen import GenSpec, generate
 from moscl.difficulty import fuse_ranks
 from moscl.experiment import ExperimentConfig
-from moscl.model import MlpModel, grad_wrt_latent
+from moscl.model import MlpModel
 from moscl.scheduler import mixed_order_plan, sp_weight
 from moscl.uncertainty import batch_score_uncertainty, load_score_table
+
+from oracles import (
+    grad_wrt_latent,
+    has_converged,
+    latent_gradient_scale,
+    loss,
+    loss_based_uncertainty,
+    prob,
+)
 
 
 def _report(n: int, desc: str, ok: bool) -> None:
@@ -42,7 +45,7 @@ def test_criterion_01_zero_gamma_uncertainty_equals_loss_entropy():
         x = rng.normal(size=3)
         y = int(rng.integers(2))
         u = batch_score_uncertainty(m, x[None], [0], G=8, gamma=0.0, seed=0)[0]
-        l = loss("mse", y, m.forward(x).prob)
+        l = loss("mse", y, prob(m, x))
         worst = max(worst, abs(u - loss_based_uncertainty("mse", y, l)))
     _report(
         1,
@@ -57,14 +60,14 @@ def test_criterion_01_zero_gamma_uncertainty_equals_loss_entropy():
 def test_criterion_02_latent_gradient_closed_form_and_scale():
     m = MlpModel(2, 4, seed=5)
     x = np.array([0.3, -0.7])
-    f = m.forward(x).f
+    f = kernels.forward(m.W1, m.b1, m.W2, m.b2, x[None], m._act, m._head)[1][0]
     worst_bp, worst_scale = 0.0, 0.0
     for p in np.linspace(0.01, 0.99, 99):
         m.b2[0] = np.log(p / (1.0 - p)) - float((m.W2 @ f)[0])
-        y_hat = m.forward(x).prob
+        y_hat = prob(m, x)
         for y in (0, 1):
             closed = grad_wrt_latent(y, y_hat)
-            backprop = m.latent_gradient(x, y, "mse")
+            backprop = float(m.per_sample_gradient(x, y, "mse")[-1])
             worst_bp = max(worst_bp, abs(backprop - closed))
             worst_scale = max(
                 worst_scale, abs(abs(closed) - latent_gradient_scale(y, y_hat))
@@ -89,9 +92,9 @@ def _fd_param_gradient(model, x, y, h=1e-6):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + h
-            lp = loss("mse", y, model.forward(x).prob)
+            lp = loss("mse", y, prob(model, x))
             flat[k] = orig - h
-            lm = loss("mse", y, model.forward(x).prob)
+            lm = loss("mse", y, prob(model, x))
             flat[k] = orig
             g[k] = (lp - lm) / (2.0 * h)
         grads.append(g)

@@ -13,11 +13,10 @@ from moscl.conflict import (
     PAIR_DTYPE,
     ConflictReport,
     conflict_loss_monotonicity,
-    gradient_cosine,
-    has_converged,
-    latent_gradient_scale,
 )
-from moscl.model import MlpModel, grad_wrt_latent
+from moscl.model import MlpModel
+
+from oracles import grad_wrt_latent, gradient_cosine, has_converged, latent_gradient_scale
 
 
 class TestGradientCosine:

@@ -1,17 +1,15 @@
+"""The entropy score of `moscl.uncertainty` and the scalar loss oracles of
+`oracles`."""
+
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from moscl.core_math import (
-    entropy,
-    finite_difference_gradient,
-    inverse_loss,
-    loss,
-    loss_based_uncertainty,
-    sigmoid,
-)
+from moscl.uncertainty import entropy
+
+from oracles import finite_difference_gradient, inverse_loss, loss, loss_based_uncertainty, sigmoid
 
 
 class TestEntropy:

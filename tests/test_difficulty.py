@@ -156,6 +156,27 @@ class TestQuadrants:
     def test_bad_thresholds(self):
         with pytest.raises(ValueError):
             quadrant_classify([1.0], [1.0], thresholds=(float("nan"), 0.0))
+        # a NaN score is not classed low: its column's median is NaN
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            quadrant_classify([1.0, 2.0, 3.0], [float("nan"), 1.0, 2.0])
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=49))
+    def test_default_thresholds_are_the_middles_of_the_sorted_scores(self, rows):
+        losses, us = self._scores(*rows)
+
+        def middle(values):
+            v, mid = np.sort(values), len(values) // 2
+            return v[mid] if len(v) % 2 else 0.5 * (v[mid - 1] + v[mid])
+
+        def outcome(**kw):
+            try:
+                return quadrant_classify(losses, us, **kw).tolist()
+            except ValueError as exc:  # two huge middles overflow to inf
+                return str(exc)
+
+        assert outcome() == outcome(thresholds=(middle(us), middle(losses)))
 
 
 class TestSingleSource:

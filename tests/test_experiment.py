@@ -84,6 +84,7 @@ BAD_CONFIG = {
         "at the last rescore boundary, epoch 5",
     ),
     "warmup_epochs": (dict(warmup_epochs=-1, total_epochs=0), "warmup_epochs must be >= 0"),
+    "seed": (dict(seed=-1), "seed must be >= 0"),
 }
 
 
@@ -268,6 +269,34 @@ def test_compare_reports_the_error_of_each_failed_cell(tmp_path, small_dataset):
         assert stats["failed_seeds"] == [0, 1]
         assert stats["errors"] == {"0": message, "1": message}
     assert not (tmp_path / "cmp").exists()
+
+
+def test_compare_records_a_negative_seed_as_its_cells_error(tmp_path, small_dataset):
+    base = _cfg(tmp_path, name="cmp", total_epochs=3)
+    configs = [base, replace(base, scheduler="random")]
+    summary = experiment.compare(configs, [0, -1], dataset=small_dataset)
+    for stats in summary["configs"].values():
+        assert stats["failed_seeds"] == [-1]
+        assert stats["errors"] == {"-1": "ValueError: seed must be >= 0"}
+    assert sorted(p.name for p in (tmp_path / "cmp").iterdir()) == [
+        "mixed_seed0", "random_seed0"
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+def test_final_metrics_names_a_metrics_file_without_epoch_rows(tmp_path):
+    # lr=1e4 with ce saturates the head: the mean loss is inf at epoch 0
+    dataset = generate(GenSpec(n_total=60))
+    cfg = _cfg(tmp_path, name="diverged", lr=1e4, loss_kind="ce")
+    with pytest.raises(RuntimeError, match="non-finite mean loss inf at epoch 0"):
+        experiment.run(cfg, dataset=dataset)
+    metrics = tmp_path / "diverged" / "metrics.csv"
+    assert metrics.read_text().splitlines() == [",".join(METRICS_HEADER)]
+    with pytest.raises(ValueError) as info:
+        experiment.final_metrics(tmp_path / "diverged")
+    assert str(info.value) == (
+        f"{metrics} has no epoch rows: the run failed before its first epoch"
+    )
 
 
 def test_config_rejects_unknown_keys():

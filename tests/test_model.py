@@ -1,12 +1,14 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
 from moscl import kernels
-from moscl.core_math import loss
 from moscl.experiment import ExperimentConfig
-from moscl.model import LOSSES, MlpModel, grad_wrt_latent, grad_wrt_prediction
+from moscl.model import LOSSES, MlpModel
+
+from oracles import grad_wrt_latent, grad_wrt_prediction, loss, prob
 
 
 def fd_param_gradient(model, x, y, loss_kind="mse", h=1e-6):
@@ -19,13 +21,21 @@ def fd_param_gradient(model, x, y, loss_kind="mse", h=1e-6):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + h
-            lp = loss(loss_kind, y, model.forward(x).prob)
+            lp = loss(loss_kind, y, prob(model, x))
             flat[k] = orig - h
-            lm = loss(loss_kind, y, model.forward(x).prob)
+            lm = loss(loss_kind, y, prob(model, x))
             flat[k] = orig
             g[k] = (lp - lm) / (2.0 * h)
         grads.append(g)
     return np.concatenate(grads)
+
+
+def _forward(m, x, t=None):
+    """(f, z, y_hat) of `kernels.forward` over the one sample ``x``, each
+    flattened; with a perturbation vector ``t`` the hidden map is f * (1 + t)."""
+    T = None if t is None else np.asarray(t, dtype=np.float64)[None, None, :]
+    out = kernels.forward(m.W1, m.b1, m.W2, m.b2, x[None], m._act, m._head, T)
+    return [a.reshape(-1) for a in out[1:]]
 
 
 class TestForward:
@@ -33,18 +43,17 @@ class TestForward:
         m = MlpModel(3, 5, seed=7)
         x = np.array([0.2, -1.1, 0.4])
         t0 = np.zeros(5)
-        a = m.forward(x)
-        b = m.forward(x, perturbation=t0)
-        assert np.array_equal(a.f, b.f)
-        assert np.array_equal(a.z, b.z)
-        assert np.array_equal(a.y_hat, b.y_hat)
+        a = _forward(m, x)
+        b = _forward(m, x, t0)
+        for got, want in zip(a, b):
+            assert np.array_equal(got, want)
 
     def test_kill_perturbation_leaves_bias(self):
         m = MlpModel(3, 5, seed=7)
         x = np.array([0.2, -1.1, 0.4])
-        tr = m.forward(x, perturbation=-np.ones(5))
-        assert np.allclose(tr.f, 0.0)
-        assert np.allclose(tr.z, m.b2)
+        f, z, _ = _forward(m, x, -np.ones(5))
+        assert np.allclose(f, 0.0)
+        assert np.allclose(z, m.b2)
 
     def test_perturbed_prediction_within_extremes_1_hidden_unit(self):
         # monotone-head oracle: with one hidden unit, any perturbation in
@@ -52,26 +61,19 @@ class TestForward:
         m = MlpModel(2, 1, seed=3)
         x = np.array([0.5, -0.3])
         g = 0.3
-        lo = m.forward(x, perturbation=np.array([-g])).prob
-        hi = m.forward(x, perturbation=np.array([g])).prob
+        lo = _forward(m, x, [-g])[2][0]
+        hi = _forward(m, x, [g])[2][0]
         lo, hi = min(lo, hi), max(lo, hi)
         rng = np.random.default_rng(0)
         for _ in range(50):
             t = rng.uniform(-g, g, 1)
-            p = m.forward(x, perturbation=t).prob
+            p = _forward(m, x, t)[2][0]
             assert lo - 1e-12 <= p <= hi + 1e-12
-
-    def test_dimension_checks(self):
-        m = MlpModel(3, 4, seed=0)
-        with pytest.raises(ValueError):
-            m.forward(np.zeros(2))
-        with pytest.raises(ValueError):
-            m.forward(np.zeros(3), perturbation=np.zeros(3))
 
     def test_softmax_trace_sums_to_one(self):
         m = MlpModel(3, 4, out_dim=3, head="softmax", seed=0)
-        tr = m.forward(np.array([0.1, 0.2, -0.5]))
-        assert tr.y_hat.sum() == pytest.approx(1.0, abs=1e-9)
+        _, _, y_hat = _forward(m, np.array([0.1, 0.2, -0.5]))
+        assert y_hat.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestPerSampleGradient:
@@ -118,7 +120,7 @@ class TestPerSampleGradients:
     def test_rows_match_single_sample(self, activation, head, loss_kind):
         m, X, y, _ = _combo_case(activation, head, loss_kind)
         G = m.per_sample_gradients(X, y, loss_kind)
-        assert G.shape == (len(X), m.n_params)
+        assert G.shape == (len(X), m.W1.size + m.b1.size + m.W2.size + m.b2.size)
         for row, (x, label) in enumerate(zip(X, y)):
             single = m.per_sample_gradient(x, int(label), loss_kind)
             assert np.abs(G[row] - single).max() <= 1e-12
@@ -156,7 +158,7 @@ class TestSgdStep:
     def test_duplicate_sample_same_as_single(self):
         x = np.array([0.3, 0.8])
         m1 = MlpModel(2, 3, seed=9)
-        m2 = m1.copy()
+        m2 = copy.deepcopy(m1)
         _train_step(m1, [x], [0], [1.0], lr=0.1)
         _train_step(m2, [x, x.copy()], [0, 0], [1.0, 1.0], lr=0.1)
         assert np.allclose(m1.W1, m2.W1) and np.allclose(m1.b2, m2.b2)
@@ -165,7 +167,7 @@ class TestSgdStep:
         # 1-hidden-unit model: delta(b2) must be -lr * 2(p-y) * p(1-p)
         m = MlpModel(1, 1, seed=4)
         x = np.array([0.7])
-        p = m.forward(x).prob
+        p = prob(m, x)
         b2_before = m.b2.copy()
         _train_step(m, [x], [1], [1.0], lr=0.2)
         expected = -0.2 * 2.0 * (p - 1.0) * p * (1.0 - p)
@@ -199,9 +201,10 @@ class TestLatentGradients:
     def test_backprop_latent_matches_closed_form(self):
         m = MlpModel(2, 3, seed=11)
         x = np.array([0.4, -0.2])
-        p = m.forward(x).prob
+        p = prob(m, x)
         for y in (0, 1):
-            assert abs(m.latent_gradient(x, y) - grad_wrt_latent(y, p)) < 1e-10
+            latent = m.per_sample_gradient(x, y)[-1]
+            assert abs(latent - grad_wrt_latent(y, p)) < 1e-10
 
 
 class TestCheckpoint:
@@ -241,5 +244,5 @@ class TestCheckpoint:
         m.save(path)
         m2 = MlpModel.load(path)
         x = np.array([0.1, 0.2, 0.3])
-        assert m2.forward(x).prob == m.forward(x).prob
+        assert prob(m2, x) == prob(m, x)
         assert m2.activation == m.activation

@@ -6,18 +6,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from moscl import cli, kernels, uncertainty
-from moscl.core_math import entropy, loss, loss_based_uncertainty
 from moscl.datagen import GenSpec, generate, save_dataset
 from moscl.experiment import ExperimentConfig
 from moscl.model import MlpModel
 from moscl.uncertainty import (
     batch_score_uncertainty,
     dump_scores,
+    entropy,
     load_score_table,
     load_scores,
     perturbations,
     save_score_table,
 )
+
+from oracles import loss, loss_based_uncertainty, prob, sigmoid
 
 
 def _score_one(m, x, G, gamma, seed):
@@ -32,14 +34,12 @@ class TestEstimateUncertainty:
         m = MlpModel(2, 4, seed=3)
         x = np.array([0.4, -0.7])
         u = _score_one(m, x, G=8, gamma=0.0, seed=0)
-        assert u == pytest.approx(entropy(m.forward(x).prob), abs=1e-12)
+        assert u == pytest.approx(entropy(prob(m, x)), abs=1e-12)
 
     def test_zero_output_weights_ignore_perturbation(self):
         m = MlpModel(2, 4, seed=3)
         m.W2[:] = 0.0
         x = np.array([1.0, 2.0])
-        from moscl.core_math import sigmoid
-
         assert _score_one(m, x, G=8, gamma=0.3, seed=5) == pytest.approx(
             entropy(sigmoid(m.b2[0])), abs=1e-12
         )
@@ -51,7 +51,7 @@ class TestEstimateUncertainty:
             m = MlpModel(3, 4, seed=trial)
             x = rng.normal(size=3)
             y = int(rng.integers(0, 2))
-            l = loss("mse", y, m.forward(x).prob)
+            l = loss("mse", y, prob(m, x))
             assert abs(
                 _score_one(m, x, G=4, gamma=0.0, seed=0) - loss_based_uncertainty("mse", y, l)
             ) < 1e-10
