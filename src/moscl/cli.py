@@ -62,11 +62,13 @@ def cmd_train(args) -> None:
 def cmd_score(args) -> None:
     """Score a dataset with a saved checkpoint: losses, uncertainties, and
     the rank-fused difficulty CSV."""
+    # the scoring settings pass a run's own checks before any file is read
+    cfg = ExperimentConfig(loss_kind=args.loss_kind, G=args.G, gamma=args.gamma, seed=args.seed)
     dataset = _load_binary(args.dataset)
     X, ids = dataset.X, dataset.ids
     model = MlpModel.load(args.checkpoint)
-    losses, _ = model.batch_losses(X, dataset.labels, args.loss_kind)
-    us = uncertainty.batch_score_uncertainty(model, X, ids, args.G, args.gamma, args.seed)
+    losses, _ = model.batch_losses(X, dataset.labels, cfg.loss_kind)
+    us = uncertainty.batch_score_uncertainty(model, X, ids, cfg.G, cfg.gamma, cfg.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     uncertainty.dump_scores(out, ids, losses, us)

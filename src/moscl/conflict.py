@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .model import MlpModel
 from .uncertainty import json_records
@@ -52,6 +52,28 @@ class ConflictReport:
             writer.writerow(["id_i", "id_j", "cosine", "conflict", "loss_sum"])
             writer.writerows(zip(p["id_i"].tolist(), p["id_j"].tolist(),
                                  *[map(repr, column.tolist()) for column in floats]))
+
+
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their
+    positions."""
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    counts = np.diff(np.r_[first, len(s)])
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat(first + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def rank_correlation(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho of two equal-length samples: the Pearson correlation
+    of their average ranks, computed as scipy.stats.spearmanr does, to the
+    bit.  NaN where either sample is constant or holds a NaN."""
+    if any(np.isnan(v).any() or (v == v[0]).all() for v in (x, y)):
+        return math.nan
+    # scipy reads [1, 0]; the [0, 1] entry can differ from it in the last bit
+    return float(np.corrcoef(np.vstack([average_ranks(x), average_ranks(y)]))[1, 0])
 
 
 def conflict_loss_monotonicity(
@@ -101,7 +123,7 @@ def conflict_loss_monotonicity(
     )
     rho = None
     if not degenerate:
-        rho = float(spearmanr(conflicts, loss_sums).statistic)
+        rho = rank_correlation(conflicts, loss_sums)
     return ConflictReport(
         pairs=pairs, spearman_rho=rho, degenerate=degenerate, model_tag=model_tag
     )

@@ -62,6 +62,19 @@ def fuse_ranks(losses, uncertainties, ids) -> DifficultyTable:
     )
 
 
+def median(x: np.ndarray) -> float:
+    """np.median of a non-empty array, but finite whenever its middle values
+    are: where the sum of the two middle values overflows, their mean is
+    taken as the sum of their halves."""
+    with np.errstate(over="ignore"):
+        m = float(np.median(x))
+    if math.isinf(m):
+        # halving keeps the order, so the middles of x / 2 are the halves of
+        # x's, and doubling their finite mean is exact
+        m = float(np.median(x / 2.0)) * 2.0
+    return m
+
+
 def quadrant_classify(
     losses,
     uncertainties,
@@ -78,7 +91,7 @@ def quadrant_classify(
     if len(l) != len(u):
         raise ValueError("loss and uncertainty lengths differ")
     if thresholds is None:
-        thresholds = (np.median(u), np.median(l))
+        thresholds = (median(u), median(l))
     u_split, l_split = thresholds
     if not (math.isfinite(u_split) and math.isfinite(l_split)):
         raise ValueError("thresholds must be finite")

@@ -64,11 +64,16 @@ def loss_batch(Y_hat, labels, head, lossk):
         p = Y_hat[..., 0]
         if lossk == LOSS_MSE:
             return (p - labels) ** 2
-        return np.where(labels == 1, -np.log(p), -np.log(1.0 - p))
+        # a saturated p of 0 or 1 takes log(0) = -inf in one branch, which
+        # np.where evaluates even when the label picks the other; the loss
+        # is inf only where it does, and a run raises on an inf mean loss
+        with np.errstate(divide="ignore"):
+            return np.where(labels == 1, -np.log(p), -np.log(1.0 - p))
     if lossk == LOSS_MSE:
         return ((Y_hat - _onehot(labels, Y_hat)) ** 2).sum(axis=-1)
     idx = labels[..., None].astype(np.intp)
-    return -np.log(np.take_along_axis(Y_hat, idx, axis=-1)[..., 0])
+    with np.errstate(divide="ignore"):
+        return -np.log(np.take_along_axis(Y_hat, idx, axis=-1)[..., 0])
 
 
 def _dloss_dz_np(Y_hat, labels, head, lossk):

@@ -8,7 +8,6 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy.special import entr
 
 from . import kernels
 from .model import MlpModel
@@ -22,8 +21,12 @@ def entropy(p):
     ok = (a >= 0.0) & (a <= 1.0)
     if not ok.all():
         raise ValueError(f"probability {a[~ok][0]} outside [0, 1]")
-    # entr(x) = -x*ln(x) with entr(0) = 0
-    h = entr(a)
+    # libm's log, one value at a time: numpy's SIMD log is off by an ulp on
+    # some inputs, which would move scores and, through near-ties, plans.
+    # A zero's log is taken of 0.5 instead, so its term is -0.0 * ln(0.5) =
+    # +0.0, the limit H(0) = 0.
+    logs = map(math.log, np.where(a > 0.0, a, 0.5).ravel().tolist())
+    h = -a * np.fromiter(logs, np.float64, a.size).reshape(a.shape)
     return float(h) if h.ndim == 0 else h
 
 
@@ -69,12 +72,16 @@ def _as_u64(value: int) -> np.uint64:
 
 
 # Values of the (rows, G, H) perturbation tensor drawn and pushed through
-# the perturbed forward pass at a time: about 2**15 float64s (256 KiB) per
+# the perturbed forward pass at a time: 14 * 2**10 float64s (112 KiB) per
 # array, so a block's hash state, disturbances and perturbed hidden map stay
 # in a core's L2 cache.  A block holds rows = max(2, BLOCK_VALUES // (G * H))
 # rows, or rows + 1 when a lone last row joins it (see `_row_blocks` for why
-# never one), so an array takes at most (rows + 1) * G * H * 8 bytes.
-BLOCK_VALUES = 1 << 15
+# never one), so an array takes at most (rows + 1) * G * H * 8 bytes: under
+# 120 KiB while G * H <= 2**10.  By default glibc's malloc gives requests of
+# 128 KiB and up fresh pages and returns them on free, so larger blocks
+# page-fault in anew at each scoring call (256 KiB blocks took 30,000 minor
+# faults per 250 calls at N = 400, G = H = 8).
+BLOCK_VALUES = 14 << 10
 
 
 def _row_blocks(n: int, rows: int):

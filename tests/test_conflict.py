@@ -5,14 +5,16 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import spearmanr
+from scipy.stats import rankdata, spearmanr
 
 from moscl.conflict import (
     MAX_EXHAUSTIVE_N,
     PAIR_CAP,
     PAIR_DTYPE,
     ConflictReport,
+    average_ranks,
     conflict_loss_monotonicity,
+    rank_correlation,
 )
 from moscl.model import MlpModel
 
@@ -182,6 +184,46 @@ def _reference_report(model, X, y, ids, seed):
     ]
     rho = spearmanr([1.0 - c for _, _, c, _ in pairs], [s for *_, s in pairs])
     return pairs, float(rho.statistic)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+# heavily tied samples: few distinct values, rounded to 0-2 decimals
+_tied = st.integers(3, 60).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+        st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+        st.integers(0, 2),
+    )
+)
+
+
+class TestRankCorrelationIsScipySpearman:
+    """`rank_correlation` is scipy.stats.spearmanr's statistic to the bit."""
+
+    @given(_tied, st.floats(0.01, 10.0))
+    def test_tied_rounded_samples(self, case, scale):
+        a, b, decimals = case
+        x = np.round(np.array(a) * scale / 3.0, decimals)
+        y = np.round(np.array(b) * scale / 7.0 + x, decimals)
+        assert _bits(average_ranks(x)).tolist() == _bits(rankdata(x)).tolist()
+        if np.ptp(x) > 0.0 and np.ptp(y) > 0.0:
+            assert _bits(rank_correlation(x, y)) == _bits(spearmanr(x, y).statistic)
+
+    def test_continuous_samples(self):
+        rng = np.random.default_rng(3)
+        for n in (3, 10, 400, 2000):
+            x = rng.normal(size=n)
+            y = x + rng.normal(size=n)
+            assert _bits(rank_correlation(x, y)) == _bits(spearmanr(x, y).statistic)
+
+    def test_constant_or_nan_sample_gives_nan(self):
+        x = np.array([1.0, 2.0, 3.0])
+        for bad in ([4.0, 4.0, 4.0], [np.inf] * 3, [1.0, np.nan, 2.0]):
+            assert np.isnan(rank_correlation(x, np.array(bad)))
+            assert np.isnan(rank_correlation(np.array(bad), x))
 
 
 class TestMatchesPairwiseLoop:

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import entr
 
 from moscl.uncertainty import entropy
 
@@ -51,6 +53,36 @@ class TestEntropy:
             entropy(np.array([0.5, 1.5]))
         with pytest.raises(ValueError):
             entropy(np.array([0.5, float("nan")]))
+
+
+_probability = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from(
+    [0.0, 1.0, 1.0 / math.e, 5e-324, 2.2250738585072014e-308, 1e-310, 0.5]
+)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestEntropyIsScipyEntr:
+    """`entropy` is scipy.special.entr to the bit, signed zeros included."""
+
+    @given(_probability)
+    def test_scalar(self, p):
+        h = entropy(p)
+        assert type(h) is float
+        assert _bits(h) == _bits(entr(p))
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 4)),
+                  elements=_probability))
+    def test_array(self, P):
+        assert np.array_equal(_bits(entropy(P)), _bits(entr(P)))
+        assert np.array_equal(_bits(entropy(P[:, 0])), _bits(entr(P[:, 0])))
+
+    def test_uniform_sample(self):
+        p = np.random.default_rng(0).random(200_000)
+        p[::1000] = 0.0
+        assert np.array_equal(_bits(entropy(p)), _bits(entr(p)))
 
 
 class TestSigmoid:

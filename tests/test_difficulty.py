@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 from moscl.difficulty import (
     dump_difficulty_csv,
     fuse_ranks,
+    median,
     quadrant_classify,
     rank_descending,
 )
@@ -165,18 +168,46 @@ class TestQuadrants:
                     min_size=1, max_size=49))
     def test_default_thresholds_are_the_middles_of_the_sorted_scores(self, rows):
         losses, us = self._scores(*rows)
+        thresholds = (_exact_middle(us), _exact_middle(losses))
+        assert (quadrant_classify(losses, us).tolist()
+                == quadrant_classify(losses, us, thresholds=thresholds).tolist())
 
-        def middle(values):
-            v, mid = np.sort(values), len(values) // 2
-            return v[mid] if len(v) % 2 else 0.5 * (v[mid - 1] + v[mid])
+    def test_middles_whose_sum_overflows(self):
+        q = quadrant_classify([1e308, 1e308], [1.0, 2.0])
+        assert q.tolist() == ["LL", "HL"]
 
-        def outcome(**kw):
-            try:
-                return quadrant_classify(losses, us, **kw).tolist()
-            except ValueError as exc:  # two huge middles overflow to inf
-                return str(exc)
 
-        assert outcome() == outcome(thresholds=(middle(us), middle(losses)))
+def _exact_middle(values):
+    """The middle of the sorted values, or the exact mean of the two middle
+    ones rounded once to a float."""
+    v, mid = sorted(values), len(values) // 2
+    return v[mid] if len(v) % 2 else float((Fraction(v[mid - 1]) + Fraction(v[mid])) / 2)
+
+
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+class TestMedian:
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=9))
+    def test_is_np_median_where_that_is_finite(self, values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.median(values)
+            got = median(np.array(values))
+        if np.isfinite(expected):
+            assert _bits(got) == _bits(expected)
+
+    # scores within 6% of the largest float, of either sign
+    _huge = st.floats(min_value=1.7e308, max_value=1.7976931348623157e308)
+
+    @given(st.lists(_huge | _huge.map(lambda v: -v), min_size=1, max_size=8))
+    def test_stays_finite_near_the_float_limit(self, values):
+        got = median(np.array(values))
+        assert np.isfinite(got)
+        assert _bits(got) == _bits(_exact_middle(values))
+
+    def test_nan_stays_nan(self):
+        assert np.isnan(median(np.array([1.0, float("nan"), 2.0])))
 
 
 class TestSingleSource:

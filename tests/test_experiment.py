@@ -283,7 +283,9 @@ def test_compare_records_a_negative_seed_as_its_cells_error(tmp_path, small_data
     ]
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+# any numpy warning would be an error: the run's own RuntimeError is its
+# only report of the inf loss
+@pytest.mark.filterwarnings("error")
 def test_final_metrics_names_a_metrics_file_without_epoch_rows(tmp_path):
     # lr=1e4 with ce saturates the head: the mean loss is inf at epoch 0
     dataset = generate(GenSpec(n_total=60))
@@ -768,6 +770,21 @@ def test_cli_score_rejects_bad_checkpoint(tmp_path, small_dataset, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ValueError", "message": "checkpoint is missing params.W1"}
     assert not out.exists()
+
+
+def test_cli_score_rejects_a_negative_seed(tmp_path, small_dataset, capsys):
+    data = tmp_path / "data.csv"
+    save_dataset(small_dataset, data, data.with_suffix(".json"))
+    ckpt = tmp_path / "ckpt.json"
+    MlpModel(2, 8, seed=0).save(ckpt)
+    out = tmp_path / "out" / "scores.json"
+    argv = ["score", "--dataset", str(data), "--checkpoint", str(ckpt), "--out", str(out)]
+    assert cli.main(argv + ["--seed", "-1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "seed must be >= 0"}
+    assert not out.parent.exists()
+    assert cli.main(argv + ["--seed", "0"]) == 0
+    assert out.exists() and out.with_suffix(".csv").exists()
 
 
 def test_cli_compare_writes_summary(tmp_path, monkeypatch, capsys):

@@ -230,10 +230,10 @@ class TestBlockedScoring:
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("G, n, sizes", [
-        # 2**15 // (16 * 8) = 256 rows per block, an 88-row tail
-        (16, 600, [256, 256, 88]),
-        # a lone 513th row joins the last block
-        (16, 513, [256, 257]),
+        # 14 * 2**10 // (16 * 8) = 112 rows per block, a 40-row tail
+        (16, 600, [112] * 5 + [40]),
+        # a lone 225th row joins the last block
+        (16, 225, [112, 113]),
         # one row holds 2**15 values: two rows per block
         (2**12, 7, [2, 2, 3]),
         # a lone row is scored as two
