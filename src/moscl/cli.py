@@ -38,12 +38,19 @@ def _config_from_args(args) -> ExperimentConfig:
     return ExperimentConfig.from_strings(overrides)
 
 
-def _load_binary(path):
-    """The dataset CSV at ``path``, checked as a run checks its dataset:
-    both heads classify two classes."""
-    dataset = experiment.load_data(path)
+def _load_dataset_and_checkpoint(args):
+    """The ``--dataset`` and ``--checkpoint`` of ``args``.  The dataset is
+    checked as a run checks its own (both heads classify two classes), and
+    the checkpoint must take as many features as the dataset's rows hold."""
+    dataset = experiment.load_data(args.dataset)
     check_dataset(dataset, n_classes=2)
-    return dataset
+    model = MlpModel.load(args.checkpoint)
+    if model.W1.shape[1] != dataset.X.shape[1]:
+        raise ValueError(
+            f"checkpoint takes {model.W1.shape[1]} input features, "
+            f"dataset has {dataset.X.shape[1]}"
+        )
+    return dataset, model
 
 
 def cmd_gen_data(args) -> None:
@@ -64,9 +71,8 @@ def cmd_score(args) -> None:
     the rank-fused difficulty CSV."""
     # the scoring settings pass a run's own checks before any file is read
     cfg = ExperimentConfig(loss_kind=args.loss_kind, G=args.G, gamma=args.gamma, seed=args.seed)
-    dataset = _load_binary(args.dataset)
+    dataset, model = _load_dataset_and_checkpoint(args)
     X, ids = dataset.X, dataset.ids
-    model = MlpModel.load(args.checkpoint)
     losses, _ = model.batch_losses(X, dataset.labels, cfg.loss_kind)
     us = uncertainty.batch_score_uncertainty(model, X, ids, cfg.G, cfg.gamma, cfg.seed)
     out = Path(args.out)
@@ -101,15 +107,16 @@ def cmd_export_scatter(args) -> None:
 
 
 def cmd_analyze_conflicts(args) -> None:
-    dataset = _load_binary(args.dataset)
-    model = MlpModel.load(args.checkpoint)
+    # the analysis settings pass a run's own checks before any file is read
+    cfg = ExperimentConfig(loss_kind=args.loss_kind, seed=args.seed)
+    dataset, model = _load_dataset_and_checkpoint(args)
     report = conflict.conflict_loss_monotonicity(
         model,
         dataset.X,
         dataset.labels,
         sample_ids=dataset.ids,
-        loss_kind=args.loss_kind,
-        seed=args.seed,
+        loss_kind=cfg.loss_kind,
+        seed=cfg.seed,
         # the checkpoint's bytes, not the spelling of its path, name the model
         model_tag=hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest(),
     )

@@ -13,8 +13,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-QUADRANTS = ("HH", "LH", "LL", "HL")
-
 
 @dataclass
 class DifficultyTable:

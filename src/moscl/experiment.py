@@ -21,7 +21,8 @@ import numpy as np
 
 from . import difficulty, scheduler, uncertainty
 from .datagen import Dataset, check_dataset, load_dataset
-from .model import ACTIVATIONS, HEADS, LOSSES, MlpModel
+from .kernels import ACTIVATIONS, HEADS, LOSSES
+from .model import MlpModel
 from . import kernels
 
 SCHEDULERS = ("random", "mixed", "anti_mixed", "sp_hard", "sp_linear", "ohem")
@@ -193,7 +194,6 @@ class _Run:
             head=cfg.head,
             seed=cfg.seed,
         )
-        self.loss_code = LOSSES[cfg.loss_kind]
         self.scored = cfg.scheduler != "random"
         self.need_u = cfg.scheduler in ("mixed", "anti_mixed") and cfg.difficulty_source in (
             "uncertainty",
@@ -386,7 +386,7 @@ def _train(runs: List[_Run]) -> Dict[_Run, Exception]:
             visit_losses = kernels.sgd_epochs(
                 W1, b1, W2, b2, first.X, first.labels,
                 [run.plan.order for run in stacked], cfg.batch_size, weights, cfg.lr,
-                first.model._act, first.model._head, first.loss_code,
+                cfg.activation, cfg.head, cfg.loss_kind,
             )
             train_s = time.perf_counter() - t1
             by_run = dict(zip(stacked, visit_losses))

@@ -1,19 +1,19 @@
 """Hot numeric kernels: the MLP's forward pass and backprop, mini-batch SGD
 epochs over a stack of runs and the G-perturbation prediction averaging.
 
-Integer codes select the model's pieces:
-  activation: 0 = tanh, 1 = relu
-  head:       0 = sigmoid (out_dim 1), 1 = softmax
-  loss:       0 = mse, 1 = ce
+The model's pieces are selected by the names that configs and checkpoints
+hold, from ``ACTIVATIONS``, ``HEADS`` (sigmoid has out_dim 1) and ``LOSSES``.
+The kernels do not check them: a name outside these tuples runs as the
+second entry, so callers check names where they enter the program.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-ACT_TANH, ACT_RELU = 0, 1
-HEAD_SIGMOID, HEAD_SOFTMAX = 0, 1
-LOSS_MSE, LOSS_CE = 0, 1
+ACTIVATIONS = ("tanh", "relu")
+HEADS = ("sigmoid", "softmax")
+LOSSES = ("mse", "ce")
 
 
 def backend_name() -> str:
@@ -21,11 +21,11 @@ def backend_name() -> str:
 
 
 def _activate(fpre, act):
-    return np.tanh(fpre) if act == ACT_TANH else np.maximum(fpre, 0.0)
+    return np.tanh(fpre) if act == "tanh" else np.maximum(fpre, 0.0)
 
 
 def _head_np(Z, head):
-    if head == HEAD_SIGMOID:
+    if head == "sigmoid":
         # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: neither overflows
         e = np.exp(-np.abs(Z))
         return np.where(Z >= 0, 1.0, e) / (1.0 + e)
@@ -60,16 +60,16 @@ def _onehot(labels, Y_hat):
 def loss_batch(Y_hat, labels, head, lossk):
     """Per-sample losses from predictions ``Y_hat`` (..., C) and integer
     ``labels`` (...)."""
-    if head == HEAD_SIGMOID:
+    if head == "sigmoid":
         p = Y_hat[..., 0]
-        if lossk == LOSS_MSE:
+        if lossk == "mse":
             return (p - labels) ** 2
         # a saturated p of 0 or 1 takes log(0) = -inf in one branch, which
         # np.where evaluates even when the label picks the other; the loss
         # is inf only where it does, and a run raises on an inf mean loss
         with np.errstate(divide="ignore"):
             return np.where(labels == 1, -np.log(p), -np.log(1.0 - p))
-    if lossk == LOSS_MSE:
+    if lossk == "mse":
         return ((Y_hat - _onehot(labels, Y_hat)) ** 2).sum(axis=-1)
     idx = labels[..., None].astype(np.intp)
     with np.errstate(divide="ignore"):
@@ -78,18 +78,18 @@ def loss_batch(Y_hat, labels, head, lossk):
 
 def _dloss_dz_np(Y_hat, labels, head, lossk):
     """dL/dz per sample, shaped like ``Y_hat`` (..., C)."""
-    if head == HEAD_SIGMOID:
+    if head == "sigmoid":
         p = Y_hat[..., 0]
-        if lossk == LOSS_MSE:
+        if lossk == "mse":
             dz = 2.0 * (p - labels) * p * (1.0 - p)
         else:
             dz = p - labels
         return dz[..., None]
     onehot = _onehot(labels, Y_hat)
-    if lossk == LOSS_CE:
-        return Y_hat - onehot
-    g = 2.0 * (Y_hat - onehot)
-    return Y_hat * (g - (g * Y_hat).sum(axis=-1, keepdims=True))
+    if lossk == "mse":
+        g = 2.0 * (Y_hat - onehot)
+        return Y_hat * (g - (g * Y_hat).sum(axis=-1, keepdims=True))
+    return Y_hat - onehot
 
 
 def backward(W2, Fpre, F, Y_hat, labels, w, act, head, lossk):
@@ -98,7 +98,7 @@ def backward(W2, Fpre, F, Y_hat, labels, w, act, head, lossk):
     (..., N, H); their outer products with F and X are the gradients."""
     dz = _dloss_dz_np(Y_hat, labels, head, lossk) * w[..., None]
     dF = dz @ W2
-    if act == ACT_TANH:
+    if act == "tanh":
         dFpre = dF * (1.0 - F * F)
     else:
         dFpre = np.where(Fpre > 0.0, dF, 0.0)

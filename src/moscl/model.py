@@ -10,25 +10,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .kernels import (
-    ACT_RELU,
-    ACT_TANH,
-    HEAD_SIGMOID,
-    HEAD_SOFTMAX,
-    LOSS_CE,
-    LOSS_MSE,
-)
-
-ACTIVATIONS = {"tanh": ACT_TANH, "relu": ACT_RELU}
-HEADS = {"sigmoid": HEAD_SIGMOID, "softmax": HEAD_SOFTMAX}
-LOSSES = {"mse": LOSS_MSE, "ce": LOSS_CE}
-
-
-def _loss_code(loss_kind: str) -> int:
-    """The kernel code of ``loss_kind``, or a ValueError naming the field."""
-    if loss_kind not in LOSSES:
-        raise ValueError(f"unknown loss_kind {loss_kind!r}")
-    return LOSSES[loss_kind]
+from .kernels import ACTIVATIONS, HEADS, LOSSES
 
 
 class MlpModel:
@@ -73,28 +55,22 @@ class MlpModel:
     def out_dim(self) -> int:
         return self.W2.shape[0]
 
-    @property
-    def _act(self) -> int:
-        return ACTIVATIONS[self.activation]
-
-    @property
-    def _head(self) -> int:
-        return HEADS[self.head]
-
     # -- forward -----------------------------------------------------------
 
     def forward_batch(self, X: np.ndarray):
         """Vectorized unperturbed forward; returns (F, Z, Y_hat) arrays."""
         X = np.asarray(X, dtype=np.float64)
         return kernels.forward(
-            self.W1, self.b1, self.W2, self.b2, X, self._act, self._head
+            self.W1, self.b1, self.W2, self.b2, X, self.activation, self.head
         )[1:]
 
     def batch_losses(self, X: np.ndarray, labels: np.ndarray, loss_kind: str = "mse"):
         """Per-sample losses and predictions over a dataset matrix."""
+        if loss_kind not in LOSSES:  # the kernels would run it as CE
+            raise ValueError(f"unknown loss_kind {loss_kind!r}")
         _, _, Y = self.forward_batch(X)
         labels = np.asarray(labels, dtype=np.int64)
-        return kernels.loss_batch(Y, labels, self._head, _loss_code(loss_kind)), Y
+        return kernels.loss_batch(Y, labels, self.head, loss_kind), Y
 
     # -- gradients ---------------------------------------------------------
 
@@ -105,13 +81,14 @@ class MlpModel:
         rows flattened as [W1, b1, W2, b2]: one batched backprop and the
         per-example outer products (Goodfellow, arXiv:1510.01799)."""
         X = np.asarray(X, dtype=np.float64)
-        lossk = _loss_code(loss_kind)
+        if loss_kind not in LOSSES:  # the kernels would run it as CE
+            raise ValueError(f"unknown loss_kind {loss_kind!r}")
         Fpre, F, _, Y = kernels.forward(
-            self.W1, self.b1, self.W2, self.b2, X, self._act, self._head
+            self.W1, self.b1, self.W2, self.b2, X, self.activation, self.head
         )
         labels = np.asarray(labels, dtype=np.int64)
         dz, dFpre = kernels.backward(
-            self.W2, Fpre, F, Y, labels, np.ones(len(X)), self._act, self._head, lossk
+            self.W2, Fpre, F, Y, labels, np.ones(len(X)), self.activation, self.head, loss_kind
         )
         dW1 = (dFpre[:, :, None] * X[:, None, :]).reshape(len(X), -1)
         dW2 = (dz[:, :, None] * F[:, None, :]).reshape(len(X), -1)

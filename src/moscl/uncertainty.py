@@ -176,7 +176,7 @@ def batch_score_uncertainty(
     for at in _row_blocks(len(X), max(2, BLOCK_VALUES // m)):
         T = _draw(keys[at], m, gamma).reshape((-1, *shape))
         P[at] = kernels.mean_perturbed_predictions(
-            model.W1, model.b1, model.W2, model.b2, X[at], T, model._act, model._head
+            model.W1, model.b1, model.W2, model.b2, X[at], T, model.activation, model.head
         )
     return _mean_entropy(P[:n], model.head)
 

@@ -16,18 +16,19 @@ import numpy as np
 
 from moscl import kernels
 from moscl.datagen import Dataset
-from moscl.difficulty import QUADRANTS, quadrant_classify
+from moscl.difficulty import quadrant_classify
 from moscl.uncertainty import entropy
 
 
 def prob(model, x) -> float:
     """The sigmoid prediction for the one sample ``x``: `kernels.forward` of one row."""
     params = (model.W1, model.b1, model.W2, model.b2)
-    y_hat = kernels.forward(*params, np.asarray(x)[None], model._act, model._head)[3]
+    y_hat = kernels.forward(*params, np.asarray(x)[None], model.activation, model.head)[3]
     return float(y_hat[0, 0])
 
 
-LOSS_KINDS = ("mse", "ce")
+# the tags `quadrant_classify` returns: high or low uncertainty, then loss
+QUADRANTS = ("HH", "LH", "LL", "HL")
 
 
 def sigmoid(z: float) -> float:
@@ -39,7 +40,7 @@ def sigmoid(z: float) -> float:
 
 
 def _check_kind(kind: str) -> None:
-    if kind not in LOSS_KINDS:
+    if kind not in kernels.LOSSES:
         raise ValueError(f"unknown loss kind {kind!r}")
 
 

@@ -230,7 +230,7 @@ def test_cli_train_rejects_bad_rows_before_writing(tmp_path, small_dataset, caps
 
 
 @pytest.mark.parametrize("command", ["score", "analyze-conflicts"])
-@pytest.mark.parametrize("case", ["label_2", "loss_kind"])
+@pytest.mark.parametrize("case", ["label_2", "loss_kind", "seed", "width"])
 def test_cli_score_and_analyze_reject_bad_input_before_writing(
     tmp_path, small_dataset, capsys, command, case
 ):
@@ -238,7 +238,8 @@ def test_cli_score_and_analyze_reject_bad_input_before_writing(
     ds = _with_label(small_dataset, 2) if case == "label_2" else small_dataset
     save_dataset(ds, data, data.with_suffix(".json"))
     ckpt = tmp_path / "ckpt.json"
-    MlpModel(2, 8, seed=0).save(ckpt)
+    # the dataset has 2 features per row
+    MlpModel(3 if case == "width" else 2, 8, seed=0).save(ckpt)
     out = tmp_path / "out"
     argv = [command, "--dataset", str(data), "--checkpoint", str(ckpt),
             "--out", str(out / "result.json")]
@@ -246,11 +247,15 @@ def test_cli_score_and_analyze_reject_bad_input_before_writing(
         argv += ["--pairs-csv", str(out / "pairs.csv")]
     if case == "loss_kind":
         argv += ["--loss-kind", "bogus"]
+    if case == "seed":
+        argv += ["--seed", "-1"]
     rc = cli.main(argv)
     assert rc == 1
     message = {
         "label_2": "row 4 (id 4): label y=2 must be in [0, 2)",
         "loss_kind": "unknown loss_kind 'bogus'",
+        "seed": "seed must be >= 0",
+        "width": "checkpoint takes 3 input features, dataset has 2",
     }[case]
     assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
     assert not out.exists()

@@ -26,7 +26,7 @@ def _reference_epoch(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, he
         losses[pos : pos + n] = kernels.loss_batch(Y, lab, head, lossk)
         dz = kernels._dloss_dz_np(Y, lab, head, lossk) * weights[idx][:, None]
         dF = dz @ W2
-        dFpre = dF * (1.0 - F * F) if act == kernels.ACT_TANH else np.where(Fpre > 0.0, dF, 0.0)
+        dFpre = dF * (1.0 - F * F) if act == "tanh" else np.where(Fpre > 0.0, dF, 0.0)
         W2 -= lr / n * (dz.T @ F)
         b2 -= lr / n * dz.sum(axis=0)
         W1 -= lr / n * (dFpre.T @ Xb)
@@ -34,10 +34,12 @@ def _reference_epoch(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, he
     return losses
 
 
-@pytest.mark.parametrize("act,head,lossk", list(itertools.product((0, 1), (0, 1), (0, 1))))
-def test_sgd_epochs_matches_separate_runs_bitwise(act, head, lossk):
-    rng = np.random.default_rng(100 + 4 * act + 2 * head + lossk)
-    N, d, H, C, bsz = 23, 2, 5, 1 if head == kernels.HEAD_SIGMOID else 2, 4
+# indices into the kernels' name tuples, which also seed each case's data
+@pytest.mark.parametrize("a,h,k", list(itertools.product((0, 1), (0, 1), (0, 1))))
+def test_sgd_epochs_matches_separate_runs_bitwise(a, h, k):
+    act, head, lossk = kernels.ACTIVATIONS[a], kernels.HEADS[h], kernels.LOSSES[k]
+    rng = np.random.default_rng(100 + 4 * a + 2 * h + k)
+    N, d, H, C, bsz = 23, 2, 5, 1 if head == "sigmoid" else 2, 4
     X = rng.normal(size=(N, d))
     labels = rng.integers(0, 2, N).astype(np.int64)
     # unequal lengths: plain, OHEM-like repeats, a short order; N is odd and
@@ -74,22 +76,23 @@ def test_sgd_epochs_matches_separate_runs_bitwise(act, head, lossk):
             assert np.array_equal(stacked[k][s], ref[k])
 
 
-@pytest.mark.parametrize("head", [kernels.HEAD_SIGMOID, kernels.HEAD_SOFTMAX])
-def test_forward_over_run_axis_and_perturbations(head):
-    rng = np.random.default_rng(7 + head)
-    S, N, G, d, H, C = 3, 6, 4, 2, 5, 1 if head == kernels.HEAD_SIGMOID else 2
+@pytest.mark.parametrize("h", [0, 1])
+def test_forward_over_run_axis_and_perturbations(h):
+    head = kernels.HEADS[h]
+    rng = np.random.default_rng(7 + h)
+    S, N, G, d, H, C = 3, 6, 4, 2, 5, 1 if head == "sigmoid" else 2
     X = rng.normal(size=(N, d))
     T = rng.uniform(-0.3, 0.3, (N, G, H))
     stacked = [rng.uniform(-1, 1, shape) for shape in ((S, H, d), (S, H), (S, C, H), (S, C))]
     for perturb in (None, T):
-        got = kernels.forward(*stacked, X, kernels.ACT_TANH, head, perturb)
+        got = kernels.forward(*stacked, X, "tanh", head, perturb)
         for s in range(S):
-            solo = kernels.forward(*(a[s] for a in stacked), X, kernels.ACT_TANH, head, perturb)
+            solo = kernels.forward(*(a[s] for a in stacked), X, "tanh", head, perturb)
             for g, o in zip(got, solo):
                 assert np.array_equal(g[s], o)
     _, F, Z, Y = got
     assert F.shape == (S, N, G, H) and Z.shape == Y.shape == (S, N, G, C)
-    p_bar = kernels.mean_perturbed_predictions(*(a[0] for a in stacked), X, T, 0, head)
+    p_bar = kernels.mean_perturbed_predictions(*(a[0] for a in stacked), X, T, "tanh", head)
     assert np.array_equal(p_bar, Y[0].mean(axis=1))
 
 

@@ -4,9 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from moscl import kernels
+from moscl import conflict, kernels
 from moscl.experiment import ExperimentConfig
-from moscl.model import LOSSES, MlpModel
+from moscl.model import MlpModel
 
 from oracles import grad_wrt_latent, grad_wrt_prediction, loss, prob
 
@@ -34,7 +34,7 @@ def _forward(m, x, t=None):
     """(f, z, y_hat) of `kernels.forward` over the one sample ``x``, each
     flattened; with a perturbation vector ``t`` the hidden map is f * (1 + t)."""
     T = None if t is None else np.asarray(t, dtype=np.float64)[None, None, :]
-    out = kernels.forward(m.W1, m.b1, m.W2, m.b2, x[None], m._act, m._head, T)
+    out = kernels.forward(m.W1, m.b1, m.W2, m.b2, x[None], m.activation, m.head, T)
     return [a.reshape(-1) for a in out[1:]]
 
 
@@ -132,7 +132,7 @@ class TestPerSampleGradients:
         before = np.concatenate([m.W1.ravel(), m.b1, m.W2.ravel(), m.b2])
         params = [m.W1[None].copy(), m.b1[None].copy(), m.W2[None].copy(), m.b2[None].copy()]
         kernels._sgd_step(*params, X[None], y[None], w[None], lr / n,
-                          m._act, m._head, LOSSES[loss_kind])
+                          m.activation, m.head, loss_kind)
         after = np.concatenate([p[0].ravel() for p in params])
         expected = -lr / n * (w[:, None] * m.per_sample_gradients(X, y, loss_kind)).sum(axis=0)
         assert np.abs((after - before) - expected).max() <= 1e-12
@@ -143,7 +143,7 @@ def _train_step(m, X, y, w, lr):
     X = np.asarray(X, dtype=np.float64)
     kernels.sgd_epoch(
         m.W1, m.b1, m.W2, m.b2, X, np.asarray(y, dtype=np.int64), np.arange(len(X)),
-        len(X), np.asarray(w, dtype=np.float64), lr, m._act, m._head, LOSSES["mse"],
+        len(X), np.asarray(w, dtype=np.float64), lr, m.activation, m.head, "mse",
     )
 
 
@@ -207,6 +207,30 @@ class TestLatentGradients:
             assert abs(latent - grad_wrt_latent(y, p)) < 1e-10
 
 
+_X3, _Y3 = np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]]), np.array([0, 1, 1])
+
+
+# The kernels run any name outside their tuples as relu, softmax or CE, so
+# each public entry point must reject it, naming the field.
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: MlpModel(2, 3, activation="gelu"), "unknown activation 'gelu'"),
+        (lambda: MlpModel(2, 3, head="tanh"), "unknown head 'tanh'"),
+        (lambda: MlpModel(2, 3).batch_losses(_X3, _Y3, "bogus"), "unknown loss_kind 'bogus'"),
+        (lambda: MlpModel(2, 3).per_sample_gradients(_X3, _Y3, "bogus"),
+         "unknown loss_kind 'bogus'"),
+        (lambda: conflict.conflict_loss_monotonicity(MlpModel(2, 3), _X3, _Y3, loss_kind="bogus"),
+         "unknown loss_kind 'bogus'"),
+    ],
+    ids=["MlpModel-activation", "MlpModel-head", "batch_losses", "per_sample_gradients",
+         "conflict_loss_monotonicity"],
+)
+def test_misspelled_piece_name_is_rejected_at_entry(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize(
         "edit,field",
@@ -214,6 +238,8 @@ class TestCheckpoint:
             (lambda d: d.pop("activation"), "is missing activation"),
             (lambda d: d.update(activation="gelu"), "activation: unknown 'gelu'"),
             (lambda d: d.update(head="tanh"), "head: unknown 'tanh'"),
+            # a JSON list is unhashable: membership, not a dict lookup, rejects it
+            (lambda d: d.update(activation=["tanh"]), r"activation: unknown \['tanh'\]"),
             (lambda d: d["params"].pop("W1"), "is missing params.W1"),
             (lambda d: d["params"]["b2"].pop("data"), "is missing params.b2.data"),
             (lambda d: d["params"]["b1"]["data"].pop(), "params.b1: 7 values"),

@@ -1,7 +1,8 @@
-"""`src/moscl` holds only the program.  Every top-level function and class
-there, and every method (dunders aside), is named by the program or by the
-benchmark outside its own definition.  Code that only tests call belongs in
-`tests/`, as the closed-form oracles in `oracles.py` do."""
+"""`src/moscl` holds only the program.  Every top-level function, class and
+assigned name there, and every method (dunders aside), is named by the
+program or by the benchmark outside its own definition.  Code and constants
+that only tests use belong in `tests/`, as the closed-form oracles in
+`oracles.py` do."""
 
 import ast
 import sys
@@ -20,23 +21,32 @@ ALLOWED = {(module, attr) for module, attr, _ in tracing.TARGETS} | {
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _span(node):
     """First and last line of a definition, its decorators included."""
-    return min([node.lineno] + [d.lineno for d in node.decorator_list]), node.end_lineno
+    decorators = getattr(node, "decorator_list", [])
+    return min([node.lineno] + [d.lineno for d in decorators]), node.end_lineno
 
 
 def _definitions(tree):
-    """(qualified name, node) of each top-level function and class and of
-    each method that is not a dunder."""
+    """(qualified name, node) of each top-level function, class and assigned
+    name and of each method, dunders aside."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not _dunder(name.id):
+                        yield name.id, node
         if not isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
             continue
         yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, _FUNCTIONS) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
+                if isinstance(item, _FUNCTIONS) and not _dunder(item.name):
                     yield f"{node.name}.{item.name}", item
 
 
@@ -61,9 +71,10 @@ def test_every_definition_in_src_is_named_by_the_program_or_the_benchmark():
         for qualname, node in _definitions(trees[path]):
             if (path.stem, qualname) in ALLOWED:
                 continue
+            name = qualname.rsplit(".", 1)[-1]
             first, last = _span(node)
             named = any(
-                ident == node.name and not (where == path and first <= line <= last)
+                ident == name and not (where == path and first <= line <= last)
                 for where, found in refs.items()
                 for ident, line in found
             )

@@ -95,12 +95,12 @@ class TestBatchScore:
         # the lone row is scored as the first of two copies of itself
         T = perturbations(cfg["seed"], [0, 0], 0, (cfg["G"], m.hidden_dim), cfg["gamma"])
         P = kernels.mean_perturbed_predictions(
-            m.W1, m.b1, m.W2, m.b2, X[[0, 0]], T, m._act, m._head
+            m.W1, m.b1, m.W2, m.b2, X[[0, 0]], T, m.activation, m.head
         )
         assert scores[0] == entropy(P[:, 0])[0]
         T = perturbations(cfg["seed"], [0], 0, (cfg["G"], m.hidden_dim), cfg["gamma"])
         p_bar = kernels.mean_perturbed_predictions(
-            m.W1, m.b1, m.W2, m.b2, X[:1], T, m._act, m._head
+            m.W1, m.b1, m.W2, m.b2, X[:1], T, m.activation, m.head
         )[0, 0]
         assert scores[0] == pytest.approx(entropy(float(p_bar)), abs=1e-12)
 
@@ -176,7 +176,7 @@ class TestBlockedScoring:
             X, ids = np.repeat(X, 2, axis=0), np.repeat(ids, 2)
         T = perturbations(cfg["seed"], ids, epoch, (cfg["G"], m.hidden_dim), cfg["gamma"])
         P = kernels.mean_perturbed_predictions(
-            m.W1, m.b1, m.W2, m.b2, X, T, m._act, m._head
+            m.W1, m.b1, m.W2, m.b2, X, T, m.activation, m.head
         )[:n]
         return entropy(P[:, 0]) if m.head == "sigmoid" else entropy(P).sum(axis=1)
 
