@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, score, compare, export-scatter,
-analyze-conflicts.  Failures exit nonzero with an error JSON on stderr.
+analyze-conflicts.  A failure, a malformed flag value included, exits 1
+with an error JSON on stderr; a missing or unknown flag exits 2 with
+argparse's usage text.
 The MOSCL_OUTPUT_ROOT environment variable prefixes relative output paths.
 """
 
@@ -16,34 +18,34 @@ import sys
 from pathlib import Path
 
 from . import conflict, difficulty, experiment, uncertainty
-from .datagen import GenSpec, check_dataset, generate, save_dataset
-from .experiment import ExperimentConfig
+from .datagen import GenSpec, generate, load_dataset, save_dataset
+from .experiment import ExperimentConfig, from_strings
 from .model import MlpModel
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    for f in dataclasses.fields(ExperimentConfig):
-        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, default=None)
+def _add_settings(p: argparse.ArgumentParser, cls, names=None) -> None:
+    """A string flag, default None, per named field of the dataclass ``cls``
+    (every field without ``names``); `_settings` reads them."""
+    names = names or [f.name for f in dataclasses.fields(cls)]
+    for name in names:
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None)
+    p.set_defaults(settings=(cls, names))
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(ExperimentConfig)
-        if getattr(args, f.name) is not None
-    }
-    if args.config:
-        return ExperimentConfig.from_file(args.config, **overrides)
-    return ExperimentConfig.from_strings(overrides)
+def _settings(args):
+    """The dataclass of the command's `_add_settings` flags, over its
+    ``--config`` file if given, cast and checked before any file is read."""
+    cls, names = args.settings
+    values = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    if getattr(args, "config", None):
+        return cls.from_file(args.config, **values)
+    return from_strings(cls, values)
 
 
 def _load_dataset_and_checkpoint(args):
-    """The ``--dataset`` and ``--checkpoint`` of ``args``.  The dataset is
-    checked as a run checks its own (both heads classify two classes), and
-    the checkpoint must take as many features as the dataset's rows hold."""
-    dataset = experiment.load_data(args.dataset)
-    check_dataset(dataset, n_classes=2)
+    """The ``--dataset`` and ``--checkpoint`` of ``args``; the checkpoint
+    must take as many features as the dataset's rows hold."""
+    dataset = load_dataset(args.dataset)
     model = MlpModel.load(args.checkpoint)
     if model.W1.shape[1] != dataset.X.shape[1]:
         raise ValueError(
@@ -54,7 +56,7 @@ def _load_dataset_and_checkpoint(args):
 
 
 def cmd_gen_data(args) -> None:
-    spec = GenSpec(**{f.name: getattr(args, f.name) for f in dataclasses.fields(GenSpec)})
+    spec = _settings(args)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(generate(spec), out, out.with_suffix(".json"))
@@ -62,18 +64,17 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_train(args) -> None:
-    run_dir = experiment.run(_config_from_args(args))
+    run_dir = experiment.run(_settings(args))
     print(run_dir)
 
 
 def cmd_score(args) -> None:
     """Score a dataset with a saved checkpoint: losses, uncertainties, and
     the rank-fused difficulty CSV."""
-    # the scoring settings pass a run's own checks before any file is read
-    cfg = ExperimentConfig(loss_kind=args.loss_kind, G=args.G, gamma=args.gamma, seed=args.seed)
+    cfg = _settings(args)
     dataset, model = _load_dataset_and_checkpoint(args)
     X, ids = dataset.X, dataset.ids
-    losses, _ = model.batch_losses(X, dataset.labels, cfg.loss_kind)
+    losses = model.batch_losses(X, dataset.labels, cfg.loss_kind)
     us = uncertainty.batch_score_uncertainty(model, X, ids, cfg.G, cfg.gamma, cfg.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -85,7 +86,7 @@ def cmd_score(args) -> None:
 
 
 def cmd_compare(args) -> None:
-    base = _config_from_args(args)
+    base = _settings(args)
     schedulers = args.schedulers.split(",")
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
@@ -107,8 +108,7 @@ def cmd_export_scatter(args) -> None:
 
 
 def cmd_analyze_conflicts(args) -> None:
-    # the analysis settings pass a run's own checks before any file is read
-    cfg = ExperimentConfig(loss_kind=args.loss_kind, seed=args.seed)
+    cfg = _settings(args)
     dataset, model = _load_dataset_and_checkpoint(args)
     report = conflict.conflict_loss_monotonicity(
         model,
@@ -131,62 +131,61 @@ def cmd_analyze_conflicts(args) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
+    # a malformed flag value raises ArgumentError, which `main` reports
     parser = argparse.ArgumentParser(
         prog="moscl",
         description="Mixed-order self-paced curriculum learning lab",
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, exit_on_error=False)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic quadrant dataset")
+    p = add("gen-data", help="generate a synthetic quadrant dataset")
     p.add_argument("--out", required=True)
-    for f in dataclasses.fields(GenSpec):
-        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
+    _add_settings(p, GenSpec)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="run one training configuration")
-    _add_config_flags(p)
+    p = add("train", help="run one training configuration")
+    p.add_argument("--config", help="flat key=value config file")
+    _add_settings(p, ExperimentConfig)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("score", help="score a dataset with a checkpoint")
+    p = add("score", help="score a dataset with a checkpoint")
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--loss-kind", default="mse")
-    # the scoring settings of a run, with a run's defaults
-    for name in ("G", "gamma", "seed"):
-        default = getattr(ExperimentConfig, name)
-        p.add_argument(f"--{name}", type=type(default), default=default)
+    _add_settings(p, ExperimentConfig, ("loss_kind", "G", "gamma", "seed"))
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("compare", help="scheduler comparison over seeds")
-    _add_config_flags(p)
+    p = add("compare", help="scheduler comparison over seeds")
+    p.add_argument("--config", help="flat key=value config file")
+    _add_settings(p, ExperimentConfig)
     p.add_argument("--schedulers", default="random,mixed")
     p.add_argument("--seeds", default="0,1,2")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("export-scatter", help="loss/uncertainty scatter CSV")
+    p = add("export-scatter", help="loss/uncertainty scatter CSV")
     p.add_argument("--scores", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=["value", "index"], default="value")
+    p.add_argument("--mode", default="value")
     p.add_argument("--epoch", type=int, default=None,
                    help="the epoch to export when --scores is a run's scores.npz")
     p.set_defaults(func=cmd_export_scatter)
 
-    p = sub.add_parser("analyze-conflicts", help="pairwise gradient conflict report")
+    p = add("analyze-conflicts", help="pairwise gradient conflict report")
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--pairs-csv", default=None)
-    p.add_argument("--loss-kind", default="mse")
-    p.add_argument("--seed", type=int, default=0)
+    _add_settings(p, ExperimentConfig, ("loss_kind", "seed"))
     p.set_defaults(func=cmd_analyze_conflicts)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI error contract
         json.dump(

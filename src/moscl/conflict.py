@@ -99,7 +99,7 @@ def conflict_loss_monotonicity(
         raise ValueError("need at least 3 samples")
     ids = np.arange(n) if sample_ids is None else np.asarray(sample_ids)
     order = np.argsort(ids)  # report independent of input order
-    per_loss, _ = model.batch_losses(X, labels, loss_kind)
+    per_loss = model.batch_losses(X, labels, loss_kind)
     ids, losses = ids[order], per_loss[order]
     grads = model.per_sample_gradients(X[order], labels[order], loss_kind)
     I, J = np.triu_indices(n, 1)  # row pairs i < j, in lexicographic order

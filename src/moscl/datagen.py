@@ -46,8 +46,8 @@ class GenSpec:
 class Dataset:
     """One table of columns in row order: sample ``ids``, features ``X``
     (N, dim), ``labels``, ``clean_label`` and the generation ``tag``
-    (HH/LH/HL/LL) of each row.  ``spec`` is the GenSpec that generated the
-    rows, or None for a CSV loaded without its sidecar."""
+    (HH/LH/HL/LL) of each row.  ``spec`` is the GenSpec that `generate`
+    drew the rows from; a dataset read by `load_dataset` has None."""
 
     ids: np.ndarray
     X: np.ndarray
@@ -95,10 +95,10 @@ def generate(spec: GenSpec) -> Dataset:
                    labels=labels, clean_label=clean_label, tag=tag, spec=spec)
 
 
-def check_dataset(dataset: Dataset, n_classes: Optional[int] = None) -> None:
+def check_dataset(dataset: Dataset) -> None:
     """Every column has one entry per row, ids are unique, features are
-    finite and labels are integers in [0, n_classes) (only >= 0 without a
-    class count).  A ValueError names the first offending row and field."""
+    finite and labels are 0 or 1, since both heads classify two classes.  A
+    ValueError names the first offending row and field."""
     n, X = len(dataset.ids), dataset.X
     if n == 0 or X.ndim != 2:
         raise ValueError(f"{n} ids and X of shape {X.shape}: need rows and (N, dim) features")
@@ -118,21 +118,19 @@ def check_dataset(dataset: Dataset, n_classes: Optional[int] = None) -> None:
     labels = dataset.labels
     if labels.dtype.kind not in "iu":
         raise ValueError(f"labels have dtype {labels.dtype}; they must be integers")
-    high = np.inf if n_classes is None else n_classes
-    bad = np.flatnonzero((labels < 0) | (labels >= high))
+    bad = np.flatnonzero((labels < 0) | (labels >= 2))
     if len(bad):
         row = bad[0]
-        allowed = ">= 0" if n_classes is None else f"in [0, {n_classes})"
         raise ValueError(
-            f"row {row} (id {dataset.ids[row]}): label y={labels[row]} must be {allowed}"
+            f"row {row} (id {dataset.ids[row]}): label y={labels[row]} must be in [0, 2)"
         )
 
 
-def save_dataset(dataset: Dataset, csv_path, sidecar_json_path=None) -> None:
+def save_dataset(dataset: Dataset, csv_path, sidecar_path=None) -> None:
     """CSV with header id,y,clean_label,true_quadrant,x0,x1,..., one x
-    column per column of X; the spec is echoed to a sidecar JSON, which a
-    dataset without a spec cannot have."""
-    if sidecar_json_path is not None and dataset.spec is None:
+    column per column of X; the spec is echoed for people to a sidecar JSON
+    (which `load_dataset` never reads) that a spec-less dataset cannot have."""
+    if sidecar_path is not None and dataset.spec is None:
         raise ValueError("dataset has no GenSpec to write to a sidecar")
     xcols = [f"x{j}" for j in range(dataset.X.shape[1])]
     with open(csv_path, "w", newline="") as fh:
@@ -147,8 +145,8 @@ def save_dataset(dataset: Dataset, csv_path, sidecar_json_path=None) -> None:
                 *[map(repr, column) for column in dataset.X.T.tolist()],
             )
         )
-    if sidecar_json_path is not None:
-        with open(sidecar_json_path, "w") as fh:
+    if sidecar_path is not None:
+        with open(sidecar_path, "w") as fh:
             json.dump(asdict(dataset.spec), fh, indent=1)
 
 
@@ -166,15 +164,11 @@ def _parse_column(path, name, cells, parse, dtype) -> np.ndarray:
         raise
 
 
-def load_dataset(csv_path, sidecar_json_path=None) -> Dataset:
-    """The dataset written by `save_dataset`, read column by column; its
-    spec comes from the sidecar, or is None without one.  A malformed file
-    raises a ValueError naming the row (counted from 0 after the header)
-    or the column."""
-    spec = None
-    if sidecar_json_path is not None:
-        with open(sidecar_json_path) as fh:
-            spec = GenSpec(**json.load(fh))
+def load_dataset(csv_path) -> Dataset:
+    """The dataset written by `save_dataset`, read column by column and
+    checked by `check_dataset`; its spec is None.  A malformed file raises a
+    ValueError naming the row (counted from 0 after the header) or the
+    column."""
     with open(csv_path) as fh:
         header, *lines = fh.read().splitlines() or [""]
     if not lines:
@@ -204,7 +198,6 @@ def load_dataset(csv_path, sidecar_json_path=None) -> Dataset:
         labels=parse("y", int, np.int64),
         clean_label=parse("clean_label", int, np.int64),
         tag=np.array(columns["true_quadrant"]),
-        spec=spec,
     )
     check_dataset(dataset)
     return dataset

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -73,24 +73,17 @@ def median(x: np.ndarray) -> float:
     return m
 
 
-def quadrant_classify(
-    losses,
-    uncertainties,
-    thresholds: Optional[Tuple[float, float]] = None,
-) -> np.ndarray:
-    """HH/LH/LL/HL of each row by (uncertainty, loss) against the given
-    (u_split, l_split) thresholds; defaults are the dataset medians.
-    'High' means strictly above the threshold, so a degenerate dataset with
-    all values equal classifies as all-LL."""
+def quadrant_classify(losses, uncertainties) -> np.ndarray:
+    """HH/LH/LL/HL of each row by (uncertainty, loss) against the dataset
+    medians of each.  'High' means strictly above the median, so a
+    degenerate dataset with all values equal classifies as all-LL."""
     l = np.asarray(losses, dtype=np.float64)
     u = np.asarray(uncertainties, dtype=np.float64)
     if len(l) == 0:
         raise ValueError("no difficulty scores to classify")
     if len(l) != len(u):
         raise ValueError("loss and uncertainty lengths differ")
-    if thresholds is None:
-        thresholds = (median(u), median(l))
-    u_split, l_split = thresholds
+    u_split, l_split = median(u), median(l)
     if not (math.isfinite(u_split) and math.isfinite(l_split)):
         raise ValueError("thresholds must be finite")
     hi_l = l > l_split

@@ -116,24 +116,23 @@ class ExperimentConfig:
                 key, _, raw = line.partition("=")
                 values[key.strip()] = raw.strip()
         values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls.from_strings(values)
-
-    @classmethod
-    def from_strings(cls, values: Dict[str, object]) -> "ExperimentConfig":
-        kwargs = {
-            name: _cast(cls, name, values[name])
-            for name in cls.__dataclass_fields__
-            if name in values
-        }
-        unknown = set(values) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**kwargs)
+        return from_strings(cls, values)
 
     def write_resolved(self, path) -> None:
         with open(path, "w") as fh:
             for key, value in sorted(asdict(self).items()):
                 fh.write(f"{key}={value}\n")
+
+
+def from_strings(cls, values: Dict[str, object]):
+    """The dataclass ``cls`` (`ExperimentConfig` or `GenSpec`) of ``values``,
+    strings cast to their fields' types, with errors naming the field."""
+    fields = cls.__dataclass_fields__
+    kwargs = {name: _cast(cls, name, values[name]) for name in fields if name in values}
+    unknown = set(values) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return cls(**kwargs)
 
 
 def _cast(cls, name: str, value) -> object:
@@ -227,7 +226,7 @@ class _Run:
     def _score(self, epoch: int):
         """Loss (and, when needed, uncertainty) of every row, kept as the
         next row of the score table."""
-        losses, _ = self.model.batch_losses(self.X, self.labels, self.cfg.loss_kind)
+        losses = self.model.batch_losses(self.X, self.labels, self.cfg.loss_kind)
         uncertainties = None
         k = self.n_scored
         self.score_epochs[k] = epoch
@@ -280,7 +279,7 @@ class _Run:
         return scheduler.random_plan(len(self.ids), cfg.batch_size, self._epoch_rng(epoch))
 
     def _recalls(self):
-        _, _, Y = self.model.forward_batch(self.X)
+        Y = self.model.forward_batch(self.X)
         if self.cfg.head == "sigmoid":
             pred = (Y[:, 0] > 0.5).astype(np.int64)
         else:
@@ -403,15 +402,9 @@ def _train(runs: List[_Run]) -> Dict[_Run, Exception]:
     return failed
 
 
-def load_data(path: str) -> Dataset:
-    """The dataset CSV at ``path``, with its ``.json`` sidecar if present."""
-    sidecar = Path(path).with_suffix(".json")
-    return load_dataset(path, sidecar if sidecar.exists() else None)
-
-
 def _start(cfg: ExperimentConfig, dataset: Dataset) -> _Run:
-    # both heads classify two classes: sigmoid with one output, softmax with two
-    check_dataset(dataset, n_classes=2)
+    # an in-memory dataset has not passed `load_dataset`'s check
+    check_dataset(dataset)
     outdir = resolve_outdir(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     return _Run(cfg, dataset, outdir)
@@ -419,7 +412,7 @@ def _start(cfg: ExperimentConfig, dataset: Dataset) -> _Run:
 
 def run(cfg: ExperimentConfig, dataset: Optional[Dataset] = None) -> Path:
     """Execute one training run; returns the run directory."""
-    one = _start(cfg, dataset if dataset is not None else load_data(cfg.dataset))
+    one = _start(cfg, dataset if dataset is not None else load_dataset(cfg.dataset))
     exc = _train([one]).get(one)
     if exc is not None:
         raise exc
@@ -491,7 +484,7 @@ def compare(
                 variant = replace(cfg, seed=seed, outdir=str(outdir))
                 ds = dataset if dataset is not None else loaded.get(variant.dataset)
                 if ds is None:
-                    ds = loaded[variant.dataset] = load_data(variant.dataset)
+                    ds = loaded[variant.dataset] = load_dataset(variant.dataset)
                 one = _start(variant, ds)
             except Exception as exc:  # noqa: BLE001 - cell failures are recorded
                 cells[label][seed] = {"error": _error(exc)}

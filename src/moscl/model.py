@@ -57,20 +57,20 @@ class MlpModel:
 
     # -- forward -----------------------------------------------------------
 
-    def forward_batch(self, X: np.ndarray):
-        """Vectorized unperturbed forward; returns (F, Z, Y_hat) arrays."""
+    def forward_batch(self, X: np.ndarray) -> np.ndarray:
+        """Vectorized unperturbed forward; returns the predictions Y_hat."""
         X = np.asarray(X, dtype=np.float64)
         return kernels.forward(
             self.W1, self.b1, self.W2, self.b2, X, self.activation, self.head
-        )[1:]
+        )[3]
 
     def batch_losses(self, X: np.ndarray, labels: np.ndarray, loss_kind: str = "mse"):
-        """Per-sample losses and predictions over a dataset matrix."""
+        """Per-sample losses over a dataset matrix."""
         if loss_kind not in LOSSES:  # the kernels would run it as CE
             raise ValueError(f"unknown loss_kind {loss_kind!r}")
-        _, _, Y = self.forward_batch(X)
+        Y = self.forward_batch(X)
         labels = np.asarray(labels, dtype=np.int64)
-        return kernels.loss_batch(Y, labels, self.head, loss_kind), Y
+        return kernels.loss_batch(Y, labels, self.head, loss_kind)
 
     # -- gradients ---------------------------------------------------------
 

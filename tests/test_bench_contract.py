@@ -75,9 +75,10 @@ def test_traced_round_computes_every_counter(tmp_path, capsys, monkeypatch):
     # every scoring call below scores all 24 rows with the default G and H
     defaults = experiment.ExperimentConfig()
     n, g, h = len(dataset), defaults.G, defaults.hidden_dim
-    assert cli.build_parser().parse_args(
+    resolved = cli._settings(cli.build_parser().parse_args(
         ["score", "--dataset", "d", "--checkpoint", "c", "--out", "o"]
-    ).G == g
+    ))
+    assert (resolved.G, resolved.gamma, resolved.seed) == (g, defaults.gamma, defaults.seed)
     monkeypatch.setattr(uncertainty, "BLOCK_VALUES", 5 * g * h)
     tracer = tracing.Tracer()
     tracer.install()

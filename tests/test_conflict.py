@@ -166,7 +166,7 @@ class TestReportFiles:
 def _reference_report(model, X, y, ids, seed):
     """The pairwise loop over single-sample gradients the batched report
     must reproduce: (pairs, rho)."""
-    per_loss, _ = model.batch_losses(X, y)
+    per_loss = model.batch_losses(X, y)
     grads, losses = {}, {}
     for row in np.argsort(ids):
         sid = int(ids[row])

@@ -1,5 +1,6 @@
+import json
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -73,8 +74,10 @@ class TestGenerate:
         ds = generate(spec)
         csv_path = tmp_path / "data.csv"
         save_dataset(ds, csv_path, tmp_path / "data.json")
-        loaded = load_dataset(csv_path, tmp_path / "data.json")
-        assert loaded.spec == spec
+        # the sidecar records the spec for people; the reader leaves it
+        assert json.loads((tmp_path / "data.json").read_text()) == asdict(spec)
+        loaded = load_dataset(csv_path)
+        assert loaded.spec is None
         assert np.array_equal(loaded.X, ds.X)
         assert np.array_equal(loaded.labels, ds.labels)
         assert loaded.tag.tolist() == ds.tag.tolist()
@@ -165,8 +168,10 @@ class TestColumns:
         with tempfile.TemporaryDirectory() as tmp:
             data = Path(tmp) / "data.csv"
             save_dataset(ds, data, data.with_suffix(".json"))
-            loaded = load_dataset(data, data.with_suffix(".json"))
-        assert loaded.spec == ds.spec
+            sidecar = json.loads(data.with_suffix(".json").read_text())
+            loaded = load_dataset(data)
+        assert sidecar == asdict(spec)
+        assert loaded.spec is None
         for name in ("ids", "X", "labels", "clean_label", "tag"):
             got, want = getattr(loaded, name), getattr(ds, name)
             assert got.shape == want.shape, name
@@ -227,7 +232,7 @@ class TestLoadDataset:
 
     def test_negative_label_named(self, tmp_path):
         path = _write(tmp_path / "d.csv", self.HEADER + "0,-1,0,LL,0.1,0.2\n")
-        with pytest.raises(ValueError, match=r"row 0 \(id 0\): label y=-1 must be >= 0"):
+        with pytest.raises(ValueError, match=r"row 0 \(id 0\): label y=-1 must be in \[0, 2\)"):
             load_dataset(path)
 
     def test_wide_csv_without_sidecar(self, tmp_path):
@@ -261,10 +266,8 @@ class TestCheckDataset:
         ds = generate(GenSpec(n_total=20, seed=2))
         labels = ds.labels.copy()
         labels[6] = 2
-        bad = replace(ds, labels=labels)
-        check_dataset(bad)
         with pytest.raises(ValueError, match=r"row 6 \(id 6\): label y=2 must be in \[0, 2\)"):
-            check_dataset(bad, n_classes=2)
+            check_dataset(replace(ds, labels=labels))
 
     def test_column_lengths_checked(self):
         ds = generate(GenSpec(n_total=20, seed=2))

@@ -144,7 +144,7 @@ class TestQuadrants:
 
     def test_grid_around_medians(self):
         losses, us = self._scores((0.9, 0.9), (0.1, 0.9), (0.1, 0.1), (0.9, 0.1))
-        q = quadrant_classify(losses, us, thresholds=(0.5, 0.5))
+        q = quadrant_classify(losses, us)
         assert _by_id(range(4), q) == {0: "HH", 1: "LH", 2: "LL", 3: "HL"}
 
     def test_degenerate_all_equal_is_LL(self):
@@ -157,8 +157,6 @@ class TestQuadrants:
         assert _by_id(range(4), q) == {0: "HH", 1: "LH", 2: "LL", 3: "HL"}
 
     def test_bad_thresholds(self):
-        with pytest.raises(ValueError):
-            quadrant_classify([1.0], [1.0], thresholds=(float("nan"), 0.0))
         # a NaN score is not classed low: its column's median is NaN
         with pytest.raises(ValueError, match="thresholds must be finite"):
             quadrant_classify([1.0, 2.0, 3.0], [float("nan"), 1.0, 2.0])
@@ -168,9 +166,12 @@ class TestQuadrants:
                     min_size=1, max_size=49))
     def test_default_thresholds_are_the_middles_of_the_sorted_scores(self, rows):
         losses, us = self._scores(*rows)
-        thresholds = (_exact_middle(us), _exact_middle(losses))
-        assert (quadrant_classify(losses, us).tolist()
-                == quadrant_classify(losses, us, thresholds=thresholds).tolist())
+        u_split, l_split = _exact_middle(us), _exact_middle(losses)
+        want = [
+            ("H" if u > u_split else "L") + ("H" if l > l_split else "L")
+            for l, u in zip(losses, us)
+        ]
+        assert quadrant_classify(losses, us).tolist() == want
 
     def test_middles_whose_sum_overflows(self):
         q = quadrant_classify([1e308, 1e308], [1.0, 2.0])

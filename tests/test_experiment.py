@@ -308,7 +308,7 @@ def test_final_metrics_names_a_metrics_file_without_epoch_rows(tmp_path):
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
-        ExperimentConfig.from_strings({"scheduler": "mixed", "typo_key": "1"})
+        experiment.from_strings(ExperimentConfig, {"scheduler": "mixed", "typo_key": "1"})
 
 
 def test_config_from_file_casts_and_overrides(tmp_path):

@@ -408,9 +408,10 @@ class TestConfigValidation:
             self._check(tmp_path_factory.mktemp("gamma"), capsys, bad, message)
 
     def test_paper_defaults(self):
-        args = cli.build_parser().parse_args(
+        # the settings `score` resolves when no flag names them
+        cfg = cli._settings(cli.build_parser().parse_args(
             ["score", "--dataset", "d.csv", "--checkpoint", "c.json", "--out", "s.json"]
-        )
-        assert (args.G, args.gamma, args.seed) == (8, 0.3, 0)
+        ))
+        assert (cfg.G, cfg.gamma, cfg.seed) == (8, 0.3, 0)
         defaults = ExperimentConfig()
-        assert (args.G, args.gamma, args.seed) == (defaults.G, defaults.gamma, defaults.seed)
+        assert (cfg.G, cfg.gamma, cfg.seed) == (defaults.G, defaults.gamma, defaults.seed)
