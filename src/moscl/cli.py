@@ -3,8 +3,8 @@
 Subcommands: gen-data, train, score, compare, export-scatter,
 analyze-conflicts.  A failure, a malformed flag value included, exits 1
 with an error JSON on stderr; a missing or unknown flag exits 2 with
-argparse's usage text.
-The MOSCL_OUTPUT_ROOT environment variable prefixes relative output paths.
+argparse's usage text.  The MOSCL_OUTPUT_ROOT environment variable
+prefixes relative output paths.
 """
 
 from __future__ import annotations
