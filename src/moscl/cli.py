@@ -55,11 +55,25 @@ def _load_dataset_and_checkpoint(args):
     return dataset, model
 
 
+def _out_paths(out: str, suffix: str):
+    """``--out`` and the path beside it with ``suffix``, which the command
+    also writes: they must differ, or the second file would overwrite the
+    first."""
+    out = Path(out)
+    beside = out.with_suffix(suffix)
+    if beside == out:
+        raise ValueError(
+            f"--out {str(out)!r} ends in {suffix}, the suffix of the file written "
+            "beside it; give --out another suffix"
+        )
+    return out, beside
+
+
 def cmd_gen_data(args) -> None:
     spec = _settings(args)
-    out = Path(args.out)
+    out, sidecar = _out_paths(args.out, ".json")
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_dataset(generate(spec), out, out.with_suffix(".json"))
+    save_dataset(generate(spec), out, sidecar)
     print(out)
 
 
@@ -72,16 +86,14 @@ def cmd_score(args) -> None:
     """Score a dataset with a saved checkpoint: losses, uncertainties, and
     the rank-fused difficulty CSV."""
     cfg = _settings(args)
+    out, difficulty_csv = _out_paths(args.out, ".csv")
     dataset, model = _load_dataset_and_checkpoint(args)
     X, ids = dataset.X, dataset.ids
     losses = model.batch_losses(X, dataset.labels, cfg.loss_kind)
     us = uncertainty.batch_score_uncertainty(model, X, ids, cfg.G, cfg.gamma, cfg.seed)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     uncertainty.dump_scores(out, ids, losses, us)
-    difficulty.dump_difficulty_csv(
-        out.with_suffix(".csv"), difficulty.fuse_ranks(losses, us, ids)
-    )
+    difficulty.dump_difficulty_csv(difficulty_csv, difficulty.fuse_ranks(losses, us, ids))
     print(out)
 
 

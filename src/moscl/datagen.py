@@ -97,8 +97,8 @@ def generate(spec: GenSpec) -> Dataset:
 
 def check_dataset(dataset: Dataset) -> None:
     """Every column has one entry per row, ids are unique, features are
-    finite and labels are 0 or 1, since both heads classify two classes.  A
-    ValueError names the first offending row and field."""
+    finite and labels are 0 or 1, the two classes of the model's one sigmoid
+    output.  A ValueError names the first offending row and field."""
     n, X = len(dataset.ids), dataset.X
     if n == 0 or X.ndim != 2:
         raise ValueError(f"{n} ids and X of shape {X.shape}: need rows and (N, dim) features")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import difficulty, scheduler, uncertainty
 from .datagen import Dataset, check_dataset, load_dataset
-from .kernels import ACTIVATIONS, HEADS, LOSSES
+from .kernels import ACTIVATIONS, LOSSES
 from .model import MlpModel
 from . import kernels
 
@@ -51,7 +51,6 @@ class ExperimentConfig:
     lr: float = 0.1
     hidden_dim: int = 8
     activation: str = "tanh"
-    head: str = "sigmoid"
     loss_kind: str = "mse"
     G: int = 8
     gamma: float = 0.3
@@ -83,9 +82,7 @@ class ExperimentConfig:
             raise ValueError("hidden_dim must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        for name, known in (
-            ("activation", ACTIVATIONS), ("head", HEADS), ("loss_kind", LOSSES)
-        ):
+        for name, known in (("activation", ACTIVATIONS), ("loss_kind", LOSSES)):
             if getattr(self, name) not in known:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         if not 0.0 < self.ohem_ratio <= 1.0:
@@ -159,7 +156,6 @@ LOCKSTEP_FIELDS = (
     "batch_size",
     "hidden_dim",
     "activation",
-    "head",
     "loss_kind",
     "lr",
     "total_epochs",
@@ -188,9 +184,7 @@ class _Run:
         self.model = MlpModel(
             input_dim=self.X.shape[1],
             hidden_dim=cfg.hidden_dim,
-            out_dim=1 if cfg.head == "sigmoid" else 2,
             activation=cfg.activation,
-            head=cfg.head,
             seed=cfg.seed,
         )
         self.scored = cfg.scheduler != "random"
@@ -214,9 +208,10 @@ class _Run:
         self.last_mean_uncertainty: Optional[float] = None
         self.metrics_rows: List[list] = []
         self.timing_rows: List[list] = []
-        # a run owns its dir's score files: none may survive from an earlier
-        # run, nor the per-epoch JSON files that older runs wrote
-        for stale in [outdir / "scores.npz", *outdir.glob("scores_epoch*.json")]:
+        # a run owns its dir's score files and checkpoint: none may survive
+        # from an earlier run, nor the per-epoch JSON files older runs wrote
+        owned = [outdir / "scores.npz", outdir / "checkpoint.json"]
+        for stale in [*owned, *outdir.glob("scores_epoch*.json")]:
             stale.unlink(missing_ok=True)
         cfg.write_resolved(outdir / "config_resolved.txt")
 
@@ -279,11 +274,7 @@ class _Run:
         return scheduler.random_plan(len(self.ids), cfg.batch_size, self._epoch_rng(epoch))
 
     def _recalls(self):
-        Y = self.model.forward_batch(self.X)
-        if self.cfg.head == "sigmoid":
-            pred = (Y[:, 0] > 0.5).astype(np.int64)
-        else:
-            pred = Y.argmax(axis=1)
+        pred = (self.model.forward_batch(self.X)[:, 0] > 0.5).astype(np.int64)
         recalls = {}
         for c in (0, 1):
             mask = self.labels == c
@@ -385,7 +376,7 @@ def _train(runs: List[_Run]) -> Dict[_Run, Exception]:
             visit_losses = kernels.sgd_epochs(
                 W1, b1, W2, b2, first.X, first.labels,
                 [run.plan.order for run in stacked], cfg.batch_size, weights, cfg.lr,
-                cfg.activation, cfg.head, cfg.loss_kind,
+                cfg.activation, cfg.loss_kind,
             )
             train_s = time.perf_counter() - t1
             by_run = dict(zip(stacked, visit_losses))

@@ -10,11 +10,12 @@ import math
 import numpy as np
 
 from . import kernels
-from .kernels import ACTIVATIONS, HEADS, LOSSES
+from .kernels import ACTIVATIONS, LOSSES
 
 
 class MlpModel:
-    """input -> hidden (tanh or relu) -> linear head (sigmoid or softmax).
+    """input -> hidden (tanh or relu) -> one linear output through a sigmoid,
+    the binary classifier's p(y = 1).
 
     Parameters are initialized uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)]
     from the given seed.
@@ -24,26 +25,21 @@ class MlpModel:
         self,
         input_dim: int,
         hidden_dim: int,
-        out_dim: int = 1,
         activation: str = "tanh",
-        head: str = "sigmoid",
         seed: int = 0,
     ):
-        if head == "sigmoid" and out_dim != 1:
-            raise ValueError("sigmoid head requires out_dim=1")
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        if head not in HEADS:
-            raise ValueError(f"unknown head {head!r}")
         self.activation = activation
-        self.head = head
         rng = np.random.default_rng(seed)
         s1 = 1.0 / np.sqrt(input_dim)
         s2 = 1.0 / np.sqrt(hidden_dim)
         self.W1 = rng.uniform(-s1, s1, (hidden_dim, input_dim))
         self.b1 = rng.uniform(-s1, s1, hidden_dim)
-        self.W2 = rng.uniform(-s2, s2, (out_dim, hidden_dim))
-        self.b2 = rng.uniform(-s2, s2, out_dim)
+        # W2 (1, H), not (H,): numpy multiplies by a vector on its
+        # matrix-vector path, whose rounding differs from the matrix product
+        self.W2 = rng.uniform(-s2, s2, (1, hidden_dim))
+        self.b2 = rng.uniform(-s2, s2, 1)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -51,18 +47,12 @@ class MlpModel:
     def hidden_dim(self) -> int:
         return self.W1.shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.W2.shape[0]
-
     # -- forward -----------------------------------------------------------
 
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
         """Vectorized unperturbed forward; returns the predictions Y_hat."""
         X = np.asarray(X, dtype=np.float64)
-        return kernels.forward(
-            self.W1, self.b1, self.W2, self.b2, X, self.activation, self.head
-        )[3]
+        return kernels.forward(self.W1, self.b1, self.W2, self.b2, X, self.activation)[3]
 
     def batch_losses(self, X: np.ndarray, labels: np.ndarray, loss_kind: str = "mse"):
         """Per-sample losses over a dataset matrix."""
@@ -70,7 +60,7 @@ class MlpModel:
             raise ValueError(f"unknown loss_kind {loss_kind!r}")
         Y = self.forward_batch(X)
         labels = np.asarray(labels, dtype=np.int64)
-        return kernels.loss_batch(Y, labels, self.head, loss_kind)
+        return kernels.loss_batch(Y, labels, loss_kind)
 
     # -- gradients ---------------------------------------------------------
 
@@ -83,12 +73,10 @@ class MlpModel:
         X = np.asarray(X, dtype=np.float64)
         if loss_kind not in LOSSES:  # the kernels would run it as CE
             raise ValueError(f"unknown loss_kind {loss_kind!r}")
-        Fpre, F, _, Y = kernels.forward(
-            self.W1, self.b1, self.W2, self.b2, X, self.activation, self.head
-        )
+        Fpre, F, _, Y = kernels.forward(self.W1, self.b1, self.W2, self.b2, X, self.activation)
         labels = np.asarray(labels, dtype=np.int64)
         dz, dFpre = kernels.backward(
-            self.W2, Fpre, F, Y, labels, np.ones(len(X)), self.activation, self.head, loss_kind
+            self.W2, Fpre, F, Y, labels, np.ones(len(X)), self.activation, loss_kind
         )
         dW1 = (dFpre[:, :, None] * X[:, None, :]).reshape(len(X), -1)
         dW2 = (dz[:, :, None] * F[:, None, :]).reshape(len(X), -1)
@@ -103,8 +91,9 @@ class MlpModel:
     # -- checkpointing -----------------------------------------------------
 
     def to_checkpoint(self) -> dict:
-        """JSON-serializable checkpoint: named row-major arrays with shapes."""
-        out = {"activation": self.activation, "head": self.head, "params": {}}
+        """JSON-serializable checkpoint: named row-major arrays with shapes.
+        Its ``head`` key is always "sigmoid", the one output the model has."""
+        out = {"activation": self.activation, "head": "sigmoid", "params": {}}
         for name in ("W1", "b1", "W2", "b2"):
             arr = getattr(self, name)
             out["params"][name] = {
@@ -120,16 +109,16 @@ class MlpModel:
     @classmethod
     def from_checkpoint(cls, doc: dict) -> "MlpModel":
         """Model from a `to_checkpoint` document.  A missing key, an unknown
-        activation or head, a ``data`` length other than prod(shape), or
-        shapes that disagree raise ValueError naming the field."""
+        activation, a head other than sigmoid, a ``data`` length other than
+        prod(shape), or shapes that disagree (a W2 of more than one row
+        included) raise ValueError naming the field."""
         model = cls.__new__(cls)
-        for key, known in (("activation", ACTIVATIONS), ("head", HEADS)):
-            value = _field(doc, key, key)
-            if value not in known:
-                raise ValueError(f"checkpoint {key}: unknown {value!r}")
-            setattr(model, key, value)
+        for key, known in (("activation", ACTIVATIONS), ("head", ("sigmoid",))):
+            if _field(doc, key, key) not in known:
+                raise ValueError(f"checkpoint {key}: unknown {doc[key]!r}")
+        model.activation = doc["activation"]
         params = _field(doc, "params", "params")
-        sizes = {}  # axis name -> size, first seen
+        sizes = {"1": 1}  # axis name -> size, first seen
         for name, axes in _PARAM_AXES.items():
             where = f"params.{name}"
             entry = _field(params, name, where)
@@ -142,11 +131,9 @@ class MlpModel:
             ):
                 raise ValueError(
                     f"checkpoint {where}: shape {shape} disagrees with "
-                    f"W1 (H, d), b1 (H,), W2 (C, H), b2 (C,)"
+                    f"W1 (H, d), b1 (H,), W2 (1, H), b2 (1,)"
                 )
             setattr(model, name, np.asarray(data, dtype=np.float64).reshape(shape))
-        if model.head == "sigmoid" and model.out_dim != 1:
-            raise ValueError("checkpoint params.W2: sigmoid head requires out_dim 1")
         return model
 
     @classmethod
@@ -155,8 +142,9 @@ class MlpModel:
             return cls.from_checkpoint(json.load(fh))
 
 
-# Checkpoint arrays and the size behind each axis: H hidden, d input, C out.
-_PARAM_AXES = {"W1": "Hd", "b1": "H", "W2": "CH", "b2": "C"}
+# Checkpoint arrays and the size behind each axis: H hidden, d input, and
+# the one output.
+_PARAM_AXES = {"W1": "Hd", "b1": "H", "W2": "1H", "b2": "1"}
 
 
 def _field(doc, key, where):

@@ -41,14 +41,6 @@ def check_scoring(G: int, gamma: float) -> None:
         raise ValueError("gamma must be >= 0")
 
 
-def _mean_entropy(P: np.ndarray, head: str) -> np.ndarray:
-    """Uncertainty per row of the (N, C) mean predictions."""
-    if head == "sigmoid":
-        return entropy(P[:, 0])
-    # multi-class extension: sum the per-component entropy terms
-    return entropy(P).sum(axis=1)
-
-
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the stream increment and
 # the two multipliers of its output finalizer.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -172,13 +164,13 @@ def batch_score_uncertainty(
         X, keys = np.repeat(X, 2, axis=0), np.repeat(keys, 2)
     shape = (G, model.hidden_dim)
     m = math.prod(shape)
-    P = np.empty((len(X), model.out_dim))
+    P = np.empty((len(X), 1))
     for at in _row_blocks(len(X), max(2, BLOCK_VALUES // m)):
         T = _draw(keys[at], m, gamma).reshape((-1, *shape))
         P[at] = kernels.mean_perturbed_predictions(
-            model.W1, model.b1, model.W2, model.b2, X[at], T, model.activation, model.head
+            model.W1, model.b1, model.W2, model.b2, X[at], T, model.activation
         )
-    return _mean_entropy(P[:n], model.head)
+    return entropy(P[:n, 0])
 
 
 def json_records(columns: dict) -> str:

@@ -23,7 +23,7 @@ from moscl.uncertainty import entropy
 def prob(model, x) -> float:
     """The sigmoid prediction for the one sample ``x``: `kernels.forward` of one row."""
     params = (model.W1, model.b1, model.W2, model.b2)
-    y_hat = kernels.forward(*params, np.asarray(x)[None], model.activation, model.head)[3]
+    y_hat = kernels.forward(*params, np.asarray(x)[None], model.activation)[3]
     return float(y_hat[0, 0])
 
 
@@ -105,11 +105,9 @@ def grad_wrt_prediction(y: int, y_hat: float) -> float:
     return 2.0 * (y_hat - y)
 
 
-def grad_wrt_latent(y: int, y_hat: float, head: str = "sigmoid") -> float:
+def grad_wrt_latent(y: int, y_hat: float) -> float:
     """Closed-form dL/dz for the sigmoid+MSE model:
     -2*y_hat*(1-y_hat)^2 when y=1, +2*y_hat^2*(1-y_hat) when y=0."""
-    if head != "sigmoid":
-        raise ValueError("closed form is sigmoid-specific")
     if y == 1:
         return -2.0 * y_hat * (1.0 - y_hat) ** 2
     if y == 0:

@@ -60,7 +60,7 @@ def test_criterion_01_zero_gamma_uncertainty_equals_loss_entropy():
 def test_criterion_02_latent_gradient_closed_form_and_scale():
     m = MlpModel(2, 4, seed=5)
     x = np.array([0.3, -0.7])
-    f = kernels.forward(m.W1, m.b1, m.W2, m.b2, x[None], m.activation, m.head)[1][0]
+    f = kernels.forward(m.W1, m.b1, m.W2, m.b2, x[None], m.activation)[1][0]
     worst_bp, worst_scale = 0.0, 0.0
     for p in np.linspace(0.01, 0.99, 99):
         m.b2[0] = np.log(p / (1.0 - p)) - float((m.W2 @ f)[0])
@@ -212,7 +212,7 @@ def _train_random(dataset, seed, lr=0.1, max_epochs=500):
         order = plan.order
         raw = kernels.sgd_epoch(
             m.W1, m.b1, m.W2, m.b2,
-            dataset.X, dataset.labels, order, 2, weights, lr, m.activation, m.head, "mse",
+            dataset.X, dataset.labels, order, 2, weights, lr, m.activation, "mse",
         )
         losses.append(float(np.mean(raw)))
         if has_converged(losses):

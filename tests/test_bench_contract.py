@@ -93,7 +93,7 @@ def test_traced_round_computes_every_counter(tmp_path, capsys, monkeypatch):
         m = MlpModel(2, 4, seed=0)
         kernels.sgd_epoch(m.W1, m.b1, m.W2, m.b2, dataset.X, dataset.labels,
                           np.arange(len(dataset)), 2, np.ones(len(dataset)), 0.1,
-                          m.activation, m.head, "mse")
+                          m.activation, "mse")
         ckpt = str(tmp_path / "cmp" / "mixed_seed0" / "checkpoint.json")
         scores = str(tmp_path / "scores.json")
         codes = [cli.main(argv) for argv in (

@@ -96,3 +96,24 @@ def test_settings_flags_declare_neither_type_nor_default():
                 )
                 checked.add(command)
     assert checked == {"gen-data", "train", "score", "compare", "analyze-conflicts"}
+
+
+@pytest.mark.parametrize("command,out_name,extra", [
+    # the dataset's sidecar is --out with suffix .json
+    ("gen-data", "d.json", ["--n-total", "20"]),
+    # the difficulty CSV is --out with suffix .csv
+    ("score", "s.csv", []),
+], ids=["gen-data", "score"])
+def test_out_that_is_its_own_sidecar_is_rejected_before_writing(
+    tmp_path, capsys, command, out_name, extra
+):
+    data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt.json"
+    save_dataset(generate(GenSpec(n_total=20, minority_fraction=0.25, seed=3)), data)
+    MlpModel(2, 8, seed=0).save(ckpt)
+    out = tmp_path / "out" / out_name
+    inputs = ["--dataset", str(data), "--checkpoint", str(ckpt)] if command == "score" else []
+    assert cli.main([command, "--out", str(out)] + inputs + extra) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and err["message"].startswith(f"--out {str(out)!r}")
+    assert not out.parent.exists()
+

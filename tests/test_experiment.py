@@ -113,7 +113,7 @@ def test_cli_train_rejects_bad_config_field_before_writing(
     assert not run_dir.exists()
 
 
-@pytest.mark.parametrize("field", ["activation", "head", "loss_kind"])
+@pytest.mark.parametrize("field", ["activation", "loss_kind"])
 def test_cli_train_rejects_unknown_model_field_before_writing(
     tmp_path, small_dataset, capsys, field
 ):
@@ -135,6 +135,8 @@ def test_cli_train_rejects_unknown_model_field_before_writing(
     ("config", "lr=fast", "lr must be float, got 'fast'"),
     # a config_resolved.txt of a run from before sp_regularizer was dropped
     ("config", "sp_regularizer=hard", "unknown config keys: ['sp_regularizer']"),
+    # and of a run from before the model lost its softmax head
+    ("config", "head=sigmoid", "unknown config keys: ['head']"),
 ])
 def test_cli_train_rejects_bad_config_text_before_writing(
     tmp_path, small_dataset, capsys, source, line, message
@@ -193,11 +195,11 @@ def _with_nan_feature(dataset):
 
 BAD_DATA = {
     "label_2_sigmoid": (
-        dict(head="sigmoid"), lambda ds: _with_label(ds, 2),
+        dict(), lambda ds: _with_label(ds, 2),
         "row 4 (id 4): label y=2 must be in [0, 2)",
     ),
-    "label_minus_1_softmax": (
-        dict(head="softmax", loss_kind="ce"), lambda ds: _with_label(ds, -1),
+    "label_minus_1": (
+        dict(loss_kind="ce"), lambda ds: _with_label(ds, -1),
         "row 4 (id 4): label y=-1 must be",
     ),
     "nan_feature": (
@@ -230,7 +232,7 @@ def test_cli_train_rejects_bad_rows_before_writing(tmp_path, small_dataset, caps
 
 
 @pytest.mark.parametrize("command", ["score", "analyze-conflicts"])
-@pytest.mark.parametrize("case", ["label_2", "loss_kind", "seed", "width"])
+@pytest.mark.parametrize("case", ["label_2", "loss_kind", "seed", "width", "softmax_head"])
 def test_cli_score_and_analyze_reject_bad_input_before_writing(
     tmp_path, small_dataset, capsys, command, case
 ):
@@ -240,6 +242,12 @@ def test_cli_score_and_analyze_reject_bad_input_before_writing(
     ckpt = tmp_path / "ckpt.json"
     # the dataset has 2 features per row
     MlpModel(3 if case == "width" else 2, 8, seed=0).save(ckpt)
+    if case == "softmax_head":
+        doc = json.loads(ckpt.read_text())
+        doc["head"] = "softmax"
+        doc["params"].update(W2={"shape": [2, 8], "data": [0.1] * 16},
+                             b2={"shape": [2], "data": [0.0, 0.0]})
+        ckpt.write_text(json.dumps(doc))
     out = tmp_path / "out"
     argv = [command, "--dataset", str(data), "--checkpoint", str(ckpt),
             "--out", str(out / "result.json")]
@@ -256,6 +264,7 @@ def test_cli_score_and_analyze_reject_bad_input_before_writing(
         "loss_kind": "unknown loss_kind 'bogus'",
         "seed": "seed must be >= 0",
         "width": "checkpoint takes 3 input features, dataset has 2",
+        "softmax_head": "checkpoint head: unknown 'softmax'",
     }[case]
     assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
     assert not out.exists()
@@ -292,7 +301,7 @@ def test_compare_records_a_negative_seed_as_its_cells_error(tmp_path, small_data
 # only report of the inf loss
 @pytest.mark.filterwarnings("error")
 def test_final_metrics_names_a_metrics_file_without_epoch_rows(tmp_path):
-    # lr=1e4 with ce saturates the head: the mean loss is inf at epoch 0
+    # lr=1e4 with ce saturates the sigmoid: the mean loss is inf at epoch 0
     dataset = generate(GenSpec(n_total=60))
     cfg = _cfg(tmp_path, name="diverged", lr=1e4, loss_kind="ce")
     with pytest.raises(RuntimeError, match="non-finite mean loss inf at epoch 0"):
@@ -389,6 +398,13 @@ def test_rerun_into_used_dir_leaves_no_stale_scores(tmp_path, small_dataset):
     assert not (again / "scores.npz").exists()
     assert not list(again.glob("scores_epoch*.json"))
     assert (again / "metrics.csv").exists() and (again / "checkpoint.json").exists()
+    # a rerun that fails writes no checkpoint, and leaves none from before
+    # beside its own config_resolved.txt
+    with pytest.raises(RuntimeError, match="non-finite mean loss"):
+        experiment.run(
+            _cfg(tmp_path, name="reused", lr=1e4, loss_kind="ce"), dataset=small_dataset
+        )
+    assert not (again / "checkpoint.json").exists()
 
 
 def test_warmup_epochs_match_random_baseline(tmp_path, small_dataset):

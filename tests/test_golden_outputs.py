@@ -7,12 +7,12 @@ CSV and its sidecar, of every `metrics.csv`, `scores.npz` and
 each.  It also pins each row of every `scores.npz` as the
 `scores_epoch{E}.json` that `dump_scores` writes from it, next to the
 table: the per-boundary files that runs once wrote, so their hashes hold
-across the change of format.  Each compare runs all six schedulers plus the loss-only and
-uncertainty-only difficulty sources on N=60 samples whose ids are sparse
-and shuffled: once tanh-sigmoid-mse at b=2, rescoring every epoch; once
-relu-softmax-ce at b=4, G=4, rescoring every other epoch; and once
-relu-sigmoid-ce at b=2 with G=128 and 16 hidden units, rescoring every
-third epoch, so that uncertainty scoring spans several row blocks.
+across the change of format.  Each compare runs all six schedulers plus
+the loss-only and uncertainty-only difficulty sources on N=60 samples
+whose ids are sparse and shuffled: once tanh-mse at b=2, rescoring every
+epoch; once tanh-ce at b=4, G=4, rescoring every other epoch; and once
+relu-ce at b=2 with G=128 and 16 hidden units, rescoring every third
+epoch, so that uncertainty scoring spans several row blocks.
 
 A change that alters a numeric path on purpose regenerates the file and
 says so in CHANGES.md:
@@ -39,15 +39,14 @@ FIXTURE = Path(__file__).with_name("golden_hashes.json")
 SEEDS = [0, 1]
 CASES = {
     "tanh_sigmoid_mse_b2": dict(
-        batch_size=2, activation="tanh", head="sigmoid", loss_kind="mse", rescore_every=1
+        batch_size=2, activation="tanh", loss_kind="mse", rescore_every=1
     ),
-    "relu_softmax_ce_b4": dict(
-        batch_size=4, G=4, activation="relu", head="softmax", loss_kind="ce", rescore_every=2
+    "tanh_sigmoid_ce_b4": dict(
+        batch_size=4, G=4, activation="tanh", loss_kind="ce", rescore_every=2
     ),
     # G * hidden_dim = 2048 values per sample: scoring spans several row blocks
     "relu_sigmoid_ce_g128_h16": dict(
-        batch_size=2, G=128, hidden_dim=16, activation="relu", head="sigmoid", loss_kind="ce",
-        rescore_every=3,
+        batch_size=2, G=128, hidden_dim=16, activation="relu", loss_kind="ce", rescore_every=3,
     ),
 }
 HASHED = ("metrics.csv", "checkpoint.json", "scores.npz", "scores_epoch*.json")

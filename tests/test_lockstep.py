@@ -13,7 +13,7 @@ from moscl.datagen import GenSpec, generate
 from moscl.experiment import SCHEDULERS, ExperimentConfig
 
 
-def _reference_epoch(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, head, lossk):
+def _reference_epoch(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, lossk):
     """One run's epoch written directly on 2-D arrays, batch by batch."""
     losses = np.empty(len(order))
     for pos in range(0, len(order), bsz):
@@ -22,9 +22,9 @@ def _reference_epoch(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, he
         Xb, lab = X[idx], labels[idx]
         Fpre = Xb @ W1.T + b1
         F = kernels._activate(Fpre, act)
-        Y = kernels._head_np(F @ W2.T + b2, head)
-        losses[pos : pos + n] = kernels.loss_batch(Y, lab, head, lossk)
-        dz = kernels._dloss_dz_np(Y, lab, head, lossk) * weights[idx][:, None]
+        Y = kernels._sigmoid(F @ W2.T + b2)
+        losses[pos : pos + n] = kernels.loss_batch(Y, lab, lossk)
+        dz = kernels._dloss_dz_np(Y, lab, lossk) * weights[idx][:, None]
         dF = dz @ W2
         dFpre = dF * (1.0 - F * F) if act == "tanh" else np.where(Fpre > 0.0, dF, 0.0)
         W2 -= lr / n * (dz.T @ F)
@@ -35,11 +35,11 @@ def _reference_epoch(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, he
 
 
 # indices into the kernels' name tuples, which also seed each case's data
-@pytest.mark.parametrize("a,h,k", list(itertools.product((0, 1), (0, 1), (0, 1))))
-def test_sgd_epochs_matches_separate_runs_bitwise(a, h, k):
-    act, head, lossk = kernels.ACTIVATIONS[a], kernels.HEADS[h], kernels.LOSSES[k]
-    rng = np.random.default_rng(100 + 4 * a + 2 * h + k)
-    N, d, H, C, bsz = 23, 2, 5, 1 if head == "sigmoid" else 2, 4
+@pytest.mark.parametrize("a,k", list(itertools.product((0, 1), (0, 1))))
+def test_sgd_epochs_matches_separate_runs_bitwise(a, k):
+    act, lossk = kernels.ACTIVATIONS[a], kernels.LOSSES[k]
+    rng = np.random.default_rng(100 + 4 * a + k)
+    N, d, H, bsz = 23, 2, 5, 4
     X = rng.normal(size=(N, d))
     labels = rng.integers(0, 2, N).astype(np.int64)
     # unequal lengths: plain, OHEM-like repeats, a short order; N is odd and
@@ -53,21 +53,21 @@ def test_sgd_epochs_matches_separate_runs_bitwise(a, h, k):
     weights = rng.uniform(0.0, 1.0, (S, N))
     params = [
         [rng.uniform(-1, 1, (H, d)), rng.uniform(-1, 1, H),
-         rng.uniform(-1, 1, (C, H)), rng.uniform(-1, 1, C)]
+         rng.uniform(-1, 1, (1, H)), rng.uniform(-1, 1, 1)]
         for _ in range(S)
     ]
     stacked = [np.stack([p[k] for p in params]) for k in range(4)]
     got = kernels.sgd_epochs(
-        *stacked, X, labels, orders, bsz, weights, 0.3, act, head, lossk
+        *stacked, X, labels, orders, bsz, weights, 0.3, act, lossk
     )
     for s in range(S):
         solo = [a.copy() for a in params[s]]
         ref = [a.copy() for a in params[s]]
         solo_losses = kernels.sgd_epoch(
-            *solo, X, labels, orders[s], bsz, weights[s], 0.3, act, head, lossk
+            *solo, X, labels, orders[s], bsz, weights[s], 0.3, act, lossk
         )
         ref_losses = _reference_epoch(
-            *ref, X, labels, orders[s], bsz, weights[s], 0.3, act, head, lossk
+            *ref, X, labels, orders[s], bsz, weights[s], 0.3, act, lossk
         )
         assert np.array_equal(got[s], solo_losses)
         assert np.array_equal(got[s], ref_losses)
@@ -76,23 +76,24 @@ def test_sgd_epochs_matches_separate_runs_bitwise(a, h, k):
             assert np.array_equal(stacked[k][s], ref[k])
 
 
-@pytest.mark.parametrize("h", [0, 1])
-def test_forward_over_run_axis_and_perturbations(h):
-    head = kernels.HEADS[h]
-    rng = np.random.default_rng(7 + h)
-    S, N, G, d, H, C = 3, 6, 4, 2, 5, 1 if head == "sigmoid" else 2
+# an index into kernels.ACTIVATIONS, which also seeds the case's data
+@pytest.mark.parametrize("a", [0, 1])
+def test_forward_over_run_axis_and_perturbations(a):
+    act = kernels.ACTIVATIONS[a]
+    rng = np.random.default_rng(7 + a)
+    S, N, G, d, H = 3, 6, 4, 2, 5
     X = rng.normal(size=(N, d))
     T = rng.uniform(-0.3, 0.3, (N, G, H))
-    stacked = [rng.uniform(-1, 1, shape) for shape in ((S, H, d), (S, H), (S, C, H), (S, C))]
+    stacked = [rng.uniform(-1, 1, shape) for shape in ((S, H, d), (S, H), (S, 1, H), (S, 1))]
     for perturb in (None, T):
-        got = kernels.forward(*stacked, X, "tanh", head, perturb)
+        got = kernels.forward(*stacked, X, act, perturb)
         for s in range(S):
-            solo = kernels.forward(*(a[s] for a in stacked), X, "tanh", head, perturb)
+            solo = kernels.forward(*(p[s] for p in stacked), X, act, perturb)
             for g, o in zip(got, solo):
                 assert np.array_equal(g[s], o)
     _, F, Z, Y = got
-    assert F.shape == (S, N, G, H) and Z.shape == Y.shape == (S, N, G, C)
-    p_bar = kernels.mean_perturbed_predictions(*(a[0] for a in stacked), X, T, "tanh", head)
+    assert F.shape == (S, N, G, H) and Z.shape == Y.shape == (S, N, G, 1)
+    p_bar = kernels.mean_perturbed_predictions(*(p[0] for p in stacked), X, T, act)
     assert np.array_equal(p_bar, Y[0].mean(axis=1))
 
 

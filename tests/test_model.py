@@ -34,7 +34,7 @@ def _forward(m, x, t=None):
     """(f, z, y_hat) of `kernels.forward` over the one sample ``x``, each
     flattened; with a perturbation vector ``t`` the hidden map is f * (1 + t)."""
     T = None if t is None else np.asarray(t, dtype=np.float64)[None, None, :]
-    out = kernels.forward(m.W1, m.b1, m.W2, m.b2, x[None], m.activation, m.head, T)
+    out = kernels.forward(m.W1, m.b1, m.W2, m.b2, x[None], m.activation, T)
     return [a.reshape(-1) for a in out[1:]]
 
 
@@ -56,7 +56,7 @@ class TestForward:
         assert np.allclose(z, m.b2)
 
     def test_perturbed_prediction_within_extremes_1_hidden_unit(self):
-        # monotone-head oracle: with one hidden unit, any perturbation in
+        # monotone-output oracle: with one hidden unit, any perturbation in
         # [-g, g] yields a prediction between the two extreme perturbations
         m = MlpModel(2, 1, seed=3)
         x = np.array([0.5, -0.3])
@@ -69,11 +69,6 @@ class TestForward:
             t = rng.uniform(-g, g, 1)
             p = _forward(m, x, t)[2][0]
             assert lo - 1e-12 <= p <= hi + 1e-12
-
-    def test_softmax_trace_sums_to_one(self):
-        m = MlpModel(3, 4, out_dim=3, head="softmax", seed=0)
-        _, _, y_hat = _forward(m, np.array([0.1, 0.2, -0.5]))
-        assert y_hat.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestPerSampleGradient:
@@ -105,34 +100,35 @@ class TestPerSampleGradient:
             assert np.abs(exact - approx).max() / scale < 1e-5
 
 
-COMBOS = list(itertools.product(("tanh", "relu"), ("sigmoid", "softmax"), ("mse", "ce")))
+# every activation x loss pair of the one-sigmoid-output model
+COMBOS = list(itertools.product(("tanh", "relu"), ("mse", "ce")))
+COMBO_IDS = [f"{activation}-sigmoid-{loss_kind}" for activation, loss_kind in COMBOS]
 
 
-def _combo_case(activation, head, loss_kind, n=7):
+def _combo_case(activation, n=7):
     rng = np.random.default_rng(0)
-    m = MlpModel(3, 5, out_dim=1 if head == "sigmoid" else 2,
-                 activation=activation, head=head, seed=n)
+    m = MlpModel(3, 5, activation=activation, seed=n)
     return m, rng.normal(size=(n, 3)), rng.integers(0, 2, n).astype(np.int64), rng
 
 
 class TestPerSampleGradients:
-    @pytest.mark.parametrize("activation,head,loss_kind", COMBOS)
-    def test_rows_match_single_sample(self, activation, head, loss_kind):
-        m, X, y, _ = _combo_case(activation, head, loss_kind)
+    @pytest.mark.parametrize("activation,loss_kind", COMBOS, ids=COMBO_IDS)
+    def test_rows_match_single_sample(self, activation, loss_kind):
+        m, X, y, _ = _combo_case(activation)
         G = m.per_sample_gradients(X, y, loss_kind)
         assert G.shape == (len(X), m.W1.size + m.b1.size + m.W2.size + m.b2.size)
         for row, (x, label) in enumerate(zip(X, y)):
             single = m.per_sample_gradient(x, int(label), loss_kind)
             assert np.abs(G[row] - single).max() <= 1e-12
 
-    @pytest.mark.parametrize("activation,head,loss_kind", COMBOS)
-    def test_sgd_step_is_weighted_gradient_sum(self, activation, head, loss_kind):
-        m, X, y, rng = _combo_case(activation, head, loss_kind)
+    @pytest.mark.parametrize("activation,loss_kind", COMBOS, ids=COMBO_IDS)
+    def test_sgd_step_is_weighted_gradient_sum(self, activation, loss_kind):
+        m, X, y, rng = _combo_case(activation)
         w, lr, n = rng.uniform(0.0, 2.0, len(X)), 0.3, len(X)
         before = np.concatenate([m.W1.ravel(), m.b1, m.W2.ravel(), m.b2])
         params = [m.W1[None].copy(), m.b1[None].copy(), m.W2[None].copy(), m.b2[None].copy()]
         kernels._sgd_step(*params, X[None], y[None], w[None], lr / n,
-                          m.activation, m.head, loss_kind)
+                          m.activation, loss_kind)
         after = np.concatenate([p[0].ravel() for p in params])
         expected = -lr / n * (w[:, None] * m.per_sample_gradients(X, y, loss_kind)).sum(axis=0)
         assert np.abs((after - before) - expected).max() <= 1e-12
@@ -143,7 +139,7 @@ def _train_step(m, X, y, w, lr):
     X = np.asarray(X, dtype=np.float64)
     kernels.sgd_epoch(
         m.W1, m.b1, m.W2, m.b2, X, np.asarray(y, dtype=np.int64), np.arange(len(X)),
-        len(X), np.asarray(w, dtype=np.float64), lr, m.activation, m.head, "mse",
+        len(X), np.asarray(w, dtype=np.float64), lr, m.activation, "mse",
     )
 
 
@@ -194,10 +190,6 @@ class TestLatentGradients:
                 chain = grad_wrt_prediction(y, p) * p * (1.0 - p)
                 assert abs(grad_wrt_latent(y, p) - chain) < 1e-12
 
-    def test_softmax_rejected(self):
-        with pytest.raises(ValueError):
-            grad_wrt_latent(1, 0.5, head="softmax")
-
     def test_backprop_latent_matches_closed_form(self):
         m = MlpModel(2, 3, seed=11)
         x = np.array([0.4, -0.2])
@@ -210,20 +202,19 @@ class TestLatentGradients:
 _X3, _Y3 = np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]]), np.array([0, 1, 1])
 
 
-# The kernels run any name outside their tuples as relu, softmax or CE, so
+# The kernels run any name outside their tuples as relu or CE, so
 # each public entry point must reject it, naming the field.
 @pytest.mark.parametrize(
     "call,message",
     [
         (lambda: MlpModel(2, 3, activation="gelu"), "unknown activation 'gelu'"),
-        (lambda: MlpModel(2, 3, head="tanh"), "unknown head 'tanh'"),
         (lambda: MlpModel(2, 3).batch_losses(_X3, _Y3, "bogus"), "unknown loss_kind 'bogus'"),
         (lambda: MlpModel(2, 3).per_sample_gradients(_X3, _Y3, "bogus"),
          "unknown loss_kind 'bogus'"),
         (lambda: conflict.conflict_loss_monotonicity(MlpModel(2, 3), _X3, _Y3, loss_kind="bogus"),
          "unknown loss_kind 'bogus'"),
     ],
-    ids=["MlpModel-activation", "MlpModel-head", "batch_losses", "per_sample_gradients",
+    ids=["MlpModel-activation", "batch_losses", "per_sample_gradients",
          "conflict_loss_monotonicity"],
 )
 def test_misspelled_piece_name_is_rejected_at_entry(call, message):
@@ -238,6 +229,8 @@ class TestCheckpoint:
             (lambda d: d.pop("activation"), "is missing activation"),
             (lambda d: d.update(activation="gelu"), "activation: unknown 'gelu'"),
             (lambda d: d.update(head="tanh"), "head: unknown 'tanh'"),
+            # a checkpoint of the removed softmax head fails on its name
+            (lambda d: d.update(head="softmax"), "head: unknown 'softmax'"),
             # a JSON list is unhashable: membership, not a dict lookup, rejects it
             (lambda d: d.update(activation=["tanh"]), r"activation: unknown \['tanh'\]"),
             (lambda d: d["params"].pop("W1"), "is missing params.W1"),
@@ -246,9 +239,10 @@ class TestCheckpoint:
             (lambda d: d["params"].update(W2={"shape": [1, 4], "data": [0.0] * 4}),
              "params.W2: shape"),
             (lambda d: d["params"]["W1"].update(shape=[24]), "params.W1: shape"),
+            # two output rows, as a softmax checkpoint holds: the model has one
             (lambda d: d["params"].update(W2={"shape": [2, 8], "data": [0.0] * 16},
                                          b2={"shape": [2], "data": [0.0, 0.0]}),
-             "params.W2: sigmoid head"),
+             "params.W2: shape .2, 8."),
         ],
     )
     def test_bad_checkpoint_names_field(self, edit, field):
@@ -256,13 +250,6 @@ class TestCheckpoint:
         edit(doc)
         with pytest.raises(ValueError, match=f"checkpoint {field}"):
             MlpModel.from_checkpoint(doc)
-
-    def test_softmax_round_trip(self):
-        m = MlpModel(3, 4, out_dim=2, activation="relu", head="softmax", seed=6)
-        m2 = MlpModel.from_checkpoint(m.to_checkpoint())
-        for name in ("W1", "b1", "W2", "b2"):
-            assert np.array_equal(getattr(m2, name), getattr(m, name))
-        assert (m2.activation, m2.head) == ("relu", "softmax")
 
     def test_round_trip(self, tmp_path):
         m = MlpModel(3, 4, seed=6)

@@ -60,7 +60,7 @@ class TestEstimateUncertainty:
         m = MlpModel(2, 4, seed=3)
         u = _score_one(m, np.array([0.1, 0.1]), G=8, gamma=0.3, seed=1)
         assert u >= 0.0
-        m.b2[:] = 1000.0  # saturate the head
+        m.b2[:] = 1000.0  # saturate the sigmoid
         m.W2[:] = 0.0
         assert _score_one(m, np.array([0.1, 0.1]), G=8, gamma=0.3, seed=1) == 0.0
 
@@ -95,12 +95,12 @@ class TestBatchScore:
         # the lone row is scored as the first of two copies of itself
         T = perturbations(cfg["seed"], [0, 0], 0, (cfg["G"], m.hidden_dim), cfg["gamma"])
         P = kernels.mean_perturbed_predictions(
-            m.W1, m.b1, m.W2, m.b2, X[[0, 0]], T, m.activation, m.head
+            m.W1, m.b1, m.W2, m.b2, X[[0, 0]], T, m.activation
         )
         assert scores[0] == entropy(P[:, 0])[0]
         T = perturbations(cfg["seed"], [0], 0, (cfg["G"], m.hidden_dim), cfg["gamma"])
         p_bar = kernels.mean_perturbed_predictions(
-            m.W1, m.b1, m.W2, m.b2, X[:1], T, m.activation, m.head
+            m.W1, m.b1, m.W2, m.b2, X[:1], T, m.activation
         )[0, 0]
         assert scores[0] == pytest.approx(entropy(float(p_bar)), abs=1e-12)
 
@@ -176,9 +176,9 @@ class TestBlockedScoring:
             X, ids = np.repeat(X, 2, axis=0), np.repeat(ids, 2)
         T = perturbations(cfg["seed"], ids, epoch, (cfg["G"], m.hidden_dim), cfg["gamma"])
         P = kernels.mean_perturbed_predictions(
-            m.W1, m.b1, m.W2, m.b2, X, T, m.activation, m.head
+            m.W1, m.b1, m.W2, m.b2, X, T, m.activation
         )[:n]
-        return entropy(P[:, 0]) if m.head == "sigmoid" else entropy(P).sum(axis=1)
+        return entropy(P[:, 0])
 
     @staticmethod
     def _score_counting_blocks(m, X, ids, cfg, epoch, block_values):
@@ -187,10 +187,10 @@ class TestBlockedScoring:
         real = kernels.mean_perturbed_predictions
         rows = []
 
-        def counting(W1, b1, W2, b2, X, T, act, head):
+        def counting(W1, b1, W2, b2, X, T, act):
             assert T.shape == (len(X), cfg["G"], m.hidden_dim)
             rows.append(len(X))
-            return real(W1, b1, W2, b2, X, T, act, head)
+            return real(W1, b1, W2, b2, X, T, act)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(uncertainty, "BLOCK_VALUES", block_values)
@@ -208,7 +208,6 @@ class TestBlockedScoring:
             label="N",
         )
         G, H = data.draw(st.integers(1, 5), label="G"), data.draw(st.integers(1, 6), label="H")
-        head = data.draw(st.sampled_from(["sigmoid", "softmax"]), label="head")
         act = data.draw(st.sampled_from(["tanh", "relu"]), label="activation")
         # sparse ids in any order, repeated when the pool is smaller than N
         pool = data.draw(
@@ -220,8 +219,7 @@ class TestBlockedScoring:
         )
         seed = data.draw(st.integers(-(2**31), 2**31), label="seed")
         epoch = data.draw(st.integers(0, 50), label="epoch")
-        m = MlpModel(3, H, out_dim=1 if head == "sigmoid" else 3, activation=act, head=head,
-                     seed=abs(seed) % 1000)
+        m = MlpModel(3, H, activation=act, seed=abs(seed) % 1000)
         X = np.random.default_rng(abs(seed)).normal(size=(n, 3))
         cfg = dict(G=G, gamma=0.3, seed=seed)
         got, rows_seen = self._score_counting_blocks(m, X, ids, cfg, epoch, rows * G * H)
