@@ -3,7 +3,7 @@ perturbation uncertainty, rank-fused difficulty, mixed-order batch plans,
 self-paced and OHEM baselines, and gradient-conflict analysis."""
 
 from .datagen import Dataset, GenSpec, generate
-from .difficulty import DifficultyTable, fuse_ranks, quadrant_classify, rank_descending
+from .difficulty import fuse_ranks, quadrant_classify, rank_descending
 from .experiment import ExperimentConfig, compare, run
 from .model import MlpModel
 from .scheduler import (

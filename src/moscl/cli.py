@@ -4,7 +4,9 @@ Subcommands: gen-data, train, score, compare, export-scatter,
 analyze-conflicts.  A failure, a malformed flag value included, exits 1
 with an error JSON on stderr; a missing or unknown flag exits 2 with
 argparse's usage text.  The MOSCL_OUTPUT_ROOT environment variable
-prefixes relative output paths.
+prefixes the relative run directories of train and compare (and so
+compare's comparison.json), through `experiment.resolve_outdir`; every
+--out and --pairs-csv path resolves against the working directory.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def cmd_score(args) -> None:
     us = uncertainty.batch_score_uncertainty(model, X, ids, cfg.G, cfg.gamma, cfg.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
     uncertainty.dump_scores(out, ids, losses, us)
-    difficulty.dump_difficulty_csv(difficulty_csv, difficulty.fuse_ranks(losses, us, ids))
+    difficulty.dump_difficulty_csv(difficulty_csv, ids, losses, us)
     print(out)
 
 
@@ -120,6 +122,13 @@ def cmd_export_scatter(args) -> None:
 
 
 def cmd_analyze_conflicts(args) -> None:
+    out = Path(args.out)
+    pairs_csv = Path(args.pairs_csv) if args.pairs_csv else None
+    if pairs_csv is not None and pairs_csv.resolve() == out.resolve():
+        raise ValueError(
+            f"--pairs-csv {args.pairs_csv!r} and --out {args.out!r} name one file, "
+            "so the pairs CSV would overwrite the report; give them different paths"
+        )
     cfg = _settings(args)
     dataset, model = _load_dataset_and_checkpoint(args)
     report = conflict.conflict_loss_monotonicity(
@@ -132,11 +141,11 @@ def cmd_analyze_conflicts(args) -> None:
         # the checkpoint's bytes, not the spelling of its path, name the model
         model_tag=hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest(),
     )
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    for path in filter(None, (out, pairs_csv)):
+        path.parent.mkdir(parents=True, exist_ok=True)
     report.save(out)
-    if args.pairs_csv:
-        report.save_pairs_csv(args.pairs_csv)
+    if pairs_csv is not None:
+        report.save_pairs_csv(pairs_csv)
     print(json.dumps({"spearman_rho": report.spearman_rho, "degenerate": report.degenerate}))
 
 

@@ -46,12 +46,11 @@ class ConflictReport:
 
     def save_pairs_csv(self, path) -> None:
         p = self.pairs
-        floats = (p["cosine"], 1.0 - p["cosine"], p["loss_sum"])
+        columns = (p["id_i"], p["id_j"], p["cosine"], 1.0 - p["cosine"], p["loss_sum"])
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id_i", "id_j", "cosine", "conflict", "loss_sum"])
-            writer.writerows(zip(p["id_i"].tolist(), p["id_j"].tolist(),
-                                 *[map(repr, column.tolist()) for column in floats]))
+            writer.writerows(zip(*[column.tolist() for column in columns]))
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:

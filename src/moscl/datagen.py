@@ -142,7 +142,7 @@ def save_dataset(dataset: Dataset, csv_path, sidecar_path=None) -> None:
                 dataset.labels.tolist(),
                 dataset.clean_label.tolist(),
                 dataset.tag.tolist(),
-                *[map(repr, column) for column in dataset.X.T.tolist()],
+                *dataset.X.T.tolist(),
             )
         )
     if sidecar_path is not None:

@@ -8,23 +8,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-
-@dataclass
-class DifficultyTable:
-    """Fused difficulty of a scored dataset: row k is sample ``ids[k]``,
-    and d = rank_l + rank_u (rank 0 is the highest value)."""
-
-    ids: np.ndarray
-    loss: np.ndarray
-    uncertainty: np.ndarray
-    rank_l: np.ndarray
-    rank_u: np.ndarray
-    d: np.ndarray
 
 
 def rank_descending(values: Sequence[float], ids: Sequence[int]) -> np.ndarray:
@@ -45,19 +31,10 @@ def rank_descending(values: Sequence[float], ids: Sequence[int]) -> np.ndarray:
     return ranks
 
 
-def fuse_ranks(losses, uncertainties, ids) -> DifficultyTable:
-    """Difficulty d = rank_u + rank_l of each row.  Smaller d means harder
-    (rank 0 is the highest loss/uncertainty)."""
-    rank_l = rank_descending(losses, ids)
-    rank_u = rank_descending(uncertainties, ids)
-    return DifficultyTable(
-        ids=np.asarray(ids),
-        loss=np.asarray(losses, dtype=np.float64),
-        uncertainty=np.asarray(uncertainties, dtype=np.float64),
-        rank_l=rank_l,
-        rank_u=rank_u,
-        d=rank_l + rank_u,
-    )
+def fuse_ranks(losses, uncertainties, ids) -> np.ndarray:
+    """Difficulty d = rank_l + rank_u of each row, an (N,) int array.
+    Smaller d means harder (rank 0 is the highest loss/uncertainty)."""
+    return rank_descending(losses, ids) + rank_descending(uncertainties, ids)
 
 
 def median(x: np.ndarray) -> float:
@@ -90,23 +67,18 @@ def quadrant_classify(losses, uncertainties) -> np.ndarray:
     return np.where(u > u_split, np.where(hi_l, "HH", "HL"), np.where(hi_l, "LH", "LL"))
 
 
-def dump_difficulty_csv(path, table: DifficultyTable) -> None:
-    """One row per sample, in ascending id order, with its quadrant."""
-    rows = np.argsort(table.ids, kind="stable")
-    quadrants = quadrant_classify(table.loss, table.uncertainty)
+def dump_difficulty_csv(path, ids, losses, uncertainties) -> None:
+    """One row per sample, in ascending id order: its loss, uncertainty,
+    both descending ranks, d and quadrant."""
+    ids = np.asarray(ids)
+    l = np.asarray(losses, dtype=np.float64)
+    u = np.asarray(uncertainties, dtype=np.float64)
+    rank_l, rank_u = rank_descending(l, ids), rank_descending(u, ids)
+    columns = (ids, l, u, rank_l, rank_u, rank_l + rank_u, quadrant_classify(l, u))
+    rows = np.argsort(ids, kind="stable")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["sample_id", "loss", "uncertainty", "rank_l", "rank_u", "d", "quadrant"]
         )
-        writer.writerows(
-            zip(
-                table.ids[rows].tolist(),
-                map(repr, table.loss[rows].tolist()),
-                map(repr, table.uncertainty[rows].tolist()),
-                table.rank_l[rows].tolist(),
-                table.rank_u[rows].tolist(),
-                table.d[rows].tolist(),
-                quadrants[rows].tolist(),
-            )
-        )
+        writer.writerows(zip(*[column[rows].tolist() for column in columns]))

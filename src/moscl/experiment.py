@@ -142,14 +142,6 @@ def _cast(cls, name: str, value) -> object:
         raise ValueError(f"{name} must be {kind.__name__}, got {value!r}") from None
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 # ExperimentConfig fields the shared SGD step depends on: runs that differ in
 # one of them cannot step together.
 LOCKSTEP_FIELDS = (
@@ -239,7 +231,7 @@ class _Run:
     def _difficulty(self, losses, uncertainties) -> np.ndarray:
         src = self.cfg.difficulty_source
         if src == "both":
-            return difficulty.fuse_ranks(losses, uncertainties, self.ids).d
+            return difficulty.fuse_ranks(losses, uncertainties, self.ids)
         return difficulty.rank_descending(
             losses if src == "loss" else uncertainties, self.ids
         )
@@ -299,17 +291,10 @@ class _Run:
             )
         recalls = self._recalls()
         spread = scheduler.d_sum_spread(self.plan, self.d) if self.d is not None else None
-        self.metrics_rows.append(
-            [
-                epoch,
-                _fmt(mean_loss),
-                _fmt(recalls[0]),
-                _fmt(recalls[1]),
-                _fmt(recalls[self.dataset.minority_label]),
-                _fmt(self.last_mean_uncertainty),
-                _fmt(spread),
-            ]
-        )
+        self.metrics_rows.append([
+            epoch, mean_loss, recalls[0], recalls[1], recalls[self.dataset.minority_label],
+            self.last_mean_uncertainty, spread,
+        ])
 
     def write_logs(self) -> None:
         """metrics.csv, timings.csv and, for a scored run, scores.npz with
@@ -463,9 +448,10 @@ def compare(
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise ValueError(f"duplicate {name}: {repeated}")
-    cells: Dict[str, Dict[int, Optional[Dict[str, float]]]] = {l: {} for l in labels}
+    # (label, seed) -> the cell's run while it trains, then its final
+    # metrics or its "<ExcType>: <message>" error
+    cells: Dict[tuple, object] = {}
     loaded: Dict[str, Dataset] = {}
-    started = []
     groups: Dict[tuple, List[_Run]] = {}
     for label, cfg in zip(labels, configs):
         for seed in seeds:
@@ -476,56 +462,40 @@ def compare(
                 ds = dataset if dataset is not None else loaded.get(variant.dataset)
                 if ds is None:
                     ds = loaded[variant.dataset] = load_dataset(variant.dataset)
-                one = _start(variant, ds)
+                one = cells[label, seed] = _start(variant, ds)
             except Exception as exc:  # noqa: BLE001 - cell failures are recorded
-                cells[label][seed] = {"error": _error(exc)}
+                cells[label, seed] = _error(exc)
                 continue
-            started.append((label, seed, one))
             key = (id(ds),) + tuple(getattr(variant, f) for f in LOCKSTEP_FIELDS)
             groups.setdefault(key, []).append(one)
     failed: Dict[_Run, Exception] = {}
     for group in groups.values():
         failed.update(_train(group))
-    for label, seed, one in started:
-        exc = failed.get(one)
-        cells[label][seed] = (
-            {"error": _error(exc)} if exc is not None else final_metrics(one.outdir)
-        )
+    for cell, one in cells.items():
+        if isinstance(one, _Run):
+            exc = failed.get(one)
+            cells[cell] = _error(exc) if exc is not None else final_metrics(one.outdir)
     summary = {"seeds": seeds, "configs": {}, "wins_vs_baseline": {}}
-    baseline = labels[0]
+    recall: Dict[str, Dict[int, float]] = {}
     for label in labels:
-        vals = [
-            cells[label][s]["minority_recall"]
-            for s in seeds
-            if "error" not in cells[label][s]
-        ]
-        losses = [
-            cells[label][s]["mean_loss"]
-            for s in seeds
-            if "error" not in cells[label][s]
-        ]
+        done = {s: cells[label, s] for s in seeds if isinstance(cells[label, s], dict)}
+        recall[label] = {s: m["minority_recall"] for s, m in done.items()}
+        vals = list(recall[label].values())
+        losses = [m["mean_loss"] for m in done.values()]
+        failed_seeds = [s for s in seeds if s not in done]
         summary["configs"][label] = {
             "minority_recall_mean": float(np.mean(vals)) if vals else None,
             "minority_recall_spread": (max(vals) - min(vals)) if len(vals) > 1 else 0.0,
             "mean_loss_mean": float(np.mean(losses)) if losses else None,
-            "failed_seeds": [s for s in seeds if "error" in cells[label][s]],
-            "errors": {
-                str(s): cells[label][s]["error"] for s in seeds if "error" in cells[label][s]
-            },
-            "per_seed_minority_recall": {
-                str(s): cells[label][s].get("minority_recall") for s in seeds
-            },
+            "failed_seeds": failed_seeds,
+            "errors": {str(s): cells[label, s] for s in failed_seeds},
+            "per_seed_minority_recall": {str(s): recall[label].get(s) for s in seeds},
         }
-        if label != baseline:
-            wins = sum(
-                1
-                for s in seeds
-                if "error" not in cells[label][s]
-                and "error" not in cells[baseline][s]
-                and cells[label][s]["minority_recall"]
-                >= cells[baseline][s]["minority_recall"]
-            )
-            summary["wins_vs_baseline"][label] = wins
+    baseline = recall[labels[0]]
+    for label in labels[1:]:
+        summary["wins_vs_baseline"][label] = sum(
+            1 for s, r in recall[label].items() if s in baseline and r >= baseline[s]
+        )
     return summary
 
 
@@ -553,7 +523,8 @@ def export_scatter(scores_path, out_csv, mode: str = "value", epoch: Optional[in
     values or descending rank indices, one row per sample by ascending id.
 
     ``scores_path`` is a score JSON (`moscl score`), or a run's
-    ``scores.npz`` table, whose row of ``epoch`` is exported."""
+    ``scores.npz`` table, whose row of ``epoch`` is exported.  The parent
+    directories of ``out_csv`` are made once the input has been read."""
     if mode not in ("value", "index"):
         raise ValueError(f"unknown scatter mode {mode!r}")
     if Path(scores_path).suffix == ".npz":
@@ -574,8 +545,8 @@ def export_scatter(scores_path, out_csv, mode: str = "value", epoch: Optional[in
         )
     else:
         rows = zip(losses, us)
+    Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["loss", "uncertainty"])
-        for l, u in rows:
-            writer.writerow([_fmt(l), _fmt(u)])
+        writer.writerows(rows)

@@ -67,24 +67,13 @@ def _as_u64(value: int) -> np.uint64:
 # the perturbed forward pass at a time: 14 * 2**10 float64s (112 KiB) per
 # array, so a block's hash state, disturbances and perturbed hidden map stay
 # in a core's L2 cache.  A block holds rows = max(2, BLOCK_VALUES // (G * H))
-# rows, or rows + 1 when a lone last row joins it (see `_row_blocks` for why
-# never one), so an array takes at most (rows + 1) * G * H * 8 bytes: under
-# 120 KiB while G * H <= 2**10.  By default glibc's malloc gives requests of
-# 128 KiB and up fresh pages and returns them on free, so larger blocks
-# page-fault in anew at each scoring call (256 KiB blocks took 30,000 minor
-# faults per 250 calls at N = 400, G = H = 8).
+# rows, and a one-row block is scored as two copies of its row (see
+# `batch_score_uncertainty`), so an array takes at most rows * G * H * 8
+# bytes: 112 KiB or less while G * H <= 7 * 2**10.  By default glibc's
+# malloc gives requests of 128 KiB and up fresh pages and returns them on
+# free, so larger blocks page-fault in anew at each scoring call (256 KiB
+# blocks took 30,000 minor faults per 250 calls at N = 400, G = H = 8).
 BLOCK_VALUES = 14 << 10
-
-
-def _row_blocks(n: int, rows: int):
-    """Slices of ``rows`` rows (``rows`` >= 2) covering range(n).  A lone
-    last row joins the block before it: numpy multiplies a one-row matrix
-    as a matrix-vector product, whose rounding differs from the matrix
-    product that row gets among others."""
-    starts = list(range(0, n, rows))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
 def _stream_keys(seed: int, sample_ids, epoch: int) -> np.ndarray:
@@ -148,10 +137,12 @@ def batch_score_uncertainty(
     are resampled at every scoring epoch.
 
     Rows are scored in blocks of about `BLOCK_VALUES` disturbances and at
-    least two rows (`_row_blocks`); each value and each row of the forward
-    pass depends on its own row alone, so the scores equal those of one
-    call over all rows, bit for bit.  A lone row is scored twice in one
-    block for the same reason, so it gets the score it gets among others."""
+    least two rows; each value and each row of the forward pass depends on
+    its own row alone, so the scores equal those of one call over all rows,
+    bit for bit.  numpy multiplies a one-row matrix as a matrix-vector
+    product, whose rounding differs from the matrix product that row gets
+    among others, so a one-row block, the last or the only one, is scored
+    as two copies of its row."""
     check_scoring(G, gamma)
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
@@ -160,17 +151,18 @@ def batch_score_uncertainty(
     if len(keys) != len(X):
         raise ValueError(f"{len(keys)} sample ids for {len(X)} rows of X; want one id per row")
     n = len(X)
-    if n == 1:
-        X, keys = np.repeat(X, 2, axis=0), np.repeat(keys, 2)
     shape = (G, model.hidden_dim)
     m = math.prod(shape)
-    P = np.empty((len(X), 1))
-    for at in _row_blocks(len(X), max(2, BLOCK_VALUES // m)):
+    rows = max(2, BLOCK_VALUES // m)
+    P = np.empty(n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        at = slice(lo, hi) if hi - lo > 1 else [lo, lo]
         T = _draw(keys[at], m, gamma).reshape((-1, *shape))
-        P[at] = kernels.mean_perturbed_predictions(
+        P[lo:hi] = kernels.mean_perturbed_predictions(
             model.W1, model.b1, model.W2, model.b2, X[at], T, model.activation
-        )
-    return entropy(P[:n, 0])
+        )[: hi - lo, 0]
+    return entropy(P)
 
 
 def json_records(columns: dict) -> str:

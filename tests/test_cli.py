@@ -117,3 +117,38 @@ def test_out_that_is_its_own_sidecar_is_rejected_before_writing(
     assert err["error"] == "ValueError" and err["message"].startswith(f"--out {str(out)!r}")
     assert not out.parent.exists()
 
+
+
+@pytest.mark.parametrize("argv, written", [
+    # --pairs-csv names the --out file, which it would overwrite
+    (["analyze-conflicts", "--out", "new/c.json", "--pairs-csv", "./new/c.json"], {}),
+    # a --pairs-csv in a missing directory
+    (["analyze-conflicts", "--out", "c.json", "--pairs-csv", "new/p.csv"],
+     {"c.json": '{"model_tag": ', "new/p.csv": "id_i,id_j,cosine,conflict,loss_sum\n"}),
+    # an export-scatter --out in a missing directory
+    (["export-scatter", "--scores", "scores.json", "--out", "new/s.csv"],
+     {"new/s.csv": "loss,uncertainty\n"}),
+], ids=["pairs-csv-is-out", "pairs-csv-in-new-dir", "scatter-in-new-dir"])
+def test_output_paths_leave_the_whole_result_or_nothing(
+    tmp_path, monkeypatch, capsys, argv, written
+):
+    monkeypatch.chdir(tmp_path)
+    save_dataset(generate(GenSpec(n_total=30, minority_fraction=0.25, seed=3)), "data.csv")
+    MlpModel(2, 8, seed=0).save("ckpt.json")
+    inputs = ["--dataset", "data.csv", "--checkpoint", "ckpt.json"]
+    assert cli.main(["score", "--out", "scores.json"] + inputs) == 0
+    capsys.readouterr()
+    command = argv[0]
+    rc = cli.main(argv + (inputs if command == "analyze-conflicts" else []))
+    err = capsys.readouterr().err
+    if written:
+        assert rc == 0, err
+    else:
+        assert rc == 1
+        assert json.loads(err) == {"error": "ValueError", "message": (
+            "--pairs-csv './new/c.json' and --out 'new/c.json' name one file, so the "
+            "pairs CSV would overwrite the report; give them different paths"
+        )}
+        assert not (tmp_path / "new").exists()
+    for name, head in written.items():
+        assert (tmp_path / name).read_text().startswith(head)

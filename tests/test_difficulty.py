@@ -61,20 +61,20 @@ class TestRankDescending:
 
 class TestFuseRanks:
     def test_example(self):
-        d = _by_id([0, 1, 2], fuse_ranks([0.8, 0.2, 0.5], [0.9, 0.1, 0.5], [0, 1, 2]).d)
+        d = _by_id([0, 1, 2], fuse_ranks([0.8, 0.2, 0.5], [0.9, 0.1, 0.5], [0, 1, 2]))
         assert d == {0: 0, 1: 4, 2: 2}
         # hardness order (smaller d = harder): 0, then 2, then 1
         assert sorted(d, key=d.get) == [0, 2, 1]
 
     def test_singleton(self):
-        assert fuse_ranks([1.0], [2.0], [5]).d[0] == 0
+        assert fuse_ranks([1.0], [2.0], [5])[0] == 0
 
     def test_opposed_orders_make_flat_d(self):
         n = 7
         losses = [float(n - i) for i in range(n)]
         uncertainties = [float(i) for i in range(n)]
-        table = fuse_ranks(losses, uncertainties, range(n))
-        assert all(d == n - 1 for d in table.d)
+        d = fuse_ranks(losses, uncertainties, range(n))
+        assert all(v == n - 1 for v in d)
 
     def test_id_mismatch(self):
         with pytest.raises(ValueError):
@@ -94,17 +94,17 @@ class TestFuseRanks:
         n = len(pairs)
         losses = [p[0] for p in pairs]
         us = [p[1] for p in pairs]
-        assert int(fuse_ranks(losses, us, range(n)).d.sum()) == n * (n - 1)
+        assert int(fuse_ranks(losses, us, range(n)).sum()) == n * (n - 1)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(0)
         ids = np.arange(20)
         losses = rng.uniform(0, 2, 20)
         us = rng.uniform(0, 1, 20)
-        base = _by_id(ids, fuse_ranks(losses, us, ids).d)
+        base = _by_id(ids, fuse_ranks(losses, us, ids))
         for f in (lambda x: 3 * x + 1, np.exp, np.sqrt, np.tanh):
             warped = f(losses)
-            assert _by_id(ids, fuse_ranks(warped, us, ids).d) == base
+            assert _by_id(ids, fuse_ranks(warped, us, ids)) == base
 
 
     @given(
@@ -130,10 +130,12 @@ class TestFuseRanks:
             return {i: r for r, i in enumerate(order)}
 
         rank_l, rank_u = ranks(losses), ranks(us)
-        table = fuse_ranks([p[0] for p in pairs], [p[1] for p in pairs], ids)
-        assert _by_id(ids, table.rank_l) == rank_l
-        assert _by_id(ids, table.rank_u) == rank_u
-        assert _by_id(ids, table.d) == {i: rank_l[i] + rank_u[i] for i in ids}
+        l_col, u_col = [p[0] for p in pairs], [p[1] for p in pairs]
+        assert _by_id(ids, rank_descending(l_col, ids)) == rank_l
+        assert _by_id(ids, rank_descending(u_col, ids)) == rank_u
+        assert _by_id(ids, fuse_ranks(l_col, u_col, ids)) == {
+            i: rank_l[i] + rank_u[i] for i in ids
+        }
 
 
 class TestQuadrants:
@@ -223,9 +225,16 @@ class TestSingleSource:
 
 class TestCsvDump:
     def test_header_and_rows(self, tmp_path):
-        table = fuse_ranks([0.8, 0.2], [0.9, 0.1], [0, 1])
         path = tmp_path / "difficulty.csv"
-        dump_difficulty_csv(path, table)
+        dump_difficulty_csv(path, [0, 1], [0.8, 0.2], [0.9, 0.1])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "sample_id,loss,uncertainty,rank_l,rank_u,d,quadrant"
         assert len(lines) == 3
+
+    def test_int_scores_are_written_as_floats(self, tmp_path):
+        path = tmp_path / "difficulty.csv"
+        dump_difficulty_csv(path, [3, 1], [1, 2], [0, 5])
+        assert path.read_text().splitlines()[1:] == [
+            "1,2.0,5.0,0,0,0,HH",
+            "3,1.0,0.0,1,1,2,LL",
+        ]

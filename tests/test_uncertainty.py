@@ -155,13 +155,11 @@ class TestBatchScore:
 
 
 def _block_sizes(n, rows):
-    """Rows per block: blocks of max(2, rows), a lone last row joining the
-    block before it; a lone row is scored as two."""
-    n, rows = max(2, n), max(2, rows)
+    """Rows per block: blocks of max(2, rows); a one-row block is scored
+    as 2."""
+    rows = max(2, rows)
     sizes = [rows] * (n // rows) + [n % rows] * (n % rows > 0)
-    if len(sizes) > 1 and sizes[-1] == 1:
-        sizes[-2:] = [rows + 1]
-    return sizes
+    return [max(2, size) for size in sizes]
 
 
 class TestBlockedScoring:
@@ -230,10 +228,10 @@ class TestBlockedScoring:
     @pytest.mark.parametrize("G, n, sizes", [
         # 14 * 2**10 // (16 * 8) = 112 rows per block, a 40-row tail
         (16, 600, [112] * 5 + [40]),
-        # a lone 225th row joins the last block
-        (16, 225, [112, 113]),
-        # one row holds 2**15 values: two rows per block
-        (2**12, 7, [2, 2, 3]),
+        # a lone 225th row is scored as two
+        (16, 225, [112, 112, 2]),
+        # one row holds 2**15 values: two rows per block, the last one alone
+        (2**12, 7, [2, 2, 2, 2]),
         # a lone row is scored as two
         (8, 1, [2]),
     ])
