@@ -44,9 +44,29 @@ def _settings(args):
     return from_strings(cls, values)
 
 
-def _load_dataset_and_checkpoint(args):
-    """The ``--dataset`` and ``--checkpoint`` of ``args``; the checkpoint
-    must take as many features as the dataset's rows hold."""
+def _check_overwrites(inputs, outputs) -> None:
+    """Raise a ValueError, before any input is read, when an output path
+    resolves to an input path or to an earlier output.  Each entry is (how
+    the path was given, the path or None, what the file holds)."""
+    seen = {}
+    for k, (given, path, what) in enumerate([*inputs, *outputs]):
+        if path is None:
+            continue
+        key = Path(path).resolve()
+        if k >= len(inputs) and key in seen:
+            raise ValueError(f"{given} and {seen[key][0]} name one file, so {what} would "
+                             f"overwrite {seen[key][1]}; give them different paths")
+        seen.setdefault(key, (given, what))
+
+
+def _load_dataset_and_checkpoint(args, outputs):
+    """The ``--dataset`` and ``--checkpoint`` of ``args``, read once no output
+    overwrites them; the checkpoint must fit the dataset's feature count."""
+    _check_overwrites(
+        [(f"--dataset {args.dataset!r}", args.dataset, "the dataset"),
+         (f"--checkpoint {args.checkpoint!r}", args.checkpoint, "the checkpoint")],
+        outputs,
+    )
     dataset = load_dataset(args.dataset)
     model = MlpModel.load(args.checkpoint)
     if model.W1.shape[1] != dataset.X.shape[1]:
@@ -89,7 +109,10 @@ def cmd_score(args) -> None:
     the rank-fused difficulty CSV."""
     cfg = _settings(args)
     out, difficulty_csv = _out_paths(args.out, ".csv")
-    dataset, model = _load_dataset_and_checkpoint(args)
+    dataset, model = _load_dataset_and_checkpoint(args, [
+        (f"--out {args.out!r}", out, "the scores"),
+        (f"the .csv beside --out {args.out!r}", difficulty_csv, "the difficulty CSV"),
+    ])
     X, ids = dataset.X, dataset.ids
     losses = model.batch_losses(X, dataset.labels, cfg.loss_kind)
     us = uncertainty.batch_score_uncertainty(model, X, ids, cfg.G, cfg.gamma, cfg.seed)
@@ -117,20 +140,20 @@ def cmd_compare(args) -> None:
 
 
 def cmd_export_scatter(args) -> None:
+    _check_overwrites([(f"--scores {args.scores!r}", args.scores, "the scores")],
+                      [(f"--out {args.out!r}", args.out, "the scatter CSV")])
     experiment.export_scatter(args.scores, args.out, mode=args.mode, epoch=args.epoch)
     print(args.out)
 
 
 def cmd_analyze_conflicts(args) -> None:
-    out = Path(args.out)
-    pairs_csv = Path(args.pairs_csv) if args.pairs_csv else None
-    if pairs_csv is not None and pairs_csv.resolve() == out.resolve():
-        raise ValueError(
-            f"--pairs-csv {args.pairs_csv!r} and --out {args.out!r} name one file, "
-            "so the pairs CSV would overwrite the report; give them different paths"
-        )
+    out, table = _out_paths(args.out, ".npy")
     cfg = _settings(args)
-    dataset, model = _load_dataset_and_checkpoint(args)
+    dataset, model = _load_dataset_and_checkpoint(args, [
+        (f"--out {args.out!r}", out, "the report"),
+        (f"the .npy beside --out {args.out!r}", table, "the pairs table"),
+        (f"--pairs-csv {args.pairs_csv!r}", args.pairs_csv or None, "the pairs CSV"),
+    ])
     report = conflict.conflict_loss_monotonicity(
         model,
         dataset.X,
@@ -141,11 +164,11 @@ def cmd_analyze_conflicts(args) -> None:
         # the checkpoint's bytes, not the spelling of its path, name the model
         model_tag=hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest(),
     )
-    for path in filter(None, (out, pairs_csv)):
-        path.parent.mkdir(parents=True, exist_ok=True)
+    for path in filter(None, (out, args.pairs_csv)):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
     report.save(out)
-    if pairs_csv is not None:
-        report.save_pairs_csv(pairs_csv)
+    if args.pairs_csv:
+        report.save_pairs_csv(args.pairs_csv)
     print(json.dumps({"spearman_rho": report.spearman_rho, "degenerate": report.degenerate}))
 
 
@@ -193,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the epoch to export when --scores is a run's scores.npz")
     p.set_defaults(func=cmd_export_scatter)
 
-    p = add("analyze-conflicts", help="pairwise gradient conflict report")
+    p = add("analyze-conflicts", help="pairwise gradient conflict report: a summary "
+            "JSON at --out, the pairs as a PAIR_DTYPE .npy beside it")
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)

@@ -7,12 +7,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .model import MlpModel
-from .uncertainty import json_records
 
 MAX_EXHAUSTIVE_N = 64
 PAIR_CAP = 2000
@@ -33,16 +33,18 @@ class ConflictReport:
     model_tag: str = ""
 
     def save(self, path) -> None:
-        """One-line JSON: the summary fields, then the pair records."""
-        head = json.dumps({
-            "model_tag": self.model_tag,
-            "spearman_rho": self.spearman_rho,
-            "degenerate": self.degenerate,
-            "n_pairs": len(self.pairs),
-        })
-        pairs = {name: self.pairs[name].tolist() for name in PAIR_DTYPE.names}
+        """The pairs as a PAIR_DTYPE ``.npy`` array beside ``path``, then
+        the one-line summary JSON at ``path``, written last so that a
+        failed pairs write leaves no summary."""
+        table = Path(path).with_suffix(".npy")
+        if table == Path(path):
+            raise ValueError(f"report path {str(path)!r} ends in .npy, the pairs table's suffix")
+        # a file object, so np.save adds no ".npy" to the name
+        with open(table, "wb") as fh:
+            np.save(fh, self.pairs, allow_pickle=False)
         with open(path, "w") as fh:
-            fh.write(f'{head[:-1]}, "pairs": {json_records(pairs)}}}')
+            fh.write(json.dumps({"model_tag": self.model_tag, "spearman_rho": self.spearman_rho,
+                                 "degenerate": self.degenerate, "n_pairs": len(self.pairs)}))
 
     def save_pairs_csv(self, path) -> None:
         p = self.pairs
@@ -101,11 +103,14 @@ def conflict_loss_monotonicity(
     per_loss = model.batch_losses(X, labels, loss_kind)
     ids, losses = ids[order], per_loss[order]
     grads = model.per_sample_gradients(X[order], labels[order], loss_kind)
-    I, J = np.triu_indices(n, 1)  # row pairs i < j, in lexicographic order
-    if n > MAX_EXHAUSTIVE_N and len(I) > PAIR_CAP:
-        rng = np.random.default_rng(seed)
-        pick = np.sort(rng.choice(len(I), size=PAIR_CAP, replace=False))
-        I, J = I[pick], J[pick]
+    n_pairs = n * (n - 1) // 2
+    p = np.arange(n_pairs)  # row pairs i < j, numbered in lexicographic order
+    if n > MAX_EXHAUSTIVE_N and n_pairs > PAIR_CAP:
+        p = np.sort(np.random.default_rng(seed).choice(n_pairs, PAIR_CAP, replace=False))
+    rows = np.arange(n)
+    starts = rows * n - rows * (rows + 1) // 2  # the number of row i's first pair
+    I = np.searchsorted(starts, p, "right") - 1
+    J = p - starts[I] + I + 1
     norms = np.linalg.norm(grads, axis=1)
     keep = (norms[I] != 0.0) & (norms[J] != 0.0)
     I, J = I[keep], J[keep]

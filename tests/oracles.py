@@ -2,7 +2,8 @@
 program in `moscl`: scalar losses and their inverses, the loss-derived
 uncertainty (the zero-gamma entropy identity), the sigmoid + MSE latent
 gradient and its scale rewrite, a finite-difference gradient, the gradient
-cosine, the convergence rule and the quadrant recovery rate.
+cosine, the conflict report's row pairs, the convergence rule and the
+quadrant recovery rate.
 
 The program never calls these; the acceptance criteria and unit tests do.
 """
@@ -126,6 +127,18 @@ def gradient_cosine(g_i: np.ndarray, g_j: np.ndarray) -> float:
     if ni == 0.0 or nj == 0.0:
         raise ValueError("conflict undefined for a zero gradient")
     return float(np.dot(g_i, g_j) / (ni * nj))
+
+
+def conflict_pair_rows(n: int, seed: int, max_exhaustive_n: int, cap: int):
+    """The row pairs (I, J) a conflict report keeps, through the N(N-1)/2
+    index arrays of `np.triu_indices`: every i < j in lexicographic order,
+    or for n above ``max_exhaustive_n`` a sorted sample of ``cap`` of them
+    drawn with ``seed``."""
+    I, J = np.triu_indices(n, 1)
+    if n > max_exhaustive_n and len(I) > cap:
+        pick = np.sort(np.random.default_rng(seed).choice(len(I), size=cap, replace=False))
+        I, J = I[pick], J[pick]
+    return I, J
 
 
 def latent_gradient_scale(y: int, y_hat: float) -> float:

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from moscl import cli
+from moscl import cli, uncertainty
 from moscl.datagen import GenSpec, generate, load_dataset, save_dataset
 from moscl.experiment import ExperimentConfig
 from moscl.model import MlpModel
@@ -152,3 +152,67 @@ def test_output_paths_leave_the_whole_result_or_nothing(
         assert not (tmp_path / "new").exists()
     for name, head in written.items():
         assert (tmp_path / name).read_text().startswith(head)
+
+
+# (argv, error message): each output resolves to an input or to another output
+OVERWRITES = {
+    "score-csv-is-dataset": (
+        ["score", "--dataset", "data.csv", "--checkpoint", "ckpt.json", "--out", "data.json"],
+        "the .csv beside --out 'data.json' and --dataset 'data.csv' name one file, so the "
+        "difficulty CSV would overwrite the dataset; give them different paths"),
+    "score-out-is-checkpoint": (
+        ["score", "--dataset", "data.csv", "--checkpoint", "ckpt.json", "--out", "./ckpt.json"],
+        "--out './ckpt.json' and --checkpoint 'ckpt.json' name one file, so the scores "
+        "would overwrite the checkpoint; give them different paths"),
+    "conflict-out-is-checkpoint": (
+        ["analyze-conflicts", "--dataset", "data.csv", "--checkpoint", "ckpt.json",
+         "--out", "ckpt.json"],
+        "--out 'ckpt.json' and --checkpoint 'ckpt.json' name one file, so the report "
+        "would overwrite the checkpoint; give them different paths"),
+    "conflict-pairs-csv-is-dataset": (
+        ["analyze-conflicts", "--dataset", "data.csv", "--checkpoint", "ckpt.json",
+         "--out", "r.json", "--pairs-csv", "sub/../data.csv"],
+        "--pairs-csv 'sub/../data.csv' and --dataset 'data.csv' name one file, so the "
+        "pairs CSV would overwrite the dataset; give them different paths"),
+    "scatter-out-is-scores": (
+        ["export-scatter", "--scores", "scores.json", "--out", "./scores.json"],
+        "--out './scores.json' and --scores 'scores.json' name one file, so the scatter "
+        "CSV would overwrite the scores; give them different paths"),
+    "conflict-out-is-npy": (
+        ["analyze-conflicts", "--dataset", "data.csv", "--checkpoint", "ckpt.json",
+         "--out", "r.npy"],
+        "--out 'r.npy' ends in .npy, the suffix of the file written beside it; give "
+        "--out another suffix"),
+    "conflict-pairs-csv-is-npy": (
+        ["analyze-conflicts", "--dataset", "data.csv", "--checkpoint", "ckpt.json",
+         "--out", "r.json", "--pairs-csv", "r.npy"],
+        "--pairs-csv 'r.npy' and the .npy beside --out 'r.json' name one file, so the "
+        "pairs CSV would overwrite the pairs table; give them different paths"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERWRITES))
+def test_an_output_that_would_overwrite_an_input_or_output_is_rejected(
+    tmp_path, monkeypatch, capsys, case
+):
+    """Exit 1 with an error naming both flags, before any input is read and
+    with every file left as it was."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    save_dataset(generate(GenSpec(n_total=30, minority_fraction=0.25, seed=3)), "data.csv")
+    MlpModel(2, 8, seed=0).save("ckpt.json")
+    assert cli.main(["score", "--dataset", "data.csv", "--checkpoint", "ckpt.json",
+                     "--out", "scores.json"]) == 0
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    def read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "load_dataset", read)
+    monkeypatch.setattr(MlpModel, "load", read)
+    monkeypatch.setattr(uncertainty, "load_scores", read)
+    argv, message = OVERWRITES[case]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before

@@ -18,7 +18,13 @@ from moscl.conflict import (
 )
 from moscl.model import MlpModel
 
-from oracles import grad_wrt_latent, gradient_cosine, has_converged, latent_gradient_scale
+from oracles import (
+    conflict_pair_rows,
+    grad_wrt_latent,
+    gradient_cosine,
+    has_converged,
+    latent_gradient_scale,
+)
 
 
 class TestGradientCosine:
@@ -124,7 +130,8 @@ class TestConflictReport:
 
 
 class TestReportFiles:
-    """The column writers give the bytes of the former per-pair writers."""
+    """The pairs table holds the pairs to the bit, the summary JSON the
+    former report's head, and the CSV the former per-pair writer's bytes."""
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -152,15 +159,36 @@ class TestReportFiles:
         want = json.dumps({
             "model_tag": tag, "spearman_rho": rho, "degenerate": degenerate,
             "n_pairs": len(rows),
-            "pairs": [{"id_i": i, "id_j": j, "cosine": c, "loss_sum": l} for i, j, c, l in rows],
         })
         assert (path / "report.json").read_text() == want
+        table = np.load(path / "report.npy", allow_pickle=False)
+        assert table.dtype == PAIR_DTYPE and table.shape == (len(rows),)
+        # bit for bit: -0.0 keeps its sign and 1e-300 its value
+        assert table.tobytes() == np.array(rows, dtype=PAIR_DTYPE).tobytes()
+        assert [tuple(r) for r in table.tolist()] == rows
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
         writer.writerow(["id_i", "id_j", "cosine", "conflict", "loss_sum"])
         for i, j, c, l in rows:
             writer.writerow([i, j, repr(c), repr(1.0 - c), repr(l)])
         assert (path / "pairs.csv").read_bytes() == buf.getvalue().encode()
+
+    def _report(self):
+        return ConflictReport(pairs=np.zeros(3, dtype=PAIR_DTYPE), spearman_rho=0.5)
+
+    def test_failed_pairs_write_leaves_no_summary(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(np, "save", fail)
+        with pytest.raises(OSError, match="no space"):
+            self._report().save(tmp_path / "report.json")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_npy_report_path_is_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="ends in .npy"):
+            self._report().save(tmp_path / "report.npy")
+        assert list(tmp_path.iterdir()) == []
 
 
 def _reference_report(model, X, y, ids, seed):
@@ -259,6 +287,20 @@ class TestMatchesPairwiseLoop:
         got = self._check(m, X, y, np.arange(8))
         assert len(got.pairs) == 15  # the 6 rows with nonzero gradients
         assert not {1, 4} & {i for p in got.pairs.tolist() for i in p[:2]}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 64, 65, 400, 3000])
+def test_pairs_match_triu_indices(n):
+    """The report's pairs are the `np.triu_indices` pairs, all of them up to
+    MAX_EXHAUSTIVE_N rows and the seeded PAIR_CAP sample above it."""
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(n, 2))
+    y = rng.integers(0, 2, n).astype(np.int64)
+    got = conflict_loss_monotonicity(MlpModel(2, 5, seed=1), X, y, seed=9)
+    I, J = conflict_pair_rows(n, 9, MAX_EXHAUSTIVE_N, PAIR_CAP)
+    assert len(I) == (n * (n - 1) // 2 if n <= MAX_EXHAUSTIVE_N else PAIR_CAP)
+    assert got.pairs["id_i"].tolist() == I.tolist()
+    assert got.pairs["id_j"].tolist() == J.tolist()
 
 
 class TestConvergenceRule:

@@ -775,7 +775,8 @@ def test_cli_full_pipeline(tmp_path, monkeypatch):
     )
     with open(report) as fh:
         payload = json.load(fh)
-    assert "spearman_rho" in payload and "pairs" in payload
+    assert "spearman_rho" in payload
+    assert payload["n_pairs"] == len(np.load(report.with_suffix(".npy"), allow_pickle=False))
 
 
 def test_cli_score_rejects_bad_checkpoint(tmp_path, small_dataset, capsys):
@@ -892,9 +893,9 @@ def test_cli_conflict_report_names_the_checkpoint_by_its_bytes(
         argv = ["analyze-conflicts", "--dataset", str(data), "--checkpoint", path,
                 "--out", str(out)]
         assert cli.main(argv) == 0
-        reports.append(out.read_bytes())
+        reports.append((out.read_bytes(), out.with_suffix(".npy").read_bytes()))
     assert reports[0] == reports[1]
-    tag = json.loads(reports[0])["model_tag"]
+    tag = json.loads(reports[0][0])["model_tag"]
     assert tag == hashlib.sha256(ckpt.read_bytes()).hexdigest()
 
 

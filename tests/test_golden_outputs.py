@@ -2,12 +2,13 @@
 
 `golden_hashes.json` next to this file holds the SHA-256 of the dataset
 CSV and its sidecar, of every `metrics.csv`, `scores.npz` and
-`checkpoint.json` of three small compares, and of `moscl score`,
-`export-scatter` and `analyze-conflicts` outputs on one checkpoint of
-each.  It also pins each row of every `scores.npz` as the
-`scores_epoch{E}.json` that `dump_scores` writes from it, next to the
-table: the per-boundary files that runs once wrote, so their hashes hold
-across the change of format.  Each compare runs all six schedulers plus
+`checkpoint.json` of three small compares, and of every file that
+`moscl score`, `export-scatter` and `analyze-conflicts` write on one
+checkpoint of each: all files at the top of the compare's directory, so
+that a new output file is pinned without being named here.  It also
+pins each row of every `scores.npz` as the `scores_epoch{E}.json` that
+`dump_scores` writes from it, next to the table: the per-boundary files
+that runs once wrote, so their hashes hold across the change of format.  Each compare runs all six schedulers plus
 the loss-only and uncertainty-only difficulty sources on N=60 samples
 whose ids are sparse and shuffled: once tanh-mse at b=2, rescoring every
 epoch; once tanh-ce at b=4, G=4, rescoring every other epoch; and once
@@ -109,9 +110,9 @@ def golden_hashes(work: Path) -> dict:
         _render_score_files(table)
     files = [data, data.with_suffix(".json")]
     files += [p for pattern in HASHED for p in work.rglob(pattern)]
-    files += [work / c / name for c in CASES
-              for name in ("score.json", "score.csv", "value.csv", "index.csv",
-                           "conflict.json", "pairs.csv")]
+    # every file the CLI round writes, which it writes at the top of the case
+    # directory: the runs of the compare sit in subdirectories
+    files += [p for case in CASES for p in (work / case).iterdir() if p.is_file()]
     return {p.relative_to(work).as_posix(): _sha(p) for p in sorted(files)}
 
 
