@@ -6,7 +6,8 @@ with an error JSON on stderr; a missing or unknown flag exits 2 with
 argparse's usage text.  The MOSCL_OUTPUT_ROOT environment variable
 prefixes the relative run directories of train and compare (and so
 compare's comparison.json), through `experiment.resolve_outdir`; every
---out and --pairs-csv path resolves against the working directory.
+--out, --pairs-csv and --difficulty-csv path resolves against the working
+directory.
 """
 
 from __future__ import annotations
@@ -105,20 +106,22 @@ def cmd_train(args) -> None:
 
 
 def cmd_score(args) -> None:
-    """Score a dataset with a saved checkpoint: losses, uncertainties, and
-    the rank-fused difficulty CSV."""
+    """Score a dataset with a saved checkpoint: the losses and uncertainties
+    at --out, and the rank-fused difficulty CSV at --difficulty-csv if given."""
     cfg = _settings(args)
-    out, difficulty_csv = _out_paths(args.out, ".csv")
+    out, difficulty_csv = Path(args.out), args.difficulty_csv or None
     dataset, model = _load_dataset_and_checkpoint(args, [
         (f"--out {args.out!r}", out, "the scores"),
-        (f"the .csv beside --out {args.out!r}", difficulty_csv, "the difficulty CSV"),
+        (f"--difficulty-csv {difficulty_csv!r}", difficulty_csv, "the difficulty CSV"),
     ])
     X, ids = dataset.X, dataset.ids
     losses = model.batch_losses(X, dataset.labels, cfg.loss_kind)
     us = uncertainty.batch_score_uncertainty(model, X, ids, cfg.G, cfg.gamma, cfg.seed)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    for path in filter(None, (out, difficulty_csv)):
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
     uncertainty.dump_scores(out, ids, losses, us)
-    difficulty.dump_difficulty_csv(difficulty_csv, ids, losses, us)
+    if difficulty_csv:
+        difficulty.dump_difficulty_csv(difficulty_csv, ids, losses, us)
     print(out)
 
 
@@ -198,6 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--difficulty-csv", default=None,
+                   help="also write the rank-fused difficulty CSV here")
     _add_settings(p, ExperimentConfig, ("loss_kind", "G", "gamma", "seed"))
     p.set_defaults(func=cmd_score)
 

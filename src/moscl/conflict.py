@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import uncertainty
 from .model import MlpModel
 
 MAX_EXHAUSTIVE_N = 64
@@ -57,13 +58,17 @@ class ConflictReport:
 
 def average_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks of ``x``; tied values share the mean of their
-    positions."""
-    order = np.argsort(x, kind="stable")
+    positions.  NaNs rank last, each on its own, in index order."""
+    # tied values share one rank, so only the NaNs, which never tie, need the
+    # order a stable sort would give them
+    order = np.argsort(x)
     s = x[order]
     first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
     counts = np.diff(np.r_[first, len(s)])
     ranks = np.empty(len(s))
     ranks[order] = np.repeat(first + 1 + (counts - 1) / 2, counts)
+    nan = np.isnan(x)
+    ranks[nan] = np.arange(len(s) - np.count_nonzero(nan), len(s)) + 1.0
     return ranks
 
 
@@ -103,10 +108,11 @@ def conflict_loss_monotonicity(
     per_loss = model.batch_losses(X, labels, loss_kind)
     ids, losses = ids[order], per_loss[order]
     grads = model.per_sample_gradients(X[order], labels[order], loss_kind)
-    n_pairs = n * (n - 1) // 2
-    p = np.arange(n_pairs)  # row pairs i < j, numbered in lexicographic order
+    n_pairs = n * (n - 1) // 2  # row pairs i < j, numbered in lexicographic order
     if n > MAX_EXHAUSTIVE_N and n_pairs > PAIR_CAP:
         p = np.sort(np.random.default_rng(seed).choice(n_pairs, PAIR_CAP, replace=False))
+    else:
+        p = np.arange(n_pairs)
     rows = np.arange(n)
     starts = rows * n - rows * (rows + 1) // 2  # the number of row i's first pair
     I = np.searchsorted(starts, p, "right") - 1
@@ -114,7 +120,15 @@ def conflict_loss_monotonicity(
     norms = np.linalg.norm(grads, axis=1)
     keep = (norms[I] != 0.0) & (norms[J] != 0.0)
     I, J = I[keep], J[keep]
-    cosines = np.einsum("pk,pk->p", grads[I], grads[J]) / (norms[I] * norms[J])
+    # the dot products in blocks of about `uncertainty.BLOCK_VALUES` gradient
+    # values: gathered all at once, the rows are big enough that malloc maps
+    # them fresh pages on every call
+    dots = np.empty(len(I))
+    step = max(1, uncertainty.BLOCK_VALUES // grads.shape[1])
+    for start in range(0, len(I), step):
+        at = slice(start, start + step)
+        np.einsum("pk,pk->p", grads[I[at]], grads[J[at]], out=dots[at])
+    cosines = dots / (norms[I] * norms[J])
     loss_sums = losses[I] + losses[J]
     pairs = np.empty(len(I), dtype=PAIR_DTYPE)
     pairs["id_i"], pairs["id_j"] = ids[I], ids[J]

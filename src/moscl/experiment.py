@@ -381,6 +381,11 @@ def _train(runs: List[_Run]) -> Dict[_Run, Exception]:
 def _start(cfg: ExperimentConfig, dataset: Dataset) -> _Run:
     # an in-memory dataset has not passed `load_dataset`'s check
     check_dataset(dataset)
+    # a class with no row leaves its recall 0 / 0, a NaN in every metrics row
+    counts = np.bincount(dataset.labels, minlength=2)
+    if not counts.all():
+        raise ValueError(f"labels hold no row of class {int(np.argmin(counts))}; "
+                         "training needs both classes")
     outdir = resolve_outdir(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     return _Run(cfg, dataset, outdir)

@@ -110,8 +110,9 @@ class MlpModel:
     def from_checkpoint(cls, doc: dict) -> "MlpModel":
         """Model from a `to_checkpoint` document.  A missing key, an unknown
         activation, a head other than sigmoid, a ``data`` length other than
-        prod(shape), or shapes that disagree (a W2 of more than one row
-        included) raise ValueError naming the field."""
+        prod(shape), shapes that disagree (a W2 of more than one row
+        included), or a value that is not a finite number raise ValueError
+        naming the field."""
         model = cls.__new__(cls)
         for key, known in (("activation", ACTIVATIONS), ("head", ("sigmoid",))):
             if _field(doc, key, key) not in known:
@@ -133,6 +134,10 @@ class MlpModel:
                     f"checkpoint {where}: shape {shape} disagrees with "
                     f"W1 (H, d), b1 (H,), W2 (1, H), b2 (1,)"
                 )
+            for k, value in enumerate(data):
+                if type(value) not in (int, float) or not math.isfinite(value):
+                    raise ValueError(f"checkpoint {where}: value {value!r} at index {k} "
+                                     "is not a finite number")
             setattr(model, name, np.asarray(data, dtype=np.float64).reshape(shape))
         return model
 

@@ -2,8 +2,8 @@
 program in `moscl`: scalar losses and their inverses, the loss-derived
 uncertainty (the zero-gamma entropy identity), the sigmoid + MSE latent
 gradient and its scale rewrite, a finite-difference gradient, the gradient
-cosine, the conflict report's row pairs, the convergence rule and the
-quadrant recovery rate.
+cosine, the conflict report's row pairs, pair cosines and average ranks,
+the convergence rule and the quadrant recovery rate.
 
 The program never calls these; the acceptance criteria and unit tests do.
 """
@@ -139,6 +139,26 @@ def conflict_pair_rows(n: int, seed: int, max_exhaustive_n: int, cap: int):
         pick = np.sort(np.random.default_rng(seed).choice(len(I), size=cap, replace=False))
         I, J = I[pick], J[pick]
     return I, J
+
+
+def pair_cosines(grads: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """The gradient cosine of each row pair (I[k], J[k]), all pairs in one
+    `einsum` over the gathered rows."""
+    norms = np.linalg.norm(grads, axis=1)
+    return np.einsum("pk,pk->p", grads[I], grads[J]) / (norms[I] * norms[J])
+
+
+def stable_average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based average ranks through a stable argsort: tied values share the
+    mean of their positions, and NaNs, which never tie, rank last in index
+    order."""
+    order = np.argsort(x, kind="stable")
+    s = x[order]
+    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    counts = np.diff(np.r_[first, len(s)])
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat(first + 1 + (counts - 1) / 2, counts)
+    return ranks
 
 
 def latent_gradient_scale(y: int, y_hat: float) -> float:

@@ -97,7 +97,8 @@ def test_traced_round_computes_every_counter(tmp_path, capsys, monkeypatch):
         ckpt = str(tmp_path / "cmp" / "mixed_seed0" / "checkpoint.json")
         scores = str(tmp_path / "scores.json")
         codes = [cli.main(argv) for argv in (
-            ["score", "--dataset", str(data), "--checkpoint", ckpt, "--out", scores],
+            ["score", "--dataset", str(data), "--checkpoint", ckpt, "--out", scores,
+             "--difficulty-csv", str(tmp_path / "difficulty.csv")],
             ["export-scatter", "--scores", scores, "--out", str(tmp_path / "scatter.csv")],
             ["analyze-conflicts", "--dataset", str(data), "--checkpoint", ckpt,
              "--out", str(tmp_path / "conflict.json")],

@@ -4,10 +4,12 @@ setting, and a JSON error with exit 1 for every malformed value."""
 import argparse
 import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
-from moscl import cli, uncertainty
+from moscl import cli, difficulty, uncertainty
 from moscl.datagen import GenSpec, generate, load_dataset, save_dataset
 from moscl.experiment import ExperimentConfig
 from moscl.model import MlpModel
@@ -101,21 +103,55 @@ def test_settings_flags_declare_neither_type_nor_default():
 @pytest.mark.parametrize("command,out_name,extra", [
     # the dataset's sidecar is --out with suffix .json
     ("gen-data", "d.json", ["--n-total", "20"]),
-    # the difficulty CSV is --out with suffix .csv
-    ("score", "s.csv", []),
-], ids=["gen-data", "score"])
+], ids=["gen-data"])
 def test_out_that_is_its_own_sidecar_is_rejected_before_writing(
     tmp_path, capsys, command, out_name, extra
 ):
-    data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt.json"
-    save_dataset(generate(GenSpec(n_total=20, minority_fraction=0.25, seed=3)), data)
-    MlpModel(2, 8, seed=0).save(ckpt)
     out = tmp_path / "out" / out_name
-    inputs = ["--dataset", str(data), "--checkpoint", str(ckpt)] if command == "score" else []
-    assert cli.main([command, "--out", str(out)] + inputs + extra) == 1
+    assert cli.main([command, "--out", str(out)] + extra) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError" and err["message"].startswith(f"--out {str(out)!r}")
     assert not out.parent.exists()
+
+
+def _score_inputs(tmp_path, n=20):
+    """A dataset of ``n`` rows and a checkpoint that fits it, as the
+    ``--dataset`` and ``--checkpoint`` flags of `score`."""
+    data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt.json"
+    save_dataset(generate(GenSpec(n_total=n, minority_fraction=0.25, seed=3)), data)
+    MlpModel(2, 8, seed=0).save(ckpt)
+    return ["--dataset", str(data), "--checkpoint", str(ckpt)]
+
+
+def test_score_out_ending_in_csv_writes_only_that_file(tmp_path, capsys):
+    """The difficulty CSV has a flag of its own, so a score JSON may be named
+    ``s.csv``."""
+    out = tmp_path / "out" / "s.csv"
+    assert cli.main(["score", "--out", str(out)] + _score_inputs(tmp_path)) == 0
+    assert capsys.readouterr().out == f"{out}\n"
+    assert [p.name for p in out.parent.iterdir()] == ["s.csv"]
+    assert [r["sample_id"] for r in uncertainty.load_scores(out)] == sorted(
+        load_dataset(tmp_path / "data.csv").ids.tolist()
+    )
+
+
+def test_score_writes_the_difficulty_csv_only_on_request(tmp_path, capsys):
+    """Without --difficulty-csv, `score` writes --out alone; with it, also
+    the CSV that `dump_difficulty_csv` writes of the same scores, in a
+    directory it makes."""
+    inputs = _score_inputs(tmp_path)
+    alone, both = tmp_path / "alone", tmp_path / "both"
+    assert cli.main(["score", "--out", str(alone / "s.json")] + inputs) == 0
+    assert [p.name for p in alone.iterdir()] == ["s.json"]
+    csv_path = both / "new" / "d.csv"
+    argv = ["score", "--out", str(both / "s.json"), "--difficulty-csv", str(csv_path)]
+    assert cli.main(argv + inputs) == 0
+    capsys.readouterr()
+    assert (both / "s.json").read_bytes() == (alone / "s.json").read_bytes()
+    rows = uncertainty.load_scores(both / "s.json")
+    columns = [np.array([r[k] for r in rows]) for k in ("sample_id", "loss", "uncertainty")]
+    difficulty.dump_difficulty_csv(tmp_path / "want.csv", *columns)
+    assert csv_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 
@@ -157,9 +193,20 @@ def test_output_paths_leave_the_whole_result_or_nothing(
 # (argv, error message): each output resolves to an input or to another output
 OVERWRITES = {
     "score-csv-is-dataset": (
-        ["score", "--dataset", "data.csv", "--checkpoint", "ckpt.json", "--out", "data.json"],
-        "the .csv beside --out 'data.json' and --dataset 'data.csv' name one file, so the "
+        ["score", "--dataset", "data.csv", "--checkpoint", "ckpt.json", "--out", "s.json",
+         "--difficulty-csv", "data.csv"],
+        "--difficulty-csv 'data.csv' and --dataset 'data.csv' name one file, so the "
         "difficulty CSV would overwrite the dataset; give them different paths"),
+    "score-csv-is-checkpoint": (
+        ["score", "--dataset", "data.csv", "--checkpoint", "ckpt.json", "--out", "s.json",
+         "--difficulty-csv", "sub/../ckpt.json"],
+        "--difficulty-csv 'sub/../ckpt.json' and --checkpoint 'ckpt.json' name one file, so "
+        "the difficulty CSV would overwrite the checkpoint; give them different paths"),
+    "score-csv-is-out": (
+        ["score", "--dataset", "data.csv", "--checkpoint", "ckpt.json", "--out", "s.json",
+         "--difficulty-csv", "./s.json"],
+        "--difficulty-csv './s.json' and --out 's.json' name one file, so the difficulty "
+        "CSV would overwrite the scores; give them different paths"),
     "score-out-is-checkpoint": (
         ["score", "--dataset", "data.csv", "--checkpoint", "ckpt.json", "--out", "./ckpt.json"],
         "--out './ckpt.json' and --checkpoint 'ckpt.json' name one file, so the scores "
@@ -216,3 +263,27 @@ def test_an_output_that_would_overwrite_an_input_or_output_is_rejected(
     assert cli.main(argv) == 1
     assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["W1", "b1", "W2", "b2"])
+@pytest.mark.parametrize("command", ["score", "analyze-conflicts"])
+def test_a_non_finite_checkpoint_value_is_a_named_error(tmp_path, capsys, command, name, value):
+    """A NaN or infinite parameter, which `json` reads and writes as a bare
+    token, fails at load with the field and index, and nothing is written."""
+    inputs = _score_inputs(tmp_path, n=100)
+    doc = MlpModel(2, 8, seed=0).to_checkpoint()
+    k = len(doc["params"][name]["data"]) - 1
+    doc["params"][name]["data"][k] = value
+    (tmp_path / "ckpt.json").write_text(json.dumps(doc))
+
+    def files():
+        return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+    before = files()
+    out = tmp_path / "out" / "r.json"
+    assert cli.main([command, "--out", str(out)] + inputs) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": (
+        f"checkpoint params.{name}: value {value!r} at index {k} is not a finite number"
+    )}
+    assert files() == before

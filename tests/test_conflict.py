@@ -16,6 +16,7 @@ from moscl.conflict import (
     conflict_loss_monotonicity,
     rank_correlation,
 )
+from moscl import uncertainty
 from moscl.model import MlpModel
 
 from oracles import (
@@ -24,6 +25,8 @@ from oracles import (
     gradient_cosine,
     has_converged,
     latent_gradient_scale,
+    pair_cosines,
+    stable_average_ranks,
 )
 
 
@@ -254,6 +257,27 @@ class TestRankCorrelationIsScipySpearman:
             assert np.isnan(rank_correlation(np.array(bad), x))
 
 
+# ties from rounding, signed zeros and NaNs among ordinary floats
+_ranked = st.lists(
+    st.one_of(
+        st.integers(-4, 4).map(lambda k: k / 2),
+        st.sampled_from([0.0, -0.0, np.nan]),
+        st.floats(-1e3, 1e3),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+@given(_ranked)
+@settings(max_examples=300)
+def test_average_ranks_match_a_stable_sort(values):
+    """The default, unstable argsort gives the ranks of a stable one, to the
+    bit: tied values share one rank, and NaNs keep their index order."""
+    x = np.array(values)
+    assert average_ranks(x).tobytes() == stable_average_ranks(x).tobytes()
+
+
 class TestMatchesPairwiseLoop:
     def _check(self, model, X, y, ids, seed=5):
         got = conflict_loss_monotonicity(model, X, y, sample_ids=ids, seed=seed)
@@ -314,3 +338,41 @@ class TestConvergenceRule:
 
     def test_needs_window(self):
         assert not has_converged([0.1, 0.1])
+
+
+def _pair_cosine_case(n, d, h):
+    """A report over ``n`` rows of ``d`` features under an ``h``-unit model,
+    and the one-shot `pair_cosines` of its kept row pairs."""
+    rng = np.random.default_rng(n + d + h)
+    X = rng.normal(size=(n, d))
+    y = rng.integers(0, 2, n).astype(np.int64)
+    model = MlpModel(d, h, seed=h)
+    report = conflict_loss_monotonicity(model, X, y, seed=4)
+    grads = model.per_sample_gradients(X, y)
+    I, J = conflict_pair_rows(n, 4, MAX_EXHAUSTIVE_N, PAIR_CAP)
+    norms = np.linalg.norm(grads, axis=1)
+    keep = (norms[I] != 0.0) & (norms[J] != 0.0)
+    return report, pair_cosines(grads, I[keep], J[keep])
+
+
+@pytest.mark.parametrize("n", [65, 400, 3000])
+@pytest.mark.parametrize("h", [3, 8, 16])
+@pytest.mark.parametrize("d", [2, 5])
+def test_pair_cosines_match_one_shot_einsum(n, d, h):
+    """The blocked dot products give the cosines of one `einsum` over all
+    gathered pairs, to the bit."""
+    report, want = _pair_cosine_case(n, d, h)
+    assert report.pairs["cosine"].tobytes() == want.tobytes()
+
+
+# a gradient holds 33 values at d=2, H=8: blocks of 1 pair (the floor),
+# 7 pairs and 64 pairs, so PAIR_CAP = 2000 pairs end in a block of 5 or 16
+@pytest.mark.parametrize("block_values", [16, 7 * 33 + 16, 64 * 33 + 16],
+                         ids=["one-pair", "7-pairs", "64-pairs"])
+def test_pair_cosines_match_across_many_short_blocks(monkeypatch, block_values):
+    """With `BLOCK_VALUES` shrunk, the pairs span many blocks, the last of
+    them short, and the cosines still match to the bit."""
+    monkeypatch.setattr(uncertainty, "BLOCK_VALUES", block_values)
+    report, want = _pair_cosine_case(400, 2, 8)
+    assert len(want) == PAIR_CAP
+    assert report.pairs["cosine"].tobytes() == want.tobytes()

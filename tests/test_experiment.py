@@ -297,6 +297,39 @@ def test_compare_records_a_negative_seed_as_its_cells_error(tmp_path, small_data
     ]
 
 
+def _strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity token."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("present", [0, 1])
+def test_a_dataset_with_one_class_fails_before_any_run_dir(tmp_path, monkeypatch, capsys,
+                                                           present):
+    """Training needs a row of each class, or every recall of the missing one
+    is 0 / 0: `train` exits 1 naming the labels and writes nothing, and each
+    `compare` cell records the error, so comparison.json stays valid JSON."""
+    monkeypatch.setenv("MOSCL_OUTPUT_ROOT", str(tmp_path))
+    dataset = generate(GenSpec(n_total=40, minority_fraction=0, label_noise_rate=0))
+    dataset = replace(dataset, labels=np.full(len(dataset), present, dtype=np.int64))
+    data = tmp_path / "data.csv"
+    save_dataset(dataset, data)
+    message = f"labels hold no row of class {1 - present}; training needs both classes"
+    assert cli.main(["train", "--dataset", str(data), "--outdir", "run"]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "run").exists()
+    argv = ["compare", "--dataset", str(data), "--schedulers", "random,mixed", "--seeds", "0,1"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    summary = _strict_json((tmp_path / "compare" / "comparison.json").read_text())
+    for stats in summary["configs"].values():
+        assert stats["failed_seeds"] == [0, 1]
+        assert stats["errors"] == {"0": f"ValueError: {message}", "1": f"ValueError: {message}"}
+        assert stats["minority_recall_mean"] is None
+    assert [p.name for p in (tmp_path / "compare").iterdir()] == ["comparison.json"]
+
+
 # any numpy warning would be an error: the run's own RuntimeError is its
 # only report of the inf loss
 @pytest.mark.filterwarnings("error")
@@ -743,11 +776,14 @@ def test_cli_full_pipeline(tmp_path, monkeypatch):
                 str(run_out / "checkpoint.json"),
                 "--out",
                 str(scores),
+                "--difficulty-csv",
+                str(tmp_path / "difficulty.csv"),
             ]
         )
         == 0
     )
-    assert scores.exists() and scores.with_suffix(".csv").exists()
+    assert scores.exists() and (tmp_path / "difficulty.csv").exists()
+    assert not scores.with_suffix(".csv").exists()
 
     scatter = tmp_path / "scatter.csv"
     assert (
@@ -806,7 +842,7 @@ def test_cli_score_rejects_a_negative_seed(tmp_path, small_dataset, capsys):
     assert err == {"error": "ValueError", "message": "seed must be >= 0"}
     assert not out.parent.exists()
     assert cli.main(argv + ["--seed", "0"]) == 0
-    assert out.exists() and out.with_suffix(".csv").exists()
+    assert [p.name for p in out.parent.iterdir()] == ["scores.json"]
 
 
 def test_cli_compare_writes_summary(tmp_path, monkeypatch, capsys):

@@ -20,7 +20,11 @@ says so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-It prints how many hashes it added, changed and removed.
+It prints how many hashes it added, changed and removed, then names each
+such file, sorted, one per line; a failing test names them the same way.
+The CLI round passes `score --difficulty-csv` at the `score.csv` beside
+the score JSON, so the difficulty CSV, which `score` writes only on
+request, stays pinned.
 """
 
 import hashlib
@@ -94,6 +98,7 @@ def golden_hashes(work: Path) -> dict:
         scores = work / case / "score.json"
         argvs = [
             ["score", "--dataset", str(data), "--out", str(scores), "--seed", "3",
+             "--difficulty-csv", str(scores.with_suffix(".csv")),
              "--checkpoint", str(work / case / "mixed_seed0" / "checkpoint.json"),
              "--loss-kind", fields["loss_kind"], "--G", str(fields.get("G", 8))],
             ["export-scatter", "--scores", str(scores), "--out", str(work / case / "value.csv")],
@@ -116,21 +121,33 @@ def golden_hashes(work: Path) -> dict:
     return {p.relative_to(work).as_posix(): _sha(p) for p in sorted(files)}
 
 
+def diff_by_name(old: dict, new: dict) -> dict:
+    """The sorted names of the files ``new`` adds to, changes in and removes
+    from ``old``, two dicts of file name -> hash."""
+    return {
+        "added": sorted(new.keys() - old.keys()),
+        "changed": sorted(name for name in new.keys() & old.keys() if old[name] != new[name]),
+        "removed": sorted(old.keys() - new.keys()),
+    }
+
+
+def describe(diff: dict) -> str:
+    """A count per kind of ``diff``, then one line per file named in it."""
+    lines = [", ".join(f"{len(names)} {kind}" for kind, names in diff.items())]
+    lines += [f"{kind}: {name}" for kind, names in diff.items() for name in names]
+    return "\n".join(lines)
+
+
 def test_outputs_match_golden_hashes(tmp_path):
     want = json.loads(FIXTURE.read_text())
-    got = golden_hashes(tmp_path)
-    assert sorted(got) == sorted(want)
-    differing = [name for name in want if got[name] != want[name]]
-    assert differing == [], f"{len(differing)} of {len(want)} files differ"
+    diff = diff_by_name(want, golden_hashes(tmp_path))
+    assert not any(diff.values()), f"over {len(want)} hashes: {describe(diff)}"
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         hashes = golden_hashes(Path(tmp))
     old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
-    added = len(hashes.keys() - old.keys())
-    removed = len(old.keys() - hashes.keys())
-    changed = sum(old[name] != hashes[name] for name in hashes.keys() & old.keys())
     FIXTURE.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
-    print(f"{len(hashes)} hashes -> {FIXTURE}: {added} added, {changed} changed, "
-          f"{removed} removed", file=sys.stderr)
+    print(f"{len(hashes)} hashes -> {FIXTURE}: {describe(diff_by_name(old, hashes))}",
+          file=sys.stderr)

@@ -243,6 +243,15 @@ class TestCheckpoint:
             (lambda d: d["params"].update(W2={"shape": [2, 8], "data": [0.0] * 16},
                                          b2={"shape": [2], "data": [0.0, 0.0]}),
              "params.W2: shape .2, 8."),
+            # values a JSON checkpoint can hold that are not finite numbers
+            (lambda d: d["params"]["W1"]["data"].__setitem__(2, "0.5"),
+             "params.W1: value '0.5' at index 2 is not a finite number"),
+            (lambda d: d["params"]["b1"]["data"].__setitem__(0, True),
+             "params.b1: value True at index 0 is not a finite number"),
+            (lambda d: d["params"]["W2"]["data"].__setitem__(7, None),
+             "params.W2: value None at index 7 is not a finite number"),
+            (lambda d: d["params"]["b2"]["data"].__setitem__(0, [1.0]),
+             r"params.b2: value \[1.0\] at index 0 is not a finite number"),
         ],
     )
     def test_bad_checkpoint_names_field(self, edit, field):
