@@ -78,23 +78,12 @@ def _load_dataset_and_checkpoint(args, outputs):
     return dataset, model
 
 
-def _out_paths(out: str, suffix: str):
-    """``--out`` and the path beside it with ``suffix``, which the command
-    also writes: they must differ, or the second file would overwrite the
-    first."""
-    out = Path(out)
-    beside = out.with_suffix(suffix)
-    if beside == out:
-        raise ValueError(
-            f"--out {str(out)!r} ends in {suffix}, the suffix of the file written "
-            "beside it; give --out another suffix"
-        )
-    return out, beside
-
-
 def cmd_gen_data(args) -> None:
     spec = _settings(args)
-    out, sidecar = _out_paths(args.out, ".json")
+    out = Path(args.out)
+    sidecar = out.with_suffix(".json")
+    _check_overwrites([], [(f"--out {args.out!r}", out, "the dataset"),
+                           (f"the .json beside --out {args.out!r}", sidecar, "the spec sidecar")])
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(generate(spec), out, sidecar)
     print(out)
@@ -150,7 +139,8 @@ def cmd_export_scatter(args) -> None:
 
 
 def cmd_analyze_conflicts(args) -> None:
-    out, table = _out_paths(args.out, ".npy")
+    out = Path(args.out)
+    table = out.with_suffix(".npy")
     cfg = _settings(args)
     dataset, model = _load_dataset_and_checkpoint(args, [
         (f"--out {args.out!r}", out, "the report"),
@@ -218,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--mode", default="value")
     p.add_argument("--epoch", type=int, default=None,
-                   help="the epoch to export when --scores is a run's scores.npz")
+                   help="the epoch whose scores to export; optional when --scores holds "
+                   "one epoch, as a score JSON (epoch 0) does")
     p.set_defaults(func=cmd_export_scatter)
 
     p = add("analyze-conflicts", help="pairwise gradient conflict report: a summary "

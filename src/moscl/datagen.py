@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -40,6 +41,8 @@ class GenSpec:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.label_noise_rate + self.feature_noise_rate > 1.0:
             raise ValueError("noise fractions sum above 1")
+        if not math.isfinite(self.cluster_separation):
+            raise ValueError(f"cluster_separation must be finite, got {self.cluster_separation!r}")
 
 
 @dataclass
@@ -58,10 +61,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    @property
-    def minority_label(self) -> int:
-        return 1
 
 
 def generate(spec: GenSpec) -> Dataset:

@@ -22,7 +22,7 @@ import numpy as np
 from . import difficulty, scheduler, uncertainty
 from .datagen import Dataset, check_dataset, load_dataset
 from .kernels import ACTIVATIONS, LOSSES
-from .model import MlpModel
+from .model import PARAM_AXES, MlpModel
 from . import kernels
 
 SCHEDULERS = ("random", "mixed", "anti_mixed", "sp_hard", "sp_linear", "ohem")
@@ -153,7 +153,6 @@ LOCKSTEP_FIELDS = (
     "total_epochs",
 )
 TIMINGS_HEADER = ["epoch", "wall_time_s", "plan_s", "train_s", "runs_in_step"]
-_PARAMS = ("W1", "b1", "W2", "b2")
 
 
 class _Run:
@@ -166,13 +165,15 @@ class _Run:
     holds no file open between epochs.
     """
 
-    def __init__(self, cfg: ExperimentConfig, dataset: Dataset, outdir: Path):
+    def __init__(self, cfg: ExperimentConfig, dataset: Dataset, outdir: Path, counts: np.ndarray):
         self.cfg = cfg
-        self.dataset = dataset
         self.outdir = outdir
         self.X = dataset.X
         self.labels = dataset.labels
         self.ids = dataset.ids
+        # rows per class; the minority is the rarer class, class 1 on a tie
+        self.counts = counts
+        self.minority = int(counts[1] <= counts[0])
         self.model = MlpModel(
             input_dim=self.X.shape[1],
             hidden_dim=cfg.hidden_dim,
@@ -265,15 +266,10 @@ class _Run:
         # warmup, random and sp_* runs batch randomly
         return scheduler.random_plan(len(self.ids), cfg.batch_size, self._epoch_rng(epoch))
 
-    def _recalls(self):
+    def _recalls(self) -> list:
+        """The recall of each class: its rows predicted as it, over its count."""
         pred = (self.model.forward_batch(self.X)[:, 0] > 0.5).astype(np.int64)
-        recalls = {}
-        for c in (0, 1):
-            mask = self.labels == c
-            recalls[c] = (
-                float((pred[mask] == c).mean()) if mask.any() else float("nan")
-            )
-        return recalls
+        return (np.bincount(self.labels, weights=pred == self.labels) / self.counts).tolist()
 
     def plan_epoch(self, epoch: int) -> None:
         """Score if due, build this epoch's plan and its visiting order."""
@@ -292,7 +288,7 @@ class _Run:
         recalls = self._recalls()
         spread = scheduler.d_sum_spread(self.plan, self.d) if self.d is not None else None
         self.metrics_rows.append([
-            epoch, mean_loss, recalls[0], recalls[1], recalls[self.dataset.minority_label],
+            epoch, mean_loss, recalls[0], recalls[1], recalls[self.minority],
             self.last_mean_uncertainty, spread,
         ])
 
@@ -318,10 +314,10 @@ class _Run:
 def _bind(runs: List[_Run]):
     """Stack the runs' parameters and loss weights on a leading run axis and
     point each run's arrays at its row, so one step updates them all."""
-    params = [np.stack([getattr(r.model, name) for r in runs]) for name in _PARAMS]
+    params = [np.stack([getattr(r.model, name) for r in runs]) for name in PARAM_AXES]
     weights = np.stack([r.weights for r in runs])
     for s, r in enumerate(runs):
-        for name, stack in zip(_PARAMS, params):
+        for name, stack in zip(PARAM_AXES, params):
             setattr(r.model, name, stack[s])
         r.weights = weights[s]
     return params, weights
@@ -388,7 +384,7 @@ def _start(cfg: ExperimentConfig, dataset: Dataset) -> _Run:
                          "training needs both classes")
     outdir = resolve_outdir(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    return _Run(cfg, dataset, outdir)
+    return _Run(cfg, dataset, outdir, counts)
 
 
 def run(cfg: ExperimentConfig, dataset: Optional[Dataset] = None) -> Path:
@@ -504,52 +500,38 @@ def compare(
     return summary
 
 
-def _table_row(path, epoch):
-    """(ids, losses, uncertainties) lists of one epoch's row of a score
-    table, by ascending id as a score JSON holds them; no uncertainties
-    gives a list of None."""
-    if epoch is None:
-        raise ValueError(f"{path} is a score table: pass the epoch to export")
-    table = uncertainty.load_score_table(path)
-    at = np.flatnonzero(table["epochs"] == epoch)
-    if len(at) == 0:
-        raise ValueError(f"epoch {epoch} is not in {path}; it holds {table['epochs'].tolist()}")
-    rows = np.argsort(table["ids"], kind="stable")
-    us = table.get("uncertainty")
-    return (
-        table["ids"][rows].tolist(),
-        table["loss"][at[0], rows].tolist(),
-        [None] * len(rows) if us is None else us[at[0], rows].tolist(),
-    )
-
-
 def export_scatter(scores_path, out_csv, mode: str = "value", epoch: Optional[int] = None) -> None:
     """Fig-style scatter export of (loss, uncertainty) pairs, either raw
     values or descending rank indices, one row per sample by ascending id.
 
-    ``scores_path`` is a score JSON (`moscl score`), or a run's
-    ``scores.npz`` table, whose row of ``epoch`` is exported.  The parent
-    directories of ``out_csv`` are made once the input has been read."""
+    ``scores_path`` is a run's ``scores.npz`` table, or a score JSON
+    (`moscl score`), read as a table of one row at epoch 0, the epoch
+    `moscl score` scores at.  The row of ``epoch`` is exported; ``epoch``
+    may be left out when the file holds one row.  The parent directories
+    of ``out_csv`` are made once the input has been read."""
     if mode not in ("value", "index"):
         raise ValueError(f"unknown scatter mode {mode!r}")
     if Path(scores_path).suffix == ".npz":
-        ids, losses, us = _table_row(scores_path, epoch)
-    elif epoch is not None:
-        raise ValueError(f"epoch {epoch} given, but {scores_path} is a score JSON, not a table")
+        table = uncertainty.load_score_table(scores_path)
     else:
         records = uncertainty.load_scores(scores_path)
-        ids = [r["sample_id"] for r in records]
-        losses = [r["loss"] for r in records]
         us = [r["uncertainty"] for r in records]
-    if any(u is None for u in us):
+        table = {"ids": np.array([r["sample_id"] for r in records]), "epochs": np.array([0]),
+                 "loss": np.array([[r["loss"] for r in records]])}
+        if None not in us:
+            table["uncertainty"] = np.array([us])
+    epochs = table["epochs"].tolist()
+    if epoch is None and len(epochs) == 1:
+        epoch = epochs[0]
+    if epoch not in epochs:
+        raise ValueError(f"{scores_path} holds the epochs {epochs}: give one of them as the epoch")
+    if "uncertainty" not in table:
         raise ValueError("scores file has no uncertainty column to export")
+    k, order = epochs.index(epoch), np.argsort(table["ids"], kind="stable")
+    ids, losses, us = table["ids"][order], table["loss"][k, order], table["uncertainty"][k, order]
     if mode == "index":
-        rows = zip(
-            difficulty.rank_descending(losses, ids).tolist(),
-            difficulty.rank_descending(us, ids).tolist(),
-        )
-    else:
-        rows = zip(losses, us)
+        losses, us = difficulty.rank_descending(losses, ids), difficulty.rank_descending(us, ids)
+    rows = zip(losses.tolist(), us.tolist())
     Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
     with open(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)

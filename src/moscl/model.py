@@ -94,7 +94,7 @@ class MlpModel:
         """JSON-serializable checkpoint: named row-major arrays with shapes.
         Its ``head`` key is always "sigmoid", the one output the model has."""
         out = {"activation": self.activation, "head": "sigmoid", "params": {}}
-        for name in ("W1", "b1", "W2", "b2"):
+        for name in PARAM_AXES:
             arr = getattr(self, name)
             out["params"][name] = {
                 "shape": list(arr.shape),
@@ -120,7 +120,7 @@ class MlpModel:
         model.activation = doc["activation"]
         params = _field(doc, "params", "params")
         sizes = {"1": 1}  # axis name -> size, first seen
-        for name, axes in _PARAM_AXES.items():
+        for name, axes in PARAM_AXES.items():
             where = f"params.{name}"
             entry = _field(params, name, where)
             shape = tuple(_field(entry, "shape", f"{where}.shape"))
@@ -147,9 +147,9 @@ class MlpModel:
             return cls.from_checkpoint(json.load(fh))
 
 
-# Checkpoint arrays and the size behind each axis: H hidden, d input, and
-# the one output.
-_PARAM_AXES = {"W1": "Hd", "b1": "H", "W2": "1H", "b2": "1"}
+# The parameter arrays, in checkpoint order, and the size behind each axis:
+# H hidden, d input, and the one output.
+PARAM_AXES = {"W1": "Hd", "b1": "H", "W2": "1H", "b2": "1"}
 
 
 def _field(doc, key, where):

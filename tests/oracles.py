@@ -3,7 +3,7 @@ program in `moscl`: scalar losses and their inverses, the loss-derived
 uncertainty (the zero-gamma entropy identity), the sigmoid + MSE latent
 gradient and its scale rewrite, a finite-difference gradient, the gradient
 cosine, the conflict report's row pairs, pair cosines and average ranks,
-the convergence rule and the quadrant recovery rate.
+the convergence rule, the per-class recall and the quadrant recovery rate.
 
 The program never calls these; the acceptance criteria and unit tests do.
 """
@@ -185,6 +185,15 @@ def has_converged(epoch_losses: List[float], rel_tol: float = 1e-4, window: int 
         if (prev - cur) / abs(prev) >= rel_tol:
             return False
     return True
+
+
+def class_recalls(pred: np.ndarray, labels: np.ndarray) -> List[float]:
+    """The recall of classes 0 and 1: the mean of ``pred == c`` over the rows
+    labelled c, NaN for a class with no row."""
+    return [
+        float((pred[labels == c] == c).mean()) if (labels == c).any() else math.nan
+        for c in (0, 1)
+    ]
 
 
 def quadrant_recovery_rate(

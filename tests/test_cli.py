@@ -107,10 +107,26 @@ def test_settings_flags_declare_neither_type_nor_default():
 def test_out_that_is_its_own_sidecar_is_rejected_before_writing(
     tmp_path, capsys, command, out_name, extra
 ):
+    """The overwrite rule names both the sidecar and --out, and nothing is
+    written."""
     out = tmp_path / "out" / out_name
     assert cli.main([command, "--out", str(out)] + extra) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError" and err["message"].startswith(f"--out {str(out)!r}")
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": (
+        f"the .json beside --out {str(out)!r} and --out {str(out)!r} name one file, so the "
+        "spec sidecar would overwrite the dataset; give them different paths"
+    )}
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_gen_data_rejects_a_non_finite_cluster_separation(tmp_path, capsys, value):
+    """A NaN feature would fail every later command, so the spec is refused
+    before anything is written."""
+    out = tmp_path / "out" / "d.csv"
+    assert cli.main(["gen-data", "--out", str(out), f"--cluster-separation={value}"]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": (
+        f"cluster_separation must be finite, got {float(value)!r}"
+    )}
     assert not out.parent.exists()
 
 
@@ -228,8 +244,8 @@ OVERWRITES = {
     "conflict-out-is-npy": (
         ["analyze-conflicts", "--dataset", "data.csv", "--checkpoint", "ckpt.json",
          "--out", "r.npy"],
-        "--out 'r.npy' ends in .npy, the suffix of the file written beside it; give "
-        "--out another suffix"),
+        "the .npy beside --out 'r.npy' and --out 'r.npy' name one file, so the pairs "
+        "table would overwrite the report; give them different paths"),
     "conflict-pairs-csv-is-npy": (
         ["analyze-conflicts", "--dataset", "data.csv", "--checkpoint", "ckpt.json",
          "--out", "r.json", "--pairs-csv", "r.npy"],

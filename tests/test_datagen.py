@@ -36,6 +36,12 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             GenSpec(n_total=3)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_cluster_separation(self, value):
+        with pytest.raises(ValueError) as info:
+            GenSpec(cluster_separation=value)
+        assert str(info.value) == f"cluster_separation must be finite, got {value!r}"
+
 
 class TestGenerate:
     def test_all_clean_is_LL(self):

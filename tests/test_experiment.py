@@ -7,16 +7,19 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from moscl import cli, experiment, scheduler, uncertainty
-from moscl.datagen import GenSpec, generate, save_dataset
+from moscl.datagen import GenSpec, generate, load_dataset, save_dataset
 from moscl.experiment import METRICS_HEADER, ExperimentConfig
 from moscl.model import MlpModel
 from moscl.uncertainty import dump_scores, load_score_table, save_score_table
+
+from oracles import class_recalls
 
 
 @pytest.fixture(scope="module")
@@ -412,6 +415,53 @@ def test_metrics_values_are_sane(tmp_path, small_dataset):
             assert 0.0 <= float(row[key]) <= 1.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_recalls_are_the_per_class_masked_mean_bit_for_bit(data):
+    """`_Run._recalls` against the per-class masked mean, over label vectors
+    with both classes, equal class counts forced in some."""
+    n = data.draw(st.integers(2, 3000), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="tie"):
+        n -= n % 2
+        labels = rng.permutation(np.repeat(np.array([0, 1], dtype=np.int64), n // 2))
+    else:
+        labels = rng.permutation(np.r_[0, 1, rng.integers(0, 2, n - 2)])
+    # probabilities at 0.5 exactly, the threshold, included
+    probs = np.where(rng.random(n) < 0.1, 0.5, rng.random(n))
+    run = SimpleNamespace(
+        model=SimpleNamespace(forward_batch=lambda X: probs[:, None]),
+        X=None, labels=labels, counts=np.bincount(labels, minlength=2),
+    )
+    got = experiment._Run._recalls(run)
+    want = class_recalls((probs > 0.5).astype(np.int64), labels)
+    assert [float.hex(r) for r in got] == [float.hex(r) for r in want]
+
+
+MAJORITY_1 = GenSpec(n_total=100, minority_fraction=0.7, label_noise_rate=0, seed=1)
+
+
+@pytest.mark.parametrize("spec,via_csv,minority", [
+    (MAJORITY_1, False, 0),
+    (MAJORITY_1, True, 0),
+    (replace(MAJORITY_1, minority_fraction=0.5), False, 1),
+], ids=["class1-larger", "class1-larger-csv", "tie"])
+def test_minority_recall_is_the_recall_of_the_rarer_class(tmp_path, spec, via_csv, minority):
+    """The minority is the class with fewer rows, class 1 on a tie, however
+    the dataset was made."""
+    dataset = generate(spec)
+    if via_csv:
+        save_dataset(dataset, tmp_path / "data.csv")
+        dataset = load_dataset(tmp_path / "data.csv")
+    counts = np.bincount(dataset.labels).tolist()
+    assert counts == ([50, 50] if minority else [30, 70])
+    run_dir = experiment.run(_cfg(tmp_path, scheduler="random"), dataset=dataset)
+    rows = _read_metrics(run_dir)
+    assert all(r["minority_recall"] == r[f"recall_class{minority}"] for r in rows)
+    # the two recalls differ, so the rows tell the classes apart
+    assert any(r["recall_class0"] != r["recall_class1"] for r in rows)
+
+
 def test_run_is_byte_deterministic(tmp_path, small_dataset):
     first = experiment.run(_cfg(tmp_path, name="det_a"), dataset=small_dataset)
     second = experiment.run(_cfg(tmp_path, name="det_b"), dataset=small_dataset)
@@ -646,19 +696,35 @@ def test_export_scatter_rejects_unknown_mode(tmp_path):
         experiment.export_scatter(tmp_path / "x.json", tmp_path / "y.csv", mode="blob")
 
 
-def test_export_scatter_needs_the_epoch_of_a_table_only(tmp_path, small_dataset, capsys):
-    scores, _ = _run_with_scores(tmp_path, small_dataset, "scatter_e")
-    json_scores = tmp_path / "scores.json"
-    dump_scores(json_scores, [0, 1], [0.5, 0.25], [0.1, 0.2])
-    out = tmp_path / "scatter.csv"
-    for path, epoch in ((scores, None), (scores, 99), (json_scores, 2)):
-        with pytest.raises(ValueError, match="epoch"):
-            experiment.export_scatter(path, out, epoch=epoch)
-    rc = cli.main(["export-scatter", "--scores", str(scores), "--out", str(out)])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError" and "epoch" in err["message"]
-    assert not out.exists()
+def test_export_scatter_picks_its_row_by_one_rule(tmp_path, capsys):
+    """--epoch names the row to export and may be left out when the file
+    holds one row; a score JSON holds one, at epoch 0.  Any other epoch, or
+    none on a table of several rows, is one error, and nothing is written."""
+    ids, losses, us = [5, 2, 9], [[0.5, 0.25, 1.0], [0.1, 0.2, 0.3]], [[0.3, 0.2, 0.1]] * 2
+    save_score_table(tmp_path / "one.npz", ids, [7], losses[:1], us[:1])
+    save_score_table(tmp_path / "two.npz", ids, [7, 8], losses, us)
+    dump_scores(tmp_path / "s.json", ids, losses[0], us[0])
+    out = tmp_path / "out"
+
+    def export(scores, csv_name, *epoch):
+        return cli.main(["export-scatter", "--scores", str(tmp_path / scores),
+                         "--out", str(out / csv_name), *epoch])
+
+    for scores, epoch in (("one.npz", []), ("one.npz", ["--epoch", "7"]),
+                          ("two.npz", ["--epoch", "7"]), ("s.json", []),
+                          ("s.json", ["--epoch", "0"])):
+        assert export(scores, "row.csv", *epoch) == 0
+        assert (out / "row.csv").read_text() == "loss,uncertainty\n0.25,0.2\n0.5,0.3\n1.0,0.1\n"
+        (out / "row.csv").unlink()
+    capsys.readouterr()
+    for scores, epoch, held in (("s.json", ["--epoch", "5"], [0]), ("two.npz", [], [7, 8]),
+                                ("two.npz", ["--epoch", "0"], [7, 8]),
+                                ("one.npz", ["--epoch", "0"], [7])):
+        assert export(scores, "bad.csv", *epoch) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": (
+            f"{tmp_path / scores} holds the epochs {held}: give one of them as the epoch"
+        )}
+    assert not any(out.iterdir())
 
 
 FINITE_FLOATS = st.one_of(
@@ -686,10 +752,13 @@ def test_table_export_matches_export_of_its_json_row(tmp_path_factory, mode, dat
     k = data.draw(st.integers(0, len(epochs) - 1), label="row")
     work = tmp_path_factory.mktemp("export")
     save_score_table(work / "scores.npz", ids, epochs, losses, us)
+    save_score_table(work / "row.npz", ids, epochs[k : k + 1], losses[k : k + 1], us[k : k + 1])
     dump_scores(work / "row.json", ids, losses[k], us[k])
     experiment.export_scatter(work / "scores.npz", work / "table.csv", mode, epoch=epochs[k])
+    experiment.export_scatter(work / "row.npz", work / "row.csv", mode)
     experiment.export_scatter(work / "row.json", work / "json.csv", mode)
     assert (work / "table.csv").read_bytes() == (work / "json.csv").read_bytes()
+    assert (work / "row.csv").read_bytes() == (work / "json.csv").read_bytes()
 
 
 def test_failed_cell_keeps_the_scores_of_the_epochs_before_its_error(

@@ -15,18 +15,21 @@ epoch; once tanh-ce at b=4, G=4, rescoring every other epoch; and once
 relu-ce at b=2 with G=128 and 16 hidden units, rescoring every third
 epoch, so that uncertainty scoring spans several row blocks.
 
-A change that alters a numeric path on purpose regenerates the file and
-says so in CHANGES.md:
+To check the outputs against the file without pytest:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
-It prints how many hashes it added, changed and removed, then names each
-such file, sorted, one per line; a failing test names them the same way.
+It prints how many hashes the outputs add, change and remove, then names
+each such file, sorted, one per line, as a failing test does; it writes
+nothing, and exits 1 when any hash differs.  A change that alters a
+numeric path on purpose regenerates the file with ``--update`` and says
+so in CHANGES.md.
 The CLI round passes `score --difficulty-csv` at the `score.csv` beside
 the score JSON, so the difficulty CSV, which `score` writes only on
 request, stays pinned.
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -144,10 +147,21 @@ def test_outputs_match_golden_hashes(tmp_path):
     assert not any(diff.values()), f"over {len(want)} hashes: {describe(diff)}"
 
 
-if __name__ == "__main__":
+def main(argv=None) -> int:
+    """Compare the outputs with the fixture, or with ``--update`` rewrite it."""
+    parser = argparse.ArgumentParser(description=main.__doc__)
+    parser.add_argument("--update", action="store_true", help="rewrite the fixture")
+    update = parser.parse_args(argv).update
     with tempfile.TemporaryDirectory() as tmp:
         hashes = golden_hashes(Path(tmp))
     old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
-    FIXTURE.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
-    print(f"{len(hashes)} hashes -> {FIXTURE}: {describe(diff_by_name(old, hashes))}",
+    diff = diff_by_name(old, hashes)
+    if update:
+        FIXTURE.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
+    print(f"{len(hashes)} hashes {'->' if update else 'vs'} {FIXTURE}: {describe(diff)}",
           file=sys.stderr)
+    return 0 if update or not any(diff.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
