@@ -3,11 +3,10 @@
 Subcommands: gen-data, train, score, compare, export-scatter,
 analyze-conflicts.  A failure, a malformed flag value included, exits 1
 with an error JSON on stderr; a missing or unknown flag exits 2 with
-argparse's usage text.  The MOSCL_OUTPUT_ROOT environment variable
-prefixes the relative run directories of train and compare (and so
-compare's comparison.json), through `experiment.resolve_outdir`; every
---out, --pairs-csv and --difficulty-csv path resolves against the working
-directory.
+argparse's usage text.  Every path resolves against the working
+directory: each --out, --pairs-csv and --difficulty-csv, and the run
+directories of train and compare (--outdir, default run and compare), so
+compare's comparison.json too.
 """
 
 from __future__ import annotations
@@ -123,7 +122,7 @@ def cmd_compare(args) -> None:
         raise ValueError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     configs = [dataclasses.replace(base, scheduler=s) for s in schedulers]
     summary = experiment.compare(configs, seeds, labels=schedulers)
-    out = experiment.resolve_outdir(base.outdir or "compare") / "comparison.json"
+    out = Path(base.outdir or "compare") / "comparison.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
         json.dump(summary, fh, indent=1)
@@ -227,6 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        # read before any input: an empty --out names no file to write
+        if getattr(args, "out", None) == "":
+            raise ValueError("--out '' names no file")
         args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI error contract
         json.dump(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -201,11 +200,10 @@ class _Run:
         self.last_mean_uncertainty: Optional[float] = None
         self.metrics_rows: List[list] = []
         self.timing_rows: List[list] = []
-        # a run owns its dir's score files and checkpoint: none may survive
-        # from an earlier run, nor the per-epoch JSON files older runs wrote
-        owned = [outdir / "scores.npz", outdir / "checkpoint.json"]
-        for stale in [*owned, *outdir.glob("scores_epoch*.json")]:
-            stale.unlink(missing_ok=True)
+        self.error: Optional[Exception] = None
+        # a run owns its dir's score table and checkpoint: none survives a rerun
+        for stale in ("scores.npz", "checkpoint.json"):
+            (outdir / stale).unlink(missing_ok=True)
         cfg.write_resolved(outdir / "config_resolved.txt")
 
     def _epoch_rng(self, epoch: int) -> np.random.Generator:
@@ -323,16 +321,15 @@ def _bind(runs: List[_Run]):
     return params, weights
 
 
-def _train(runs: List[_Run]) -> Dict[_Run, Exception]:
+def _train(runs: List[_Run]) -> None:
     """Train runs that share the dataset and every LOCKSTEP_FIELDS value in
-    lockstep; returns the exception of each run that failed.
-
-    A run that raises leaves the stack with its error and its logs so far;
-    the others go on unchanged, since the stacked step is exact per run.
+    lockstep.  A run that raises leaves the stack with its `error` and its
+    logs so far; the others go on unchanged, since the stacked step is
+    exact per run.  A finished run saves its checkpoint after every log is
+    written, so only the dir of a finished run holds one.
     """
     first = runs[0]
     cfg = first.cfg
-    failed: Dict[_Run, Exception] = {}
     live = list(runs)
     stacked: List[_Run] = []
 
@@ -341,7 +338,7 @@ def _train(runs: List[_Run]) -> Dict[_Run, Exception]:
             try:
                 step(run)
             except Exception as exc:  # noqa: BLE001 - cell failures are recorded
-                failed[run] = exc
+                run.error = exc
                 live.remove(run)
 
     try:
@@ -367,11 +364,10 @@ def _train(runs: List[_Run]) -> Dict[_Run, Exception]:
                 run.timing_rows.append([
                     epoch, f"{wall:.5f}", f"{run.plan_s:.5f}", f"{train_s:.5f}", len(stacked)
                 ])
-        each(lambda run: run.model.save(run.outdir / "checkpoint.json"))
     finally:
         for run in runs:
             run.write_logs()
-    return failed
+    each(lambda run: run.model.save(run.outdir / "checkpoint.json"))
 
 
 def _start(cfg: ExperimentConfig, dataset: Dataset) -> _Run:
@@ -382,7 +378,7 @@ def _start(cfg: ExperimentConfig, dataset: Dataset) -> _Run:
     if not counts.all():
         raise ValueError(f"labels hold no row of class {int(np.argmin(counts))}; "
                          "training needs both classes")
-    outdir = resolve_outdir(cfg.outdir)
+    outdir = Path(cfg.outdir or "run")
     outdir.mkdir(parents=True, exist_ok=True)
     return _Run(cfg, dataset, outdir, counts)
 
@@ -390,27 +386,19 @@ def _start(cfg: ExperimentConfig, dataset: Dataset) -> _Run:
 def run(cfg: ExperimentConfig, dataset: Optional[Dataset] = None) -> Path:
     """Execute one training run; returns the run directory."""
     one = _start(cfg, dataset if dataset is not None else load_dataset(cfg.dataset))
-    exc = _train([one]).get(one)
-    if exc is not None:
-        raise exc
+    _train([one])
+    if one.error is not None:
+        raise one.error
     return one.outdir
 
 
-def resolve_outdir(outdir: str) -> Path:
-    root = os.environ.get("MOSCL_OUTPUT_ROOT", ".")
-    path = Path(outdir if outdir else "run")
-    return path if path.is_absolute() else Path(root) / path
-
-
 def final_metrics(run_dir: Path) -> Dict[str, float]:
-    """The last epoch row of a run's metrics.csv; a run that failed before
-    its first epoch row raises a ValueError naming the file."""
-    path = Path(run_dir) / "metrics.csv"
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ValueError(f"{path} has no epoch rows: the run failed before its first epoch")
-    last = rows[-1]
+    """The last epoch row of a finished run's metrics.csv.  A dir without
+    the checkpoint that only a finished run saves raises a ValueError."""
+    if not Path(run_dir, "checkpoint.json").exists():
+        raise ValueError(f"{run_dir} has no checkpoint.json: its run failed or did not finish")
+    with open(Path(run_dir, "metrics.csv"), newline="") as fh:
+        last = list(csv.DictReader(fh))[-1]
     return {
         "mean_loss": float(last["mean_loss"]),
         "minority_recall": float(last["minority_recall"]),
@@ -469,13 +457,11 @@ def compare(
                 continue
             key = (id(ds),) + tuple(getattr(variant, f) for f in LOCKSTEP_FIELDS)
             groups.setdefault(key, []).append(one)
-    failed: Dict[_Run, Exception] = {}
     for group in groups.values():
-        failed.update(_train(group))
+        _train(group)
     for cell, one in cells.items():
         if isinstance(one, _Run):
-            exc = failed.get(one)
-            cells[cell] = _error(exc) if exc is not None else final_metrics(one.outdir)
+            cells[cell] = final_metrics(one.outdir) if one.error is None else _error(one.error)
     summary = {"seeds": seeds, "configs": {}, "wins_vs_baseline": {}}
     recall: Dict[str, Dict[int, float]] = {}
     for label in labels:
@@ -515,9 +501,13 @@ def export_scatter(scores_path, out_csv, mode: str = "value", epoch: Optional[in
         table = uncertainty.load_score_table(scores_path)
     else:
         records = uncertainty.load_scores(scores_path)
-        us = [r["uncertainty"] for r in records]
-        table = {"ids": np.array([r["sample_id"] for r in records]), "epochs": np.array([0]),
-                 "loss": np.array([[r["loss"] for r in records]])}
+        try:
+            ids, losses, us = ([r[key] for r in records]
+                               for key in ("sample_id", "loss", "uncertainty"))
+        except (KeyError, TypeError):
+            raise ValueError(f"{scores_path} is not an array of "
+                             "{sample_id, loss, uncertainty} records") from None
+        table = {"ids": np.array(ids), "epochs": np.array([0]), "loss": np.array([losses])}
         if None not in us:
             table["uncertainty"] = np.array([us])
     epochs = table["epochs"].tolist()

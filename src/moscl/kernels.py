@@ -125,16 +125,13 @@ def sgd_epochs(W1, b1, W2, b2, X, labels, orders, bsz, weights, lr, act, lossk):
         L[:, at] = _sgd_step(
             W1, b1, W2, b2, XO[:, at], LO[:, at], WO[:, at], lr / bsz, act, lossk
         )
-    # Ragged tails: runs with equal batch sizes step together on row subsets.
+    # Ragged tails: each run steps alone, in place on its row of the stack.
     for pos in range(full, M, bsz):
-        n = np.minimum(lengths - pos, bsz)
-        for k in np.unique(n[n > 0]).tolist():
-            sub, at = np.flatnonzero(n == k), slice(pos, pos + k)
-            params = [W1[sub], b1[sub], W2[sub], b2[sub]]
-            L[sub, at] = _sgd_step(
-                *params, XO[sub, at], LO[sub, at], WO[sub, at], lr / k, act, lossk
-            )
-            W1[sub], b1[sub], W2[sub], b2[sub] = params
+        for s, m in enumerate(lengths.tolist()):
+            if m > pos:
+                r, at = slice(s, s + 1), slice(pos, min(m, pos + bsz))
+                L[r, at] = _sgd_step(W1[r], b1[r], W2[r], b2[r], XO[r, at], LO[r, at],
+                                     WO[r, at], lr / (at.stop - pos), act, lossk)
     return [L[s, :m] for s, m in enumerate(lengths)]
 
 

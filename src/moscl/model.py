@@ -110,9 +110,9 @@ class MlpModel:
     def from_checkpoint(cls, doc: dict) -> "MlpModel":
         """Model from a `to_checkpoint` document.  A missing key, an unknown
         activation, a head other than sigmoid, a ``data`` length other than
-        prod(shape), shapes that disagree (a W2 of more than one row
-        included), or a value that is not a finite number raise ValueError
-        naming the field."""
+        prod(shape), an axis of size 0, shapes that disagree (a W2 of more
+        than one row included), or a value that is not a finite number
+        raise ValueError naming the field."""
         model = cls.__new__(cls)
         for key, known in (("activation", ACTIVATIONS), ("head", ("sigmoid",))):
             if _field(doc, key, key) not in known:
@@ -127,6 +127,8 @@ class MlpModel:
             data = _field(entry, "data", f"{where}.data")
             if len(data) != math.prod(shape):
                 raise ValueError(f"checkpoint {where}: {len(data)} values for shape {shape}")
+            if 0 in shape:
+                raise ValueError(f"checkpoint {where}: shape {shape} has an axis of size 0")
             if len(shape) != len(axes) or any(
                 sizes.setdefault(axis, size) != size for axis, size in zip(axes, shape)
             ):

@@ -130,6 +130,33 @@ def test_gen_data_rejects_a_non_finite_cluster_separation(tmp_path, capsys, valu
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command,inputs", [
+    ("gen-data", []),
+    ("score", ["--dataset", "missing.csv", "--checkpoint", "missing.json"]),
+    ("export-scatter", ["--scores", "missing.json"]),
+    ("analyze-conflicts", ["--dataset", "missing.csv", "--checkpoint", "missing.json"]),
+], ids=["gen-data", "score", "export-scatter", "analyze-conflicts"])
+def test_an_empty_out_is_refused_before_any_input_is_read(tmp_path, capsys, command, inputs):
+    """An empty --out names no file.  Each command fails on it, naming the
+    flag, before it reads its inputs (missing here, so a read would fail
+    with another error), and writes nothing."""
+    assert cli.main([command, "--out", "", *inputs]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "--out '' names no file",
+    }
+    assert not any(tmp_path.iterdir())
+
+
+def test_an_empty_optional_output_is_not_given(tmp_path, capsys):
+    """An empty --difficulty-csv or --pairs-csv writes nothing beside --out,
+    as leaving the flag out does."""
+    inputs = _score_inputs(tmp_path)
+    assert cli.main(["score", "--out", "out/s.json", "--difficulty-csv", ""] + inputs) == 0
+    assert cli.main(["analyze-conflicts", "--out", "out/r.json", "--pairs-csv", ""] + inputs) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["r.json", "r.npy", "s.json"]
+
+
 def _score_inputs(tmp_path, n=20):
     """A dataset of ``n`` rows and a checkpoint that fits it, as the
     ``--dataset`` and ``--checkpoint`` flags of `score`."""
@@ -181,10 +208,7 @@ def test_score_writes_the_difficulty_csv_only_on_request(tmp_path, capsys):
     (["export-scatter", "--scores", "scores.json", "--out", "new/s.csv"],
      {"new/s.csv": "loss,uncertainty\n"}),
 ], ids=["pairs-csv-is-out", "pairs-csv-in-new-dir", "scatter-in-new-dir"])
-def test_output_paths_leave_the_whole_result_or_nothing(
-    tmp_path, monkeypatch, capsys, argv, written
-):
-    monkeypatch.chdir(tmp_path)
+def test_output_paths_leave_the_whole_result_or_nothing(tmp_path, capsys, argv, written):
     save_dataset(generate(GenSpec(n_total=30, minority_fraction=0.25, seed=3)), "data.csv")
     MlpModel(2, 8, seed=0).save("ckpt.json")
     inputs = ["--dataset", "data.csv", "--checkpoint", "ckpt.json"]
@@ -260,7 +284,6 @@ def test_an_output_that_would_overwrite_an_input_or_output_is_rejected(
 ):
     """Exit 1 with an error naming both flags, before any input is read and
     with every file left as it was."""
-    monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
     save_dataset(generate(GenSpec(n_total=30, minority_fraction=0.25, seed=3)), "data.csv")
     MlpModel(2, 8, seed=0).save("ckpt.json")
@@ -303,3 +326,21 @@ def test_a_non_finite_checkpoint_value_is_a_named_error(tmp_path, capsys, comman
         f"checkpoint params.{name}: value {value!r} at index {k} is not a finite number"
     )}
     assert files() == before
+
+
+@pytest.mark.parametrize("command", ["score", "analyze-conflicts"])
+def test_a_checkpoint_with_an_axis_of_size_0_is_a_named_error(tmp_path, capsys, command):
+    """A model of no hidden unit would divide by zero while scoring, or give
+    a conflict report of nothing: it fails at load, and nothing is
+    written."""
+    inputs = _score_inputs(tmp_path)
+    doc = MlpModel(2, 8, seed=0).to_checkpoint()
+    for name, shape in (("W1", [0, 2]), ("b1", [0]), ("W2", [1, 0])):
+        doc["params"][name] = {"shape": shape, "data": []}
+    (tmp_path / "ckpt.json").write_text(json.dumps(doc))
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([command, "--out", str(tmp_path / "out" / "r.json")] + inputs) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": (
+        "checkpoint params.W1: shape (0, 2) has an axis of size 0"
+    )}
+    assert sorted(tmp_path.rglob("*")) == before

@@ -308,12 +308,10 @@ def _strict_json(text):
 
 
 @pytest.mark.parametrize("present", [0, 1])
-def test_a_dataset_with_one_class_fails_before_any_run_dir(tmp_path, monkeypatch, capsys,
-                                                           present):
+def test_a_dataset_with_one_class_fails_before_any_run_dir(tmp_path, capsys, present):
     """Training needs a row of each class, or every recall of the missing one
     is 0 / 0: `train` exits 1 naming the labels and writes nothing, and each
     `compare` cell records the error, so comparison.json stays valid JSON."""
-    monkeypatch.setenv("MOSCL_OUTPUT_ROOT", str(tmp_path))
     dataset = generate(GenSpec(n_total=40, minority_fraction=0, label_noise_rate=0))
     dataset = replace(dataset, labels=np.full(len(dataset), present, dtype=np.int64))
     data = tmp_path / "data.csv"
@@ -342,12 +340,12 @@ def test_final_metrics_names_a_metrics_file_without_epoch_rows(tmp_path):
     cfg = _cfg(tmp_path, name="diverged", lr=1e4, loss_kind="ce")
     with pytest.raises(RuntimeError, match="non-finite mean loss inf at epoch 0"):
         experiment.run(cfg, dataset=dataset)
-    metrics = tmp_path / "diverged" / "metrics.csv"
-    assert metrics.read_text().splitlines() == [",".join(METRICS_HEADER)]
+    run_dir = tmp_path / "diverged"
+    assert (run_dir / "metrics.csv").read_text().splitlines() == [",".join(METRICS_HEADER)]
     with pytest.raises(ValueError) as info:
-        experiment.final_metrics(tmp_path / "diverged")
+        experiment.final_metrics(run_dir)
     assert str(info.value) == (
-        f"{metrics} has no epoch rows: the run failed before its first epoch"
+        f"{run_dir} has no checkpoint.json: its run failed or did not finish"
     )
 
 
@@ -472,14 +470,11 @@ def test_run_is_byte_deterministic(tmp_path, small_dataset):
 def test_rerun_into_used_dir_leaves_no_stale_scores(tmp_path, small_dataset):
     mixed = experiment.run(_cfg(tmp_path, name="reused"), dataset=small_dataset)
     assert (mixed / "scores.npz").exists()
-    # a per-epoch score file as runs once wrote them
-    (mixed / "scores_epoch3.json").write_text("[]")
     again = experiment.run(
         _cfg(tmp_path, name="reused", scheduler="random"), dataset=small_dataset
     )
     assert again == mixed
     assert not (again / "scores.npz").exists()
-    assert not list(again.glob("scores_epoch*.json"))
     assert (again / "metrics.csv").exists() and (again / "checkpoint.json").exists()
     # a rerun that fails writes no checkpoint, and leaves none from before
     # beside its own config_resolved.txt
@@ -488,6 +483,8 @@ def test_rerun_into_used_dir_leaves_no_stale_scores(tmp_path, small_dataset):
             _cfg(tmp_path, name="reused", lr=1e4, loss_kind="ce"), dataset=small_dataset
         )
     assert not (again / "checkpoint.json").exists()
+    with pytest.raises(ValueError, match="has no checkpoint.json"):
+        experiment.final_metrics(again)
 
 
 def test_warmup_epochs_match_random_baseline(tmp_path, small_dataset):
@@ -592,13 +589,6 @@ def test_uncertainty_column_only_when_scored(tmp_path, small_dataset):
     assert all(r["mean_uncertainty"] == "" for r in _read_metrics(loss_only))
     post = _read_metrics(both)[2:]
     assert all(r["mean_uncertainty"] != "" for r in post)
-
-
-def test_resolve_outdir_env_prefix(tmp_path, monkeypatch):
-    monkeypatch.setenv("MOSCL_OUTPUT_ROOT", str(tmp_path))
-    assert experiment.resolve_outdir("foo") == tmp_path / "foo"
-    absolute = tmp_path / "abs"
-    assert experiment.resolve_outdir(str(absolute)) == absolute
 
 
 # --- compare ----------------------------------------------------------------
@@ -727,6 +717,28 @@ def test_export_scatter_picks_its_row_by_one_rule(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+MALFORMED_RECORDS = "{path} is not an array of {{sample_id, loss, uncertainty}} records"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([{"sample_id": 1, "loss": 0.5}], MALFORMED_RECORDS),
+    ({"a": 1}, MALFORMED_RECORDS),
+    ([1], MALFORMED_RECORDS),
+    (None, MALFORMED_RECORDS),
+    # `moscl score` writes no uncertainty as null
+    ([{"sample_id": 1, "loss": 0.5, "uncertainty": None}],
+     "scores file has no uncertainty column to export"),
+], ids=["no-uncertainty-key", "object", "number-record", "null", "null-uncertainty"])
+def test_export_scatter_names_a_malformed_score_json(tmp_path, capsys, doc, message):
+    scores = tmp_path / "s.json"
+    scores.write_text(json.dumps(doc))
+    assert cli.main(["export-scatter", "--scores", str(scores), "--out", "out/x.csv"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": message.format(path=scores),
+    }
+    assert not (tmp_path / "out").exists()
+
+
 FINITE_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 0.1 + 0.2, 1e-300]),
     st.floats(allow_nan=False, allow_infinity=False),
@@ -787,13 +799,54 @@ def test_failed_cell_keeps_the_scores_of_the_epochs_before_its_error(
         assert np.array_equal(failed[name], clean[name][:2])
     kept = load_score_table(tmp_path / "cmp" / "mixed_seed0" / "scores.npz")
     assert kept["epochs"].tolist() == [2, 3, 4, 5]
+    # its metrics.csv ends at epoch 3, but only a finished run is read
+    assert _read_metrics(tmp_path / "cmp" / "mixed_seed1")[-1]["epoch"] == "3"
+    with pytest.raises(ValueError) as info:
+        experiment.final_metrics(tmp_path / "cmp" / "mixed_seed1")
+    assert str(info.value) == (
+        f"{tmp_path / 'cmp' / 'mixed_seed1'} has no checkpoint.json: "
+        "its run failed or did not finish"
+    )
+    # the anti_mixed cell of seed 1 scores uncertainty too, so it fails alike
+    for label, stats in summary["configs"].items():
+        assert stats["failed_seeds"] == [1]
+        assert (tmp_path / "cmp" / f"{label}_seed0" / "checkpoint.json").exists()
+
+
+def test_a_failed_checkpoint_save_leaves_a_run_that_final_metrics_refuses(
+    tmp_path, small_dataset, monkeypatch
+):
+    """The checkpoint is saved after the logs, so a save that raises is the
+    run's error and leaves every epoch row but no checkpoint."""
+    real = MlpModel.save
+
+    def save(model, path):
+        if "seed1" in str(path) or "solo" in str(path):
+            raise OSError("disk full")
+        real(model, path)
+
+    monkeypatch.setattr(MlpModel, "save", save)
+    base = _cfg(tmp_path, name="cmp")
+    summary = experiment.compare([base, replace(base, scheduler="random")], [0, 1],
+                                 dataset=small_dataset)
+    with pytest.raises(OSError, match="disk full"):
+        experiment.run(_cfg(tmp_path, name="solo"), dataset=small_dataset)
+    for label in ("mixed", "random"):
+        assert summary["configs"][label]["errors"] == {"1": "OSError: disk full"}
+        assert (tmp_path / "cmp" / f"{label}_seed0" / "checkpoint.json").exists()
+    for run_dir in (tmp_path / "cmp" / "mixed_seed1", tmp_path / "cmp" / "random_seed1",
+                    tmp_path / "solo"):
+        assert [r["epoch"] for r in _read_metrics(run_dir)] == [str(e) for e in range(6)]
+        assert not (run_dir / "checkpoint.json").exists()
+        with pytest.raises(ValueError) as info:
+            experiment.final_metrics(run_dir)
+        assert str(info.value).startswith(f"{run_dir} has no checkpoint.json")
 
 
 # --- CLI --------------------------------------------------------------------
 
 
-def test_cli_full_pipeline(tmp_path, monkeypatch):
-    monkeypatch.setenv("MOSCL_OUTPUT_ROOT", str(tmp_path))
+def test_cli_full_pipeline(tmp_path):
     data = tmp_path / "data.csv"
     assert (
         cli.main(
@@ -914,8 +967,47 @@ def test_cli_score_rejects_a_negative_seed(tmp_path, small_dataset, capsys):
     assert [p.name for p in out.parent.iterdir()] == ["scores.json"]
 
 
-def test_cli_compare_writes_summary(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MOSCL_OUTPUT_ROOT", str(tmp_path))
+def test_a_run_whose_logs_fail_saves_no_checkpoint(tmp_path, small_dataset, monkeypatch):
+    """The checkpoint comes after the logs: a run whose score table cannot
+    be written leaves none, so `final_metrics` refuses its dir."""
+    def save_score_table(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(uncertainty, "save_score_table", save_score_table)
+    with pytest.raises(OSError, match="disk full"):
+        experiment.run(_cfg(tmp_path, name="logs"), dataset=small_dataset)
+    assert not (tmp_path / "logs" / "checkpoint.json").exists()
+
+
+def test_run_dirs_resolve_against_the_working_directory(
+    tmp_path, small_dataset, capsys, monkeypatch
+):
+    """A relative --outdir of train and compare, comparison.json included,
+    lands under the working directory; an absolute one is kept as given,
+    and an empty one is the default, run or compare."""
+    data, work, elsewhere = tmp_path / "data.csv", tmp_path / "work", tmp_path / "elsewhere"
+    save_dataset(small_dataset, data)
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = ["--dataset", str(data), "--warmup-epochs", "1", "--total-epochs", "2"]
+    for given, default, at in (("rel/out", None, work / "rel" / "out"),
+                               (str(elsewhere / "out"), None, elsewhere / "out"),
+                               ("", "run", work / "run")):
+        assert cli.main(["train", "--outdir", given] + argv) == 0
+        assert capsys.readouterr().out == f"{given or default}\n"
+        assert (at / "checkpoint.json").exists()
+    for given, at in (("rel/cmp", work / "rel" / "cmp"),
+                      (str(elsewhere / "cmp"), elsewhere / "cmp"), ("", work / "compare")):
+        assert cli.main(["compare", "--outdir", given, "--seeds", "0"] + argv) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in at.iterdir()) == [
+            "comparison.json", "mixed_seed0", "random_seed0"
+        ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "elsewhere", "work"]
+    assert sorted(p.name for p in work.iterdir()) == ["compare", "rel", "run"]
+
+
+def test_cli_compare_writes_summary(tmp_path, capsys):
     data = tmp_path / "data.csv"
     cli.main(["gen-data", "--out", str(data), "--n-total", "16",
               "--minority-fraction", "0.25", "--seed", "1"])
@@ -984,10 +1076,7 @@ def test_cli_compare_reports_labels_not_one_per_config_before_writing(
     assert not (tmp_path / "cmp").exists()
 
 
-def test_cli_conflict_report_names_the_checkpoint_by_its_bytes(
-    tmp_path, small_dataset, monkeypatch
-):
-    monkeypatch.chdir(tmp_path)
+def test_cli_conflict_report_names_the_checkpoint_by_its_bytes(tmp_path, small_dataset):
     data = tmp_path / "data.csv"
     save_dataset(small_dataset, data, data.with_suffix(".json"))
     ckpt = tmp_path / "ckpt.json"

@@ -239,6 +239,11 @@ class TestCheckpoint:
             (lambda d: d["params"].update(W2={"shape": [1, 4], "data": [0.0] * 4}),
              "params.W2: shape"),
             (lambda d: d["params"]["W1"].update(shape=[24]), "params.W1: shape"),
+            # no hidden unit, or no input feature
+            (lambda d: d["params"].update(W1={"shape": [0, 3], "data": []}),
+             r"params.W1: shape \(0, 3\) has an axis of size 0"),
+            (lambda d: d["params"].update(W1={"shape": [8, 0], "data": []}),
+             r"params.W1: shape \(8, 0\) has an axis of size 0"),
             # two output rows, as a softmax checkpoint holds: the model has one
             (lambda d: d["params"].update(W2={"shape": [2, 8], "data": [0.0] * 16},
                                          b2={"shape": [2], "data": [0.0, 0.0]}),
