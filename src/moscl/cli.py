@@ -174,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    add = functools.partial(sub.add_parser, exit_on_error=False)
+    # one spelling per flag: compare would read --scheduler as --schedulers
+    add = functools.partial(sub.add_parser, exit_on_error=False, allow_abbrev=False)
 
     p = add("gen-data", help="generate a synthetic quadrant dataset")
     p.add_argument("--out", required=True)
@@ -197,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("compare", help="scheduler comparison over seeds")
     p.add_argument("--config", help="flat key=value config file")
-    _add_settings(p, ExperimentConfig)
+    # --schedulers and --seeds set each cell's scheduler and seed
+    _add_settings(p, ExperimentConfig, [f.name for f in dataclasses.fields(ExperimentConfig)
+                                        if f.name not in ("scheduler", "seed")])
     p.add_argument("--schedulers", default="random,mixed")
     p.add_argument("--seeds", default="0,1,2")
     p.set_defaults(func=cmd_compare)

@@ -258,7 +258,7 @@ class _Run:
                 return build(self.d, self.ids, cfg.batch_size)
             # the age lambda grows linearly from the first rescore boundary
             lam = cfg.sp_lambda0 + cfg.sp_growth * since
-            self.weights[:] = scheduler.sp_weight(losses, lam, hard=cfg.scheduler == "sp_hard")
+            self.weights = scheduler.sp_weight(losses, lam, hard=cfg.scheduler == "sp_hard")
         elif self.scored and since >= 0 and cfg.scheduler not in ("sp_hard", "sp_linear"):
             return self.plan
         # warmup, random and sp_* runs batch randomly
@@ -309,37 +309,26 @@ class _Run:
                 writer.writerows(rows)
 
 
-def _bind(runs: List[_Run]):
-    """Stack the runs' parameters and loss weights on a leading run axis and
-    point each run's arrays at its row, so one step updates them all."""
-    params = [np.stack([getattr(r.model, name) for r in runs]) for name in PARAM_AXES]
-    weights = np.stack([r.weights for r in runs])
-    for s, r in enumerate(runs):
-        for name, stack in zip(PARAM_AXES, params):
-            setattr(r.model, name, stack[s])
-        r.weights = weights[s]
-    return params, weights
-
-
 def _train(runs: List[_Run]) -> None:
     """Train runs that share the dataset and every LOCKSTEP_FIELDS value in
-    lockstep.  A run that raises leaves the stack with its `error` and its
-    logs so far; the others go on unchanged, since the stacked step is
-    exact per run.  A finished run saves its checkpoint after every log is
-    written, so only the dir of a finished run holds one.
+    lockstep: each epoch one SGD step advances a stack of the live runs, and
+    each keeps its row of the result.  A run that raises, in its plan, its
+    metrics row or its log write, keeps that first error as its `error` and
+    leaves the stack; the others go on unchanged, since the stacked step is
+    exact per run.  Only a run whose logs were all written saves a checkpoint.
     """
     first = runs[0]
     cfg = first.cfg
     live = list(runs)
-    stacked: List[_Run] = []
 
-    def each(step):
-        for run in list(live):
+    def each(step, over=live):
+        for run in list(over):
             try:
                 step(run)
             except Exception as exc:  # noqa: BLE001 - cell failures are recorded
-                run.error = exc
-                live.remove(run)
+                run.error = run.error or exc
+                if run in live:
+                    live.remove(run)
 
     try:
         for epoch in range(cfg.total_epochs):
@@ -347,26 +336,26 @@ def _train(runs: List[_Run]) -> None:
             each(lambda run: run.plan_epoch(epoch))
             if not live:
                 break
-            if stacked != live:
-                (W1, b1, W2, b2), weights = _bind(live)
-                stacked = list(live)
             t1 = time.perf_counter()
+            params = [np.stack([getattr(r.model, name) for r in live]) for name in PARAM_AXES]
             visit_losses = kernels.sgd_epochs(
-                W1, b1, W2, b2, first.X, first.labels,
-                [run.plan.order for run in stacked], cfg.batch_size, weights, cfg.lr,
+                *params, first.X, first.labels, [run.plan.order for run in live],
+                cfg.batch_size, np.stack([run.weights for run in live]), cfg.lr,
                 cfg.activation, cfg.loss_kind,
             )
             train_s = time.perf_counter() - t1
-            by_run = dict(zip(stacked, visit_losses))
+            for s, run in enumerate(live):
+                for name, stack in zip(PARAM_AXES, params):
+                    setattr(run.model, name, stack[s])
+            by_run = dict(zip(live, visit_losses))
             each(lambda run: run.record_epoch(epoch, by_run[run]))
             wall = time.perf_counter() - t0
             for run in live:
                 run.timing_rows.append([
-                    epoch, f"{wall:.5f}", f"{run.plan_s:.5f}", f"{train_s:.5f}", len(stacked)
+                    epoch, f"{wall:.5f}", f"{run.plan_s:.5f}", f"{train_s:.5f}", len(by_run)
                 ])
     finally:
-        for run in runs:
-            run.write_logs()
+        each(lambda run: run.write_logs(), runs)
     each(lambda run: run.model.save(run.outdir / "checkpoint.json"))
 
 
@@ -510,6 +499,8 @@ def export_scatter(scores_path, out_csv, mode: str = "value", epoch: Optional[in
         table = {"ids": np.array(ids), "epochs": np.array([0]), "loss": np.array([losses])}
         if None not in us:
             table["uncertainty"] = np.array([us])
+    if not len(table["ids"]):
+        raise ValueError(f"{scores_path} holds no sample")
     epochs = table["epochs"].tolist()
     if epoch is None and len(epochs) == 1:
         epoch = epochs[0]

@@ -82,6 +82,27 @@ def test_unknown_command_is_a_json_error(capsys):
     assert err["error"] == "ArgumentError" and "'bogus'" in err["message"]
 
 
+@pytest.mark.parametrize("command, flag", [
+    # --schedulers and --seeds set each compare cell's scheduler and seed
+    ("compare", ["--scheduler", "ohem"]),
+    ("compare", ["--seed", "7"]),
+    # no flag takes an abbreviation, here of --total-epochs
+    ("train", ["--total", "5"]),
+], ids=["compare-scheduler", "compare-seed", "train-abbreviation"])
+def test_a_flag_the_command_does_not_take_exits_2(tmp_path, capsys, command, flag):
+    data = tmp_path / "data.csv"
+    save_dataset(generate(GenSpec(n_total=24, minority_fraction=0.25, seed=3)), data)
+    out = tmp_path / "out"
+    argv = [command, "--dataset", str(data), "--outdir", str(out), "--warmup-epochs", "1"]
+    if command == "compare":
+        argv += ["--schedulers", "random,mixed", "--seeds", "0"]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv + flag)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_settings_flags_declare_neither_type_nor_default():
     """A flag whose dest is an ExperimentConfig or GenSpec field is a plain
     string defaulting to None: the field casts it and supplies the default,

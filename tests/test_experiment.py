@@ -728,13 +728,25 @@ MALFORMED_RECORDS = "{path} is not an array of {{sample_id, loss, uncertainty}} 
     # `moscl score` writes no uncertainty as null
     ([{"sample_id": 1, "loss": 0.5, "uncertainty": None}],
      "scores file has no uncertainty column to export"),
-], ids=["no-uncertainty-key", "object", "number-record", "null", "null-uncertainty"])
+    # no command writes an empty score file
+    ([], "{path} holds no sample"),
+], ids=["no-uncertainty-key", "object", "number-record", "null", "null-uncertainty", "empty"])
 def test_export_scatter_names_a_malformed_score_json(tmp_path, capsys, doc, message):
     scores = tmp_path / "s.json"
     scores.write_text(json.dumps(doc))
     assert cli.main(["export-scatter", "--scores", str(scores), "--out", "out/x.csv"]) == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": "ValueError", "message": message.format(path=scores),
+    }
+    assert not (tmp_path / "out").exists()
+
+
+def test_export_scatter_refuses_a_score_table_with_no_sample(tmp_path, capsys):
+    scores = tmp_path / "e.npz"
+    save_score_table(scores, np.empty(0, np.int64), [0], np.empty((1, 0)), np.empty((1, 0)))
+    assert cli.main(["export-scatter", "--scores", str(scores), "--out", "out/x.csv"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": f"{scores} holds no sample",
     }
     assert not (tmp_path / "out").exists()
 

@@ -4,11 +4,12 @@ reproduce solo runs bit for bit."""
 import csv
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from moscl import experiment, kernels, scheduler
+from moscl import experiment, kernels, uncertainty
 from moscl.datagen import GenSpec, generate
 from moscl.experiment import SCHEDULERS, ExperimentConfig
 
@@ -146,36 +147,77 @@ def test_compare_cells_match_solo_runs_for_every_scheduler(tmp_path, small_datas
             assert _runs_in_step(solo) == [1] * cfg.total_epochs
 
 
+# the failing cell's dir, matched by its exact name: it is a substring of
+# anti_mixed_seed0
+FAILING = "mixed_seed0"
+
+
+def _fail_at_epoch_3(method):
+    """A patch of the `_Run` method that raises in the failing cell at epoch 3."""
+    def fail(monkeypatch):
+        real = getattr(experiment._Run, method)
+
+        def patched(self, epoch, *args):
+            if self.outdir.name == FAILING and epoch == 3:
+                raise ValueError("planned failure")
+            return real(self, epoch, *args)
+
+        monkeypatch.setattr(experiment._Run, method, patched)
+    return fail
+
+
+def _fail_in_log_write(monkeypatch):
+    real = uncertainty.save_score_table
+
+    def save_score_table(path, *args):
+        if Path(path).parent.name == FAILING:
+            raise OSError("planned failure")
+        return real(path, *args)
+
+    monkeypatch.setattr(uncertainty, "save_score_table", save_score_table)
+
+
+# where the cell fails, its error, and runs_in_step of every other cell: a
+# run leaves the stack after the epoch its plan or its metrics row failed in,
+# while the logs are written after the last step
+FAILURES = {
+    "plan": (_fail_at_epoch_3("plan_epoch"), "ValueError: planned failure", [6, 6, 6, 5, 5, 5]),
+    "metrics_row": (_fail_at_epoch_3("record_epoch"), "ValueError: planned failure",
+                    [6, 6, 6, 6, 5, 5]),
+    "log_write": (_fail_in_log_write, "OSError: planned failure", [6] * 6),
+}
+
+
+@pytest.mark.parametrize("where", sorted(FAILURES))
 def test_failing_cell_leaves_the_stack_and_others_match_solo(
-    tmp_path, small_dataset, monkeypatch
+    tmp_path, small_dataset, monkeypatch, where
 ):
-    real_ohem_plan = scheduler.ohem_plan
-
-    def ohem_plan(losses, ids, b, ratio, rng):
-        # the epoch rng is seeded with [seed, 1, epoch]
-        seed, _, epoch = rng.bit_generator.seed_seq.entropy
-        if seed == 1 and epoch == 3:
-            raise ValueError("planned failure")
-        return real_ohem_plan(losses, ids, b, ratio, rng)
-
-    monkeypatch.setattr(scheduler, "ohem_plan", ohem_plan)
-    configs = [_cfg(s, tmp_path / "cmp") for s in ("random", "ohem")]
+    fail, error, in_step = FAILURES[where]
+    fail(monkeypatch)
+    configs = [_cfg(s, tmp_path / "cmp") for s in ("random", "mixed", "anti_mixed")]
     summary = experiment.compare(configs, [0, 1], dataset=small_dataset)
-    assert summary["configs"]["ohem"]["failed_seeds"] == [1]
-    assert summary["configs"]["ohem"]["errors"] == {"1": "ValueError: planned failure"}
-    assert summary["configs"]["random"]["errors"] == {}
-    assert summary["configs"]["ohem"]["per_seed_minority_recall"]["1"] is None
-    assert summary["configs"]["random"]["failed_seeds"] == []
-    with pytest.raises(ValueError, match="planned failure"):
-        _solo(configs[1], 1, tmp_path / "solo_fail", small_dataset)
-    failed = tmp_path / "cmp" / "ohem_seed1"
+    assert summary["configs"]["mixed"]["failed_seeds"] == [0]
+    assert summary["configs"]["mixed"]["errors"] == {"0": error}
+    assert summary["configs"]["mixed"]["per_seed_minority_recall"]["0"] is None
+    for label in ("random", "anti_mixed"):
+        assert summary["configs"][label]["failed_seeds"] == []
+        assert summary["configs"][label]["errors"] == {}
+    with pytest.raises(Exception) as solo_error:
+        _solo(configs[1], 0, tmp_path / "solo" / FAILING, small_dataset)
+    assert experiment._error(solo_error.value) == error
+    failed = tmp_path / "cmp" / FAILING
     assert not (failed / "checkpoint.json").exists()
-    assert len(_runs_in_step(failed)) == 3
-    for cfg, seed in ((configs[0], 0), (configs[0], 1), (configs[1], 0)):
+    with pytest.raises(ValueError, match="has no checkpoint.json"):
+        experiment.final_metrics(failed)
+    if where != "log_write":
+        assert _runs_in_step(failed) == [6, 6, 6]
+    for cfg, seed in itertools.product(configs, (0, 1)):
         cell = tmp_path / "cmp" / f"{cfg.scheduler}_seed{seed}"
+        if cell == failed:
+            continue
         solo = _solo(cfg, seed, tmp_path / f"solo_{cfg.scheduler}_{seed}", small_dataset)
         assert _outputs(cell) == _outputs(solo)
-        assert _runs_in_step(cell) == [4, 4, 4, 3, 3, 3]
+        assert _runs_in_step(cell) == in_step
 
 
 def test_configs_with_different_batch_sizes_form_two_groups(tmp_path, small_dataset):
