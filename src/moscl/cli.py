@@ -19,6 +19,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import conflict, difficulty, experiment, uncertainty
 from .datagen import GenSpec, generate, load_dataset, save_dataset
 from .experiment import ExperimentConfig, from_strings
@@ -232,7 +234,9 @@ def main(argv=None) -> int:
         # read before any input: an empty --out names no file to write
         if getattr(args, "out", None) == "":
             raise ValueError("--out '' names no file")
-        args.func(args)
+        # the program's own checks name an overflow, not numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI error contract
         json.dump(
             {"error": type(exc).__name__, "message": str(exc)},

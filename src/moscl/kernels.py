@@ -20,14 +20,16 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _activate(fpre, act):
-    return np.tanh(fpre) if act == "tanh" else np.maximum(fpre, 0.0)
+def _activate(fpre, act, out=None):
+    return np.tanh(fpre, out=out) if act == "tanh" else np.maximum(fpre, 0.0, out=out)
 
 
-def _sigmoid(Z):
+def _sigmoid(Z, out=None):
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: neither overflows
-    e = np.exp(-np.abs(Z))
-    return np.where(Z >= 0, 1.0, e) / (1.0 + e)
+    e = np.exp(np.copysign(Z, -1.0))
+    num = np.where(Z >= 0.0, 1.0, e)
+    e += 1.0
+    return np.divide(num, e, out=out)
 
 
 def forward(W1, b1, W2, b2, X, act, T=None):
@@ -39,12 +41,14 @@ def forward(W1, b1, W2, b2, X, act, T=None):
     With a perturbation tensor ``T`` (N, G, H) the hidden map becomes
     F * (1 + T), and F, Z and Y_hat gain a G axis before their last.
     """
-    Fpre = X @ W1.swapaxes(-1, -2) + b1[..., None, :]
+    Fpre = X @ W1.swapaxes(-1, -2)
+    Fpre += b1[..., None, :]
     F = _activate(Fpre, act)
     if T is not None:
         F = F[..., None, :] * (1.0 + T)
         W2, b2 = W2[..., None, :, :], b2[..., None, :]
-    Z = F @ W2.swapaxes(-1, -2) + b2[..., None, :]
+    Z = F @ W2.swapaxes(-1, -2)
+    Z += b2[..., None, :]
     return Fpre, F, Z, _sigmoid(Z)
 
 
@@ -61,21 +65,13 @@ def loss_batch(Y_hat, labels, lossk):
         return np.where(labels == 1, -np.log(p), -np.log(1.0 - p))
 
 
-def _dloss_dz_np(Y_hat, labels, lossk):
-    """dL/dz per sample, shaped like ``Y_hat`` (..., 1)."""
-    p = Y_hat[..., 0]
-    if lossk == "mse":
-        dz = 2.0 * (p - labels) * p * (1.0 - p)
-    else:
-        dz = p - labels
-    return dz[..., None]
-
-
 def backward(W2, Fpre, F, Y_hat, labels, w, act, lossk):
     """Backprop through an unperturbed `forward` of each sample's loss times
     its weight ``w`` (..., N).  Returns dL/dZ (..., N, 1) and dL/dFpre
     (..., N, H); their outer products with F and X are the gradients."""
-    dz = _dloss_dz_np(Y_hat, labels, lossk) * w[..., None]
+    p = Y_hat[..., 0]
+    dz = (2.0 * (p - labels) * p * (1.0 - p) if lossk == "mse" else p - labels)[..., None]
+    dz = dz * w[..., None]
     dF = dz @ W2
     if act == "tanh":
         dFpre = dF * (1.0 - F * F)
@@ -84,17 +80,56 @@ def backward(W2, Fpre, F, Y_hat, labels, w, act, lossk):
     return dz, dFpre
 
 
-def _sgd_step(W1, b1, W2, b2, Xb, lab, wb, scale, act, lossk):
-    """One mini-batch update of S stacked runs, in place on the parameter
-    arrays.  ``Xb`` is (S, n, d), ``lab`` and ``wb`` are (S, n); ``scale`` is
-    lr / n.  Returns the (S, n) raw losses."""
-    Fpre, F, _, Y = forward(W1, b1, W2, b2, Xb, act)
-    dz, dFpre = backward(W2, Fpre, F, Y, lab, wb, act, lossk)
-    W2 -= scale * (dz.transpose(0, 2, 1) @ F)
-    b2 -= scale * dz.sum(axis=1)
-    W1 -= scale * (dFpre.transpose(0, 2, 1) @ Xb)
-    b1 -= scale * dFpre.sum(axis=1)
-    return loss_batch(Y, lab, lossk)
+def _sgd_batches(params, XB, YB, WB, LB, lr, act, lossk):
+    """Step the S runs of ``params`` (W1, b1, W2, b2) in place through k
+    batches of inputs XB (k, S, n, d), float labels and loss weights YB, WB
+    (k, S, n), writing each visit's raw loss into LB (k, S, n): exactly
+    `forward`, `loss_batch` and `backward`, then lr / n times the gradient
+    sum subtracted from one flat state, its views and buffers built once."""
+    (_, S, n, _), H = XB.shape, params[0].shape[1]
+    theta = np.concatenate([P.ravel() for P in params])
+    grad = np.empty_like(theta)
+    # each parameter is one contiguous block over all runs
+    split = np.cumsum([P.size for P in params])[:-1]
+    W1, b1, W2, b2 = (a.reshape(P.shape) for a, P in zip(np.split(theta, split), params))
+    gW1, gb1, gW2, gb2 = (a.reshape(P.shape) for a, P in zip(np.split(grad, split), params))
+    W1T, W2T, b2r = W1.swapaxes(1, 2), W2.swapaxes(1, 2), b2[:, None]
+    # the hidden maps are stored batch-major, (n, S, H), so b1 and its
+    # gradient broadcast over and sum along their leading axis
+    Fpre, F, dF, dFpre = (np.empty((n, S, H)) for _ in range(4))
+    Fpre_r, F_r, dF_r = (A.swapaxes(0, 1) for A in (Fpre, F, dF))
+    dFpreT = dFpre.transpose(1, 2, 0)
+    Y, dz, r = np.empty((S, n, 1)), np.empty((S, n, 1)), np.empty((S, n))
+    p, dz_, dzT = Y[..., 0], dz[..., 0], dz.swapaxes(1, 2)
+    # 0-d arrays: numpy converts a Python float operand on every call
+    scale, one, two = np.array(lr / n), np.array(1.0), np.array(2.0)
+    for Xb, yb, wb, out in zip(XB, YB, WB, LB):
+        np.matmul(Xb, W1T, Fpre_r)
+        np.add(Fpre, b1, Fpre)
+        _activate(Fpre, act, out=F)
+        np.matmul(F_r, W2T, Y)
+        np.add(Y, b2r, Y)
+        _sigmoid(Y, out=Y)
+        np.subtract(p, yb, r)
+        if lossk == "mse":
+            np.multiply(r, r, out)
+            g = r * two * p * (one - p)
+        else:
+            out[...], g = loss_batch(Y, yb, lossk), r
+        np.multiply(g, wb, dz_)
+        np.matmul(dz, W2, dF_r)
+        if act == "tanh":
+            np.multiply(dF, one - F * F, dFpre)
+        else:
+            dFpre[...] = np.where(Fpre > 0.0, dF, 0.0)
+        np.matmul(dzT, F_r, gW2)
+        np.add.reduce(dz, 1, None, gb2)
+        np.matmul(dFpreT, Xb, gW1)
+        np.add.reduce(dFpre, 0, None, gb1)
+        np.multiply(grad, scale, grad)
+        np.subtract(theta, grad, theta)
+    for P, view in zip(params, (W1, b1, W2, b2)):
+        P[...] = view
 
 
 def sgd_epochs(W1, b1, W2, b2, X, labels, orders, bsz, weights, lr, act, lossk):
@@ -109,29 +144,29 @@ def sgd_epochs(W1, b1, W2, b2, X, labels, orders, bsz, weights, lr, act, lossk):
     exactly that of stepping it alone.  Returns each run's raw (unweighted)
     loss at each visit.
     """
-    S = len(orders)
-    lengths = np.array([len(o) for o in orders], dtype=np.int64)
-    M = int(lengths.max())
-    O = np.zeros((S, M), dtype=np.int64)
-    for s, order in enumerate(orders):
-        O[s, : len(order)] = order
-    # Each run's visits in order: inputs, labels and loss weights.
-    XO, LO, WO = X[O], labels[O], np.take_along_axis(weights, O, axis=1)
-    L = np.empty((S, M))
-    # Batches every run fills: the whole stack steps in place.
-    full = int(lengths.min()) // bsz * bsz
-    for pos in range(0, full, bsz):
-        at = slice(pos, pos + bsz)
-        L[:, at] = _sgd_step(
-            W1, b1, W2, b2, XO[:, at], LO[:, at], WO[:, at], lr / bsz, act, lossk
-        )
-    # Ragged tails: each run steps alone, in place on its row of the stack.
-    for pos in range(full, M, bsz):
-        for s, m in enumerate(lengths.tolist()):
-            if m > pos:
-                r, at = slice(s, s + 1), slice(pos, min(m, pos + bsz))
-                L[r, at] = _sgd_step(W1[r], b1[r], W2[r], b2[r], XO[r, at], LO[r, at],
-                                     WO[r, at], lr / (at.stop - pos), act, lossk)
+    lengths = [len(o) for o in orders]
+    L = np.empty((len(orders), max(lengths)))
+
+    def steps(rows, lo, hi, n):
+        # the runs in ``rows`` step over their visits lo:hi, n at a time
+        if hi <= lo:
+            return
+        runs = range(len(orders))[rows]
+        # step-major: the j-th batch of every run is one contiguous block
+        O = np.stack([orders[s][lo:hi] for s in runs]).reshape(len(runs), -1, n).swapaxes(0, 1)
+        LB = np.empty(O.shape)
+        _sgd_batches([P[rows] for P in (W1, b1, W2, b2)], X[O], labels[O].astype(np.float64),
+                     weights[rows][np.arange(len(runs))[:, None], O], LB, lr, act, lossk)
+        L[rows, lo:hi] = LB.swapaxes(0, 1).reshape(len(runs), -1)
+
+    # Batches every run fills: the whole stack steps at once.
+    full = min(lengths) // bsz * bsz
+    steps(slice(None), 0, full, bsz)
+    # Ragged tails: each run steps alone, its last batch short.
+    for s, m in enumerate(lengths):
+        end = m // bsz * bsz
+        steps(slice(s, s + 1), full, end, bsz)
+        steps(slice(s, s + 1), end, m, m - end)
     return [L[s, :m] for s, m in enumerate(lengths)]
 
 

@@ -50,9 +50,15 @@ class MlpModel:
     # -- forward -----------------------------------------------------------
 
     def forward_batch(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized unperturbed forward; returns the predictions Y_hat."""
+        """Vectorized unperturbed forward; returns the predictions Y_hat.
+        Finite parameters can still overflow to a NaN prediction, which
+        raises a ValueError naming its row."""
         X = np.asarray(X, dtype=np.float64)
-        return kernels.forward(self.W1, self.b1, self.W2, self.b2, X, self.activation)[3]
+        Y = kernels.forward(self.W1, self.b1, self.W2, self.b2, X, self.activation)[3]
+        if np.isnan(Y).any():
+            row = np.isnan(Y[:, 0]).argmax()
+            raise ValueError(f"prediction of row {row} is nan: the parameters overflow")
+        return Y
 
     def batch_losses(self, X: np.ndarray, labels: np.ndarray, loss_kind: str = "mse"):
         """Per-sample losses over a dataset matrix."""

@@ -40,6 +40,13 @@ def sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
+def sigmoid_array(Z: np.ndarray) -> np.ndarray:
+    """`sigmoid` elementwise in numpy, e = exp(-|z|) then where(z >= 0, 1,
+    e) / (1 + e): the bits ``kernels._sigmoid`` must keep."""
+    e = np.exp(-np.abs(Z))
+    return np.where(Z >= 0, 1.0, e) / (1.0 + e)
+
+
 def _check_kind(kind: str) -> None:
     if kind not in kernels.LOSSES:
         raise ValueError(f"unknown loss kind {kind!r}")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from moscl import cli, difficulty, uncertainty
-from moscl.datagen import GenSpec, generate, load_dataset, save_dataset
+from moscl.datagen import Dataset, GenSpec, generate, load_dataset, save_dataset
 from moscl.experiment import ExperimentConfig
 from moscl.model import MlpModel
 
@@ -365,3 +365,46 @@ def test_a_checkpoint_with_an_axis_of_size_0_is_a_named_error(tmp_path, capsys, 
         "checkpoint params.W1: shape (0, 2) has an axis of size 0"
     )}
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["train", "score", "analyze-conflicts"])
+def test_a_nan_prediction_is_a_named_error(tmp_path, capsys, command):
+    """Finite parameters whose forward pass overflows to NaN fail the command
+    with the first NaN row, and no checkpoint or output is written."""
+    data, ckpt, out = tmp_path / "data.csv", tmp_path / "ckpt.json", tmp_path / "out"
+    if command == "train":
+        # one step at lr 1e200 leaves finite parameters and NaN predictions
+        save_dataset(generate(GenSpec(n_total=4, minority_fraction=0.25, label_noise_rate=0.0,
+                                      feature_noise_rate=0.0)), data)
+        argv = ["--dataset", data, "--lr", "1e200", "--loss-kind", "ce", "--activation", "relu",
+                "--batch-size", "4", "--warmup-epochs", "0", "--total-epochs", "1",
+                "--scheduler", "random", "--outdir", out]
+    else:
+        # positive features meet W1's 1e308 as an inf hidden unit, and W2's
+        # +1 and -1 sum those to inf - inf
+        labels = np.array([0, 1, 0, 1])
+        save_dataset(Dataset(ids=np.arange(4), X=np.ones((4, 2)), labels=labels,
+                             clean_label=labels, tag=np.array(["LL", "HH"] * 2)), data)
+        model = MlpModel(2, 2, activation="relu")
+        model.W1[:], model.b1[:], model.W2[:], model.b2[:] = 1e308, 0.0, [1.0, -1.0], 0.0
+        model.save(ckpt)
+        argv = ["--dataset", data, "--checkpoint", ckpt, "--out", out / "r.json"]
+    assert cli.main([command] + [str(a) for a in argv]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "prediction of row 0 is nan: the parameters overflow"
+    }
+    assert not (out / "checkpoint.json").exists() and not (out / "r.json").exists()
+
+
+def test_an_overflow_is_reported_by_the_error_json_alone(tmp_path, capsys):
+    """numpy's overflow warnings do not reach stderr ahead of the error JSON,
+    which names the epoch whose mean loss is not finite."""
+    data = tmp_path / "d.csv"
+    assert cli.main(["gen-data", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--dataset", str(data), "--lr", "1e4", "--loss-kind", "ce",
+                     "--activation", "relu", "--total-epochs", "12",
+                     "--outdir", str(tmp_path / "run")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "RuntimeError", "message": (
+        "non-finite mean loss nan at epoch 0; reduce lr or inspect the dataset"
+    )}

@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import entr
 
+from moscl import kernels
 from moscl.uncertainty import entropy
 
-from oracles import finite_difference_gradient, inverse_loss, loss, loss_based_uncertainty, sigmoid
+from oracles import (
+    finite_difference_gradient, inverse_loss, loss, loss_based_uncertainty, sigmoid, sigmoid_array,
+)
 
 
 class TestEntropy:
@@ -102,6 +105,21 @@ class TestSigmoid:
     def test_strictly_increasing(self, z, dz):
         # strict ordering holds away from float saturation
         assert sigmoid(z + dz) > sigmoid(z)
+
+    # signed zeros, the ends of exp's range, the largest finite values,
+    # subnormals and NaN of either sign
+    EDGES = [0.0, -0.0, 710.0, -710.0, 745.0, -745.0, 1e308, -1e308, 5e-324, -5e-324,
+             1e-310, -1e-310, math.inf, -math.inf, math.nan, -math.nan]
+
+    @given(arrays(np.float64, st.integers(1, 40),
+                  elements=st.floats(allow_nan=True) | st.sampled_from(EDGES)))
+    @example(np.array(EDGES))
+    def test_kernel_keeps_the_bits_of_the_oracle(self, Z):
+        want = _bits(sigmoid_array(Z))
+        assert np.array_equal(_bits(kernels._sigmoid(Z)), want)
+        in_place = Z.copy()
+        kernels._sigmoid(in_place, out=in_place)
+        assert np.array_equal(_bits(in_place), want)
 
 
 class TestLoss:

@@ -13,6 +13,8 @@ from moscl import experiment, kernels, uncertainty
 from moscl.datagen import GenSpec, generate
 from moscl.experiment import SCHEDULERS, ExperimentConfig
 
+from oracles import sigmoid_array
+
 
 def _reference_epoch(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, lossk):
     """One run's epoch written directly on 2-D arrays, batch by batch."""
@@ -23,9 +25,11 @@ def _reference_epoch(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, lo
         Xb, lab = X[idx], labels[idx]
         Fpre = Xb @ W1.T + b1
         F = kernels._activate(Fpre, act)
-        Y = kernels._sigmoid(F @ W2.T + b2)
+        Y = sigmoid_array(F @ W2.T + b2)
         losses[pos : pos + n] = kernels.loss_batch(Y, lab, lossk)
-        dz = kernels._dloss_dz_np(Y, lab, lossk) * weights[idx][:, None]
+        p = Y[:, 0]
+        dz = (2.0 * (p - lab) * p * (1.0 - p) if lossk == "mse" else p - lab)[:, None]
+        dz = dz * weights[idx][:, None]
         dF = dz @ W2
         dFpre = dF * (1.0 - F * F) if act == "tanh" else np.where(Fpre > 0.0, dF, 0.0)
         W2 -= lr / n * (dz.T @ F)
@@ -35,23 +39,11 @@ def _reference_epoch(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, lo
     return losses
 
 
-# indices into the kernels' name tuples, which also seed each case's data
-@pytest.mark.parametrize("a,k", list(itertools.product((0, 1), (0, 1))))
-def test_sgd_epochs_matches_separate_runs_bitwise(a, k):
-    act, lossk = kernels.ACTIVATIONS[a], kernels.LOSSES[k]
-    rng = np.random.default_rng(100 + 4 * a + k)
-    N, d, H, bsz = 23, 2, 5, 4
-    X = rng.normal(size=(N, d))
-    labels = rng.integers(0, 2, N).astype(np.int64)
-    # unequal lengths: plain, OHEM-like repeats, a short order; N is odd and
-    # not a multiple of bsz, so every run ends on a short batch
-    orders = [
-        rng.permutation(N),
-        np.concatenate([rng.permutation(N), rng.integers(0, N, 6)]),
-        rng.permutation(N)[:18],
-    ]
+def _check_against_separate_runs(act, lossk, rng, X, labels, orders, bsz, weights):
+    """`sgd_epochs` over a stack of len(orders) runs, drawn from ``rng``,
+    against each run's `sgd_epoch` and `_reference_epoch`, bit for bit."""
+    d, H = X.shape[1], 5
     S = len(orders)
-    weights = rng.uniform(0.0, 1.0, (S, N))
     params = [
         [rng.uniform(-1, 1, (H, d)), rng.uniform(-1, 1, H),
          rng.uniform(-1, 1, (1, H)), rng.uniform(-1, 1, 1)]
@@ -75,6 +67,58 @@ def test_sgd_epochs_matches_separate_runs_bitwise(a, k):
         for k in range(4):
             assert np.array_equal(stacked[k][s], solo[k])
             assert np.array_equal(stacked[k][s], ref[k])
+
+
+# indices into the kernels' name tuples, which also seed each case's data
+@pytest.mark.parametrize("a,k", list(itertools.product((0, 1), (0, 1))))
+def test_sgd_epochs_matches_separate_runs_bitwise(a, k):
+    act, lossk = kernels.ACTIVATIONS[a], kernels.LOSSES[k]
+    rng = np.random.default_rng(100 + 4 * a + k)
+    N, bsz = 23, 4
+    X = rng.normal(size=(N, 2))
+    labels = rng.integers(0, 2, N).astype(np.int64)
+    # unequal lengths: plain, OHEM-like repeats, a short order; N is odd and
+    # not a multiple of bsz, so every run ends on a short batch
+    orders = [
+        rng.permutation(N),
+        np.concatenate([rng.permutation(N), rng.integers(0, N, 6)]),
+        rng.permutation(N)[:18],
+    ]
+    weights = rng.uniform(0.0, 1.0, (len(orders), N))
+    _check_against_separate_runs(act, lossk, rng, X, labels, orders, bsz, weights)
+
+
+# (N, batch size, each run's order length); a length above N repeats rows,
+# as an OHEM order does
+STACKS = {
+    # perfbench's grid: 15 equal orders of whole batches, no tail
+    "grid": (400, 2, [400] * 15),
+    # the longest order runs several batches past the others, then ends short
+    "wide_tail": (300, 32, [300, 300, 620]),
+    # one order shorter than a batch: no batch every run fills
+    "shorter_than_a_batch": (12, 4, [3, 9, 10]),
+    "one_run": (41, 2, [41]),
+}
+
+
+@pytest.mark.parametrize("act,lossk", list(itertools.product(kernels.ACTIVATIONS, kernels.LOSSES)))
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_sgd_epochs_matches_separate_runs_bitwise_for_each_stack(stack, act, lossk):
+    N, bsz, lengths = STACKS[stack]
+    rng = np.random.default_rng(
+        [sorted(STACKS).index(stack), kernels.ACTIVATIONS.index(act), kernels.LOSSES.index(lossk)]
+    )
+    X = rng.normal(size=(N, 2))
+    labels = rng.integers(0, 2, N).astype(np.int64)
+    orders = [
+        np.concatenate([rng.permutation(N), rng.integers(0, N, m - N)]) if m > N
+        else rng.permutation(N)[:m]
+        for m in lengths
+    ]
+    # loss weights of exactly zero, as an sp_hard run's are
+    weights = rng.uniform(0.0, 2.0, (len(orders), N))
+    weights[rng.random(weights.shape) < 0.3] = 0.0
+    _check_against_separate_runs(act, lossk, rng, X, labels, orders, bsz, weights)
 
 
 # an index into kernels.ACTIVATIONS, which also seeds the case's data

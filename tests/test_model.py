@@ -126,10 +126,10 @@ class TestPerSampleGradients:
         m, X, y, rng = _combo_case(activation)
         w, lr, n = rng.uniform(0.0, 2.0, len(X)), 0.3, len(X)
         before = np.concatenate([m.W1.ravel(), m.b1, m.W2.ravel(), m.b2])
-        params = [m.W1[None].copy(), m.b1[None].copy(), m.W2[None].copy(), m.b2[None].copy()]
-        kernels._sgd_step(*params, X[None], y[None], w[None], lr / n,
-                          m.activation, loss_kind)
-        after = np.concatenate([p[0].ravel() for p in params])
+        params = [m.W1.copy(), m.b1.copy(), m.W2.copy(), m.b2.copy()]
+        # one batch of every row: a single SGD step
+        kernels.sgd_epoch(*params, X, y, np.arange(n), n, w, lr, m.activation, loss_kind)
+        after = np.concatenate([p.ravel() for p in params])
         expected = -lr / n * (w[:, None] * m.per_sample_gradients(X, y, loss_kind)).sum(axis=0)
         assert np.abs((after - before) - expected).max() <= 1e-12
 
