@@ -98,8 +98,11 @@ def cmd_train(args) -> None:
 def cmd_score(args) -> None:
     """Score a dataset with a saved checkpoint: the losses and uncertainties
     at --out, and the rank-fused difficulty CSV at --difficulty-csv if given."""
-    cfg = _settings(args)
     out, difficulty_csv = Path(args.out), args.difficulty_csv or None
+    if out.suffix == ".npz":
+        raise ValueError(f"--out {args.out!r} ends in .npz, which export-scatter reads as a "
+                         "score table, but score writes a score JSON; give another suffix")
+    cfg = _settings(args)
     dataset, model = _load_dataset_and_checkpoint(args, [
         (f"--out {args.out!r}", out, "the scores"),
         (f"--difficulty-csv {difficulty_csv!r}", difficulty_csv, "the difficulty CSV"),
@@ -234,7 +237,7 @@ def main(argv=None) -> int:
         # read before any input: an empty --out names no file to write
         if getattr(args, "out", None) == "":
             raise ValueError("--out '' names no file")
-        # the program's own checks name an overflow, not numpy's warnings
+        # the program's own checks name an overflow, not numpy's warnings (as in `_train`)
         with np.errstate(over="ignore", invalid="ignore"):
             args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI error contract

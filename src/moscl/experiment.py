@@ -10,6 +10,7 @@ configured scheduler rebuilds the epoch's batch plan.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass, replace
@@ -164,15 +165,22 @@ class _Run:
     holds no file open between epochs.
     """
 
-    def __init__(self, cfg: ExperimentConfig, dataset: Dataset, outdir: Path, counts: np.ndarray):
+    def __init__(self, cfg: ExperimentConfig, dataset: Dataset):
+        # an in-memory dataset has not passed `load_dataset`'s check
+        check_dataset(dataset)
+        # rows per class: a class with none has recall 0 / 0 in every metrics
+        # row; the minority is the rarer class, class 1 on a tie
+        self.counts = np.bincount(dataset.labels, minlength=2)
+        if not self.counts.all():
+            raise ValueError(f"labels hold no row of class {int(np.argmin(self.counts))}; "
+                             "training needs both classes")
+        self.outdir = Path(cfg.outdir or "run")
+        self.outdir.mkdir(parents=True, exist_ok=True)
         self.cfg = cfg
-        self.outdir = outdir
         self.X = dataset.X
         self.labels = dataset.labels
         self.ids = dataset.ids
-        # rows per class; the minority is the rarer class, class 1 on a tie
-        self.counts = counts
-        self.minority = int(counts[1] <= counts[0])
+        self.minority = int(self.counts[1] <= self.counts[0])
         self.model = MlpModel(
             input_dim=self.X.shape[1],
             hidden_dim=cfg.hidden_dim,
@@ -203,8 +211,8 @@ class _Run:
         self.error: Optional[Exception] = None
         # a run owns its dir's score table and checkpoint: none survives a rerun
         for stale in ("scores.npz", "checkpoint.json"):
-            (outdir / stale).unlink(missing_ok=True)
-        cfg.write_resolved(outdir / "config_resolved.txt")
+            (self.outdir / stale).unlink(missing_ok=True)
+        cfg.write_resolved(self.outdir / "config_resolved.txt")
 
     def _epoch_rng(self, epoch: int) -> np.random.Generator:
         return np.random.default_rng([self.cfg.seed, 1, epoch])
@@ -309,6 +317,8 @@ class _Run:
                 writer.writerows(rows)
 
 
+# a diverging run fails its own loss check, not on numpy's overflow warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _train(runs: List[_Run]) -> None:
     """Train runs that share the dataset and every LOCKSTEP_FIELDS value in
     lockstep: each epoch one SGD step advances a stack of the live runs, and
@@ -359,22 +369,9 @@ def _train(runs: List[_Run]) -> None:
     each(lambda run: run.model.save(run.outdir / "checkpoint.json"))
 
 
-def _start(cfg: ExperimentConfig, dataset: Dataset) -> _Run:
-    # an in-memory dataset has not passed `load_dataset`'s check
-    check_dataset(dataset)
-    # a class with no row leaves its recall 0 / 0, a NaN in every metrics row
-    counts = np.bincount(dataset.labels, minlength=2)
-    if not counts.all():
-        raise ValueError(f"labels hold no row of class {int(np.argmin(counts))}; "
-                         "training needs both classes")
-    outdir = Path(cfg.outdir or "run")
-    outdir.mkdir(parents=True, exist_ok=True)
-    return _Run(cfg, dataset, outdir, counts)
-
-
 def run(cfg: ExperimentConfig, dataset: Optional[Dataset] = None) -> Path:
     """Execute one training run; returns the run directory."""
-    one = _start(cfg, dataset if dataset is not None else load_dataset(cfg.dataset))
+    one = _Run(cfg, dataset if dataset is not None else load_dataset(cfg.dataset))
     _train([one])
     if one.error is not None:
         raise one.error
@@ -429,18 +426,17 @@ def compare(
     # (label, seed) -> the cell's run while it trains, then its final
     # metrics or its "<ExcType>: <message>" error
     cells: Dict[tuple, object] = {}
-    loaded: Dict[str, Dataset] = {}
+    # one Dataset, so one lockstep group, per path; a failed load is not cached
+    load = functools.cache(load_dataset)
     groups: Dict[tuple, List[_Run]] = {}
     for label, cfg in zip(labels, configs):
         for seed in seeds:
             try:
-                # a bad seed fails here, as its cell's error, before any dir exists
+                # a bad seed or dataset fails here, as its cell's error, before any dir exists
                 outdir = Path(cfg.outdir or "compare") / f"{label}_seed{seed}"
                 variant = replace(cfg, seed=seed, outdir=str(outdir))
-                ds = dataset if dataset is not None else loaded.get(variant.dataset)
-                if ds is None:
-                    ds = loaded[variant.dataset] = load_dataset(variant.dataset)
-                one = cells[label, seed] = _start(variant, ds)
+                ds = dataset if dataset is not None else load(variant.dataset)
+                one = cells[label, seed] = _Run(variant, ds)
             except Exception as exc:  # noqa: BLE001 - cell failures are recorded
                 cells[label, seed] = _error(exc)
                 continue

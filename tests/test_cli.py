@@ -199,6 +199,20 @@ def test_score_out_ending_in_csv_writes_only_that_file(tmp_path, capsys):
     )
 
 
+def test_score_refuses_an_out_ending_in_npz_before_any_input_is_read(tmp_path, capsys):
+    """export-scatter reads a ``.npz`` as a score table, so it could not read
+    a score JSON of that name back: `score` fails naming --out, before it
+    reads its inputs (missing here, so a read would fail with another
+    error), and writes nothing."""
+    argv = ["score", "--out", "out/s.npz", "--dataset", "missing.csv", "--checkpoint", "c.json"]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": (
+        "--out 'out/s.npz' ends in .npz, which export-scatter reads as a score table, "
+        "but score writes a score JSON; give another suffix"
+    )}
+    assert not any(tmp_path.iterdir())
+
+
 def test_score_writes_the_difficulty_csv_only_on_request(tmp_path, capsys):
     """Without --difficulty-csv, `score` writes --out alone; with it, also
     the CSV that `dump_difficulty_csv` writes of the same scores, in a

@@ -349,6 +349,23 @@ def test_final_metrics_names_a_metrics_file_without_epoch_rows(tmp_path):
     )
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_diverging_library_run_fails_on_its_own_check_alone(tmp_path):
+    """numpy's overflow warnings from the shared SGD step do not escape a
+    library call, so under warnings-as-errors a `compare` of diverging cells
+    returns each cell's named error, and `run` of one raises it."""
+    dataset = generate(GenSpec())
+    base = _cfg(tmp_path, name="cmp", lr=1e4, loss_kind="ce", activation="relu")
+    message = "non-finite mean loss nan at epoch 0; reduce lr or inspect the dataset"
+    summary = experiment.compare([base, replace(base, scheduler="random")], [0, 1],
+                                 dataset=dataset)
+    for stats in summary["configs"].values():
+        assert stats["errors"] == {"0": f"RuntimeError: {message}", "1": f"RuntimeError: {message}"}
+    with pytest.raises(RuntimeError) as info:
+        experiment.run(replace(base, outdir=str(tmp_path / "solo")), dataset=dataset)
+    assert str(info.value) == message
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         experiment.from_strings(ExperimentConfig, {"scheduler": "mixed", "typo_key": "1"})

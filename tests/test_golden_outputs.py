@@ -27,9 +27,17 @@ so in CHANGES.md.
 The CLI round passes `score --difficulty-csv` at the `score.csv` beside
 the score JSON, so the difficulty CSV, which `score` writes only on
 request, stays pinned.
+
+The hashes hold in one numeric environment only: another BLAS kernel or
+SIMD target rounds differently.  So the file also records, under
+``environment``, numpy's version, its bundled OpenBLAS's core and config,
+and numpy's active dispatch targets; ``--update`` writes the record, and
+a failing test, or the script, first names each of its keys that differs
+from the running process, then the files.  The record alone fails nothing.
 """
 
 import argparse
+import ctypes
 import hashlib
 import json
 import sys
@@ -58,6 +66,8 @@ CASES = {
     ),
 }
 HASHED = ("metrics.csv", "checkpoint.json", "scores.npz", "scores_epoch*.json")
+# the fixture's key of its numeric environment record, beside the file names
+ENVIRONMENT = "environment"
 
 
 def _dataset() -> Dataset:
@@ -124,6 +134,39 @@ def golden_hashes(work: Path) -> dict:
     return {p.relative_to(work).as_posix(): _sha(p) for p in sorted(files)}
 
 
+def numeric_environment() -> dict:
+    """numpy's version, the config and core of its bundled OpenBLAS, and its
+    active SIMD dispatch targets.  The last three are read through private
+    names, so each reads "unknown" where those are missing."""
+    env = {"numpy": np.__version__, "blas core": "unknown", "blas config": "unknown",
+           "dispatch targets": "unknown"}
+    libs = sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("libscipy_openblas64_*"))
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        for key, name in (("blas core", "scipy_openblas_get_corename64_"),
+                          ("blas config", "scipy_openblas_get_config64_")):
+            read = getattr(lib, name)
+            read.restype = ctypes.c_char_p
+            env[key] = read().decode()
+    except (IndexError, OSError, AttributeError):
+        pass
+    try:
+        from numpy._core import _multiarray_umath as umath
+        env["dispatch targets"] = [
+            t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)
+        ]
+    except (ImportError, AttributeError):
+        pass
+    return env
+
+
+def environment_diff(old: dict, new: dict) -> list:
+    """One ``key: old != new`` line per key whose value differs between two
+    `numeric_environment` records, in ``new``'s key order."""
+    return [f"{key}: {old.get(key)} != {new.get(key)}"
+            for key in dict.fromkeys([*new, *old]) if old.get(key) != new.get(key)]
+
+
 def diff_by_name(old: dict, new: dict) -> dict:
     """The sorted names of the files ``new`` adds to, changes in and removes
     from ``old``, two dicts of file name -> hash."""
@@ -143,8 +186,9 @@ def describe(diff: dict) -> str:
 
 def test_outputs_match_golden_hashes(tmp_path):
     want = json.loads(FIXTURE.read_text())
+    env = environment_diff(want.pop(ENVIRONMENT, {}), numeric_environment())
     diff = diff_by_name(want, golden_hashes(tmp_path))
-    assert not any(diff.values()), f"over {len(want)} hashes: {describe(diff)}"
+    assert not any(diff.values()), "\n".join(env + [f"over {len(want)} hashes: {describe(diff)}"])
 
 
 def main(argv=None) -> int:
@@ -155,9 +199,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         hashes = golden_hashes(Path(tmp))
     old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    env = numeric_environment()
+    for line in environment_diff(old.pop(ENVIRONMENT, {}), env):
+        print(line, file=sys.stderr)
     diff = diff_by_name(old, hashes)
     if update:
-        FIXTURE.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
+        record = {**hashes, ENVIRONMENT: env}
+        FIXTURE.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"{len(hashes)} hashes {'->' if update else 'vs'} {FIXTURE}: {describe(diff)}",
           file=sys.stderr)
     return 0 if update or not any(diff.values()) else 1

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moscl import experiment, kernels, uncertainty
-from moscl.datagen import GenSpec, generate
+from moscl import datagen, experiment, kernels, uncertainty
+from moscl.datagen import GenSpec, generate, save_dataset
 from moscl.experiment import SCHEDULERS, ExperimentConfig
 
 from oracles import sigmoid_array
@@ -278,6 +278,28 @@ def test_configs_with_different_batch_sizes_form_two_groups(tmp_path, small_data
             solo = _solo(cfg, seed, tmp_path / f"solo_{label}_{seed}", small_dataset)
             assert _outputs(cell) == _outputs(solo)
             assert _runs_in_step(cell) == [3] * cfg.total_epochs
+
+
+def test_cells_of_one_dataset_path_load_it_once_and_step_together(
+    tmp_path, small_dataset, monkeypatch
+):
+    data = tmp_path / "data.csv"
+    save_dataset(small_dataset, data)
+    paths = []
+
+    def load_dataset(path):
+        paths.append(path)
+        return datagen.load_dataset(path)
+
+    monkeypatch.setattr(experiment, "load_dataset", load_dataset)
+    configs = [_cfg(s, tmp_path / "cmp", dataset=str(data)) for s in ("random", "mixed")]
+    summary = experiment.compare(configs, [0, 1])
+    assert paths == [str(data)]
+    for cfg in configs:
+        assert summary["configs"][cfg.scheduler]["failed_seeds"] == []
+        for seed in (0, 1):
+            cell = tmp_path / "cmp" / f"{cfg.scheduler}_seed{seed}"
+            assert _runs_in_step(cell) == [4] * cfg.total_epochs
 
 
 def test_lockstep_reruns_are_byte_identical(tmp_path, small_dataset):
