@@ -13,6 +13,47 @@ from typing import Sequence
 import numpy as np
 
 
+# Rows from which `ascending_order` sorts with numpy's default argsort: below
+# it np.lexsort's stable sort runs in cache and is the faster (at N = 400,
+# 6 us against 10-27 us; at N = 3000, 165-205 us against 50-125 us).
+SIMD_SORT_ROWS = 1024
+
+
+def ascending_order(key, ids) -> np.ndarray:
+    """Rows by ascending key, ties by ascending id, then by row: the
+    permutation ``np.lexsort((ids, key))``, which gives it below
+    `SIMD_SORT_ROWS` rows and `_two_sort_order` from there on."""
+    key = np.asarray(key)
+    if len(key) != len(ids):
+        raise ValueError(f"{len(ids)} ids for {len(key)} keys")
+    if len(key) < SIMD_SORT_ROWS:
+        return np.lexsort((ids, key))
+    return _two_sort_order(key, ids)
+
+
+def _two_sort_order(key: np.ndarray, ids) -> np.ndarray:
+    """``np.lexsort((ids, key))`` from numpy's default (SIMD) argsort of the
+    key and, when keys tie, one argsort of the unique integers run * N +
+    the rank of each row's id among the ids, run numbering the distinct
+    keys in ascending order."""
+    order = np.argsort(key)
+    k = key[order]
+    new_run = k[1:] != k[:-1]
+    # numpy sorts NaNs last and, as lexsort does, ties them with each other
+    if k.dtype.kind == "f" and len(k) and np.isnan(k[-1]):
+        new_run[np.isnan(k).argmax():] = False
+    if new_run.all():
+        return order
+    n = len(k)
+    run = np.zeros(n, dtype=np.int64)
+    np.cumsum(new_run, out=run[1:])
+    id_rank = np.empty(n, dtype=np.int64)
+    id_rank[np.argsort(ids, kind="stable")] = np.arange(n)
+    run *= n
+    run += id_rank[order]
+    return order[np.argsort(run)]
+
+
 def rank_descending(values: Sequence[float], ids: Sequence[int]) -> np.ndarray:
     """Rank of each row: 0 for the largest value; ties broken by ascending
     sample id."""
@@ -25,7 +66,7 @@ def rank_descending(values: Sequence[float], ids: Sequence[int]) -> np.ndarray:
     if not finite.all():
         raise ValueError(f"non-finite value {v[~finite][0]}")
     # 0.0 - v, not -v: no -0.0 key, so 0.0 and -0.0 tie as they compare
-    order = np.lexsort((np.asarray(ids), 0.0 - v))
+    order = ascending_order(0.0 - v, ids)
     ranks = np.empty(len(v), dtype=np.int64)
     ranks[order] = np.arange(len(v))
     return ranks

@@ -152,13 +152,15 @@ LOCKSTEP_FIELDS = (
     "lr",
     "total_epochs",
 )
-TIMINGS_HEADER = ["epoch", "wall_time_s", "plan_s", "train_s", "runs_in_step"]
+TIMINGS_HEADER = ["epoch", "wall_time_s", "score_s", "plan_s", "train_s", "runs_in_step"]
 
 
 class _Run:
     """Single training run; owns the model, score caches, and output files.
 
-    `_train` drives the epochs: the run builds its plan (`plan_epoch`), one
+    `_train` drives the epochs: at a rescore boundary it scores the
+    uncertainties of the runs that share their draws in one call
+    (`_score_uncertainties`), the run builds its plan (`plan_epoch`), one
     shared SGD step advances it, and it records its metrics row
     (`record_epoch`).  Metrics and timing rows, and the scores of each
     rescore boundary, are buffered and written by `write_logs`, so a run
@@ -204,6 +206,13 @@ class _Run:
         self.weights = np.ones(len(dataset))
         self.plan: Optional[scheduler.BatchPlan] = None
         self.plan_s = 0.0
+        # this boundary's uncertainties and the wall time of the call that
+        # scored them, set by `_score_uncertainties`
+        self.u: Optional[np.ndarray] = None
+        self.score_s = 0.0
+        # the (N, 1) predictions of the last recall: the parameters do not
+        # move before the next plan, so they give that boundary's losses
+        self.pred: Optional[np.ndarray] = None
         self.d: Optional[np.ndarray] = None
         self.last_mean_uncertainty: Optional[float] = None
         self.metrics_rows: List[list] = []
@@ -217,19 +226,23 @@ class _Run:
     def _epoch_rng(self, epoch: int) -> np.random.Generator:
         return np.random.default_rng([self.cfg.seed, 1, epoch])
 
+    def rescores(self, epoch: int) -> bool:
+        """Whether every row is scored at ``epoch``, a rescore boundary."""
+        since = epoch - self.cfg.warmup_epochs
+        return self.scored and since >= 0 and since % self.cfg.rescore_every == 0
+
     def _score(self, epoch: int):
-        """Loss (and, when needed, uncertainty) of every row, kept as the
-        next row of the score table."""
-        losses = self.model.batch_losses(self.X, self.labels, self.cfg.loss_kind)
-        uncertainties = None
+        """Loss (and, when needed, the uncertainty `_train` scored) of every
+        row, kept as the next row of the score table.  The losses are those
+        of the last recall's predictions; only a boundary that no epoch
+        precedes runs a forward pass of its own."""
+        pred = self.pred if self.pred is not None else self.model.forward_batch(self.X)
+        losses = kernels.loss_batch(pred, self.labels, self.cfg.loss_kind)
+        uncertainties, self.u = self.u, None
         k = self.n_scored
         self.score_epochs[k] = epoch
         self.score_losses[k] = losses
         if self.need_u:
-            cfg = self.cfg
-            uncertainties = uncertainty.batch_score_uncertainty(
-                self.model, self.X, self.ids, cfg.G, cfg.gamma, cfg.seed, epoch=epoch
-            )
             self.score_us[k] = uncertainties
             self.last_mean_uncertainty = float(np.mean(uncertainties))
         self.n_scored += 1
@@ -250,7 +263,7 @@ class _Run:
         or a random one."""
         cfg = self.cfg
         since = epoch - cfg.warmup_epochs
-        if self.scored and since >= 0 and since % cfg.rescore_every == 0:
+        if self.rescores(epoch):
             losses, uncertainties = self._score(epoch)
             if cfg.scheduler == "ohem":
                 return scheduler.ohem_plan(
@@ -273,12 +286,15 @@ class _Run:
         return scheduler.random_plan(len(self.ids), cfg.batch_size, self._epoch_rng(epoch))
 
     def _recalls(self) -> list:
-        """The recall of each class: its rows predicted as it, over its count."""
-        pred = (self.model.forward_batch(self.X)[:, 0] > 0.5).astype(np.int64)
+        """The recall of each class: its rows predicted as it, over its
+        count.  The predictions are kept for the next boundary's losses."""
+        self.pred = self.model.forward_batch(self.X)
+        pred = (self.pred[:, 0] > 0.5).astype(np.int64)
         return (np.bincount(self.labels, weights=pred == self.labels) / self.counts).tolist()
 
     def plan_epoch(self, epoch: int) -> None:
-        """Score if due, build this epoch's plan and its visiting order."""
+        """Score the losses if due, build this epoch's plan and its visiting
+        order."""
         t0 = time.perf_counter()
         self.plan = self._build_plan(epoch)
         self.plan_s = time.perf_counter() - t0
@@ -317,15 +333,32 @@ class _Run:
                 writer.writerows(rows)
 
 
+def _score_uncertainties(group: List[_Run], epoch: int) -> None:
+    """The uncertainties of every row under each run of ``group``, runs of
+    one dataset, seed, G and gamma: one call draws their disturbances once.
+    Each run keeps its row and the call's wall time."""
+    first = group[0]
+    cfg = first.cfg
+    t0 = time.perf_counter()
+    us = uncertainty.batch_score_uncertainty(
+        [run.model for run in group], first.X, first.ids, cfg.G, cfg.gamma, cfg.seed, epoch=epoch
+    )
+    score_s = time.perf_counter() - t0
+    for run, u in zip(group, us):
+        run.u, run.score_s = u, score_s
+
+
 # a diverging run fails its own loss check, not on numpy's overflow warnings
 @np.errstate(over="ignore", invalid="ignore")
 def _train(runs: List[_Run]) -> None:
     """Train runs that share the dataset and every LOCKSTEP_FIELDS value in
     lockstep: each epoch one SGD step advances a stack of the live runs, and
-    each keeps its row of the result.  A run that raises, in its plan, its
-    metrics row or its log write, keeps that first error as its `error` and
-    leaves the stack; the others go on unchanged, since the stacked step is
-    exact per run.  Only a run whose logs were all written saves a checkpoint.
+    each keeps its row of the result.  Before the plans, the runs due to
+    score uncertainty that share (seed, G, gamma) score it in one call.  A
+    run that raises, in its scoring, its plan, its metrics row or its log
+    write, keeps that first error as its `error` and leaves the stack; the
+    others go on unchanged, since the stacked step is exact per run.  Only
+    a run whose logs were all written saves a checkpoint.
     """
     first = runs[0]
     cfg = first.cfg
@@ -343,6 +376,16 @@ def _train(runs: List[_Run]) -> None:
     try:
         for epoch in range(cfg.total_epochs):
             t0 = time.perf_counter()
+            draws: Dict[tuple, List[_Run]] = {}
+            for run in live:
+                run.score_s = 0.0
+                if run.need_u and run.rescores(epoch):
+                    draws.setdefault((run.cfg.seed, run.cfg.G, run.cfg.gamma), []).append(run)
+            for group in draws.values():
+                try:
+                    _score_uncertainties(group, epoch)
+                except Exception:  # noqa: BLE001 - each run scores alone, keeping its own error
+                    each(lambda run: _score_uncertainties([run], epoch), group)
             each(lambda run: run.plan_epoch(epoch))
             if not live:
                 break
@@ -362,7 +405,8 @@ def _train(runs: List[_Run]) -> None:
             wall = time.perf_counter() - t0
             for run in live:
                 run.timing_rows.append([
-                    epoch, f"{wall:.5f}", f"{run.plan_s:.5f}", f"{train_s:.5f}", len(by_run)
+                    epoch, f"{wall:.5f}", f"{run.score_s:.5f}", f"{run.plan_s:.5f}",
+                    f"{train_s:.5f}", len(by_run),
                 ])
     finally:
         each(lambda run: run.write_logs(), runs)
@@ -404,8 +448,12 @@ def compare(
     labels: Optional[List[str]] = None,
 ) -> Dict:
     """Run the config x seed grid and summarize final minority recall and
-    loss per config (mean and spread over seeds), plus per-seed win counts
-    of every config against the first one.
+    loss per config (mean and spread over seeds).  Every config after the
+    first is set against it seed by seed: its ``wins_vs_baseline`` counts
+    the seeds where its recall is at least the first config's, and its
+    ``vs_baseline`` counts those above, tied and below, with the exact
+    two-sided sign-test p-value of above against below (null when no seed
+    of both finished).
 
     Cells that share the dataset and every LOCKSTEP_FIELDS value train in
     lockstep, one SGD step for all of them per epoch; each cell's outputs
@@ -465,10 +513,24 @@ def compare(
         }
     baseline = recall[labels[0]]
     for label in labels[1:]:
-        summary["wins_vs_baseline"][label] = sum(
-            1 for s, r in recall[label].items() if s in baseline and r >= baseline[s]
-        )
+        pairs = [(r, baseline[s]) for s, r in recall[label].items() if s in baseline]
+        above, ties = sum(r > b for r, b in pairs), sum(r == b for r, b in pairs)
+        below = len(pairs) - above - ties
+        summary["wins_vs_baseline"][label] = above + ties
+        summary["configs"][label]["vs_baseline"] = {
+            "above": above, "ties": ties, "below": below,
+            "sign_test_p": sign_test_p(above, below) if pairs else None,
+        }
     return summary
+
+
+def sign_test_p(above: int, below: int) -> float:
+    """Exact two-sided sign-test p-value of ``above`` against ``below``
+    (ties dropped): twice the Binomial(n, 1/2) tail of the rarer sign, at
+    most 1."""
+    n = above + below
+    tail = sum(math.comb(n, k) for k in range(min(above, below) + 1))
+    return min(1.0, 2 * tail / 2**n)
 
 
 def export_scatter(scores_path, out_csv, mode: str = "value", epoch: Optional[int] = None) -> None:

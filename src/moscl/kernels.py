@@ -182,5 +182,10 @@ def sgd_epoch(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, lossk):
 
 def mean_perturbed_predictions(W1, b1, W2, b2, X, T, act):
     """Average prediction per sample under the (N, G, hidden) multiplicative
-    perturbation tensor ``T``."""
-    return forward(W1, b1, W2, b2, X, act, T)[3].mean(axis=1)
+    perturbation tensor ``T``, (N, 1).  Parameters stacked on a leading run
+    axis, ``W1`` (S, H, d) and so on, give (S, N, 1): each run's pass is
+    taken alone, so no array grows S-fold and each row equals its solo
+    call."""
+    if W1.ndim == 2:
+        return forward(W1, b1, W2, b2, X, act, T)[3].mean(axis=1)
+    return np.stack([forward(*run, X, act, T)[3].mean(axis=1) for run in zip(W1, b1, W2, b2)])

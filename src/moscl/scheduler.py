@@ -11,6 +11,8 @@ from typing import List
 
 import numpy as np
 
+from .difficulty import ascending_order
+
 
 @dataclass
 class BatchPlan:
@@ -37,7 +39,7 @@ def _hard_first(d, ids) -> np.ndarray:
     """Rows by ascending d (smaller d = harder), ties by ascending id."""
     if len(d) != len(ids):
         raise ValueError(f"{len(ids)} samples but {len(d)} difficulty scores")
-    return np.lexsort((np.asarray(ids), np.asarray(d)))
+    return ascending_order(d, ids)
 
 
 def mixed_order_plan(d, ids, b: int) -> BatchPlan:
@@ -68,7 +70,7 @@ def ohem_plan(
     n_hard = int(oversample_ratio * len(L)) if oversample_ratio < 1.0 else 0
     # every row in id order, then the top-loss rows (ties by ascending id)
     pool = np.concatenate(
-        [np.argsort(ids, kind="stable"), np.lexsort((np.asarray(ids), 0.0 - L))[:n_hard]]
+        [np.argsort(ids, kind="stable"), ascending_order(0.0 - L, ids)[:n_hard]]
     )
     return BatchPlan(order=pool[rng.permutation(len(pool))], batch_size=b)
 

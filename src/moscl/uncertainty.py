@@ -10,7 +10,7 @@ from typing import Tuple
 import numpy as np
 
 from . import kernels
-from .model import MlpModel
+from .model import PARAM_AXES
 
 
 def entropy(p):
@@ -122,7 +122,7 @@ def perturbations(
 
 
 def batch_score_uncertainty(
-    model: MlpModel,
+    model,
     X: np.ndarray,
     sample_ids: np.ndarray,
     G: int,
@@ -136,6 +136,11 @@ def batch_score_uncertainty(
     `perturbations`), so scoring is order-independent and the perturbations
     are resampled at every scoring epoch.
 
+    ``model`` is an `MlpModel`, scored as (N,), or a list of S models of one
+    hidden size and activation, scored as (S, N): runs that share (seed, G,
+    gamma) share their disturbances, so each block is drawn once and pushed
+    through every model, and row s equals the call on ``model[s]`` alone.
+
     Rows are scored in blocks of about `BLOCK_VALUES` disturbances and at
     least two rows; each value and each row of the forward pass depends on
     its own row alone, so the scores equal those of one call over all rows,
@@ -144,6 +149,11 @@ def batch_score_uncertainty(
     among others, so a one-row block, the last or the only one, is scored
     as two copies of its row."""
     check_scoring(G, gamma)
+    models = model if isinstance(model, list) else [model]
+    kinds = {(m.hidden_dim, m.activation) for m in models}
+    if len(kinds) != 1:
+        raise ValueError(f"models of one hidden size and activation only, got {sorted(kinds)}")
+    hidden, act = kinds.pop()
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise ValueError("dataset is empty")
@@ -151,18 +161,18 @@ def batch_score_uncertainty(
     if len(keys) != len(X):
         raise ValueError(f"{len(keys)} sample ids for {len(X)} rows of X; want one id per row")
     n = len(X)
-    shape = (G, model.hidden_dim)
+    params = [np.stack([getattr(m, name) for m in models]) for name in PARAM_AXES]
+    shape = (G, hidden)
     m = math.prod(shape)
     rows = max(2, BLOCK_VALUES // m)
-    P = np.empty(n)
+    P = np.empty((len(models), n))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         at = slice(lo, hi) if hi - lo > 1 else [lo, lo]
         T = _draw(keys[at], m, gamma).reshape((-1, *shape))
-        P[lo:hi] = kernels.mean_perturbed_predictions(
-            model.W1, model.b1, model.W2, model.b2, X[at], T, model.activation
-        )[: hi - lo, 0]
-    return entropy(P)
+        P[:, lo:hi] = kernels.mean_perturbed_predictions(*params, X[at], T, act)[:, : hi - lo, 0]
+    U = entropy(P)
+    return U if isinstance(model, list) else U[0]
 
 
 def json_records(columns: dict) -> str:

@@ -3,13 +3,15 @@ program in `moscl`: scalar losses and their inverses, the loss-derived
 uncertainty (the zero-gamma entropy identity), the sigmoid + MSE latent
 gradient and its scale rewrite, a finite-difference gradient, the gradient
 cosine, the conflict report's row pairs, pair cosines and average ranks,
-the convergence rule, the per-class recall and the quadrant recovery rate.
+the convergence rule, the per-class recall, the quadrant recovery rate and
+the sign test by enumeration.
 
 The program never calls these; the acceptance criteria and unit tests do.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Dict, List, Optional
 
@@ -217,3 +219,15 @@ def quadrant_recovery_rate(
         tag: float(hits[tags == tag].mean()) if (tags == tag).any() else None
         for tag in QUADRANTS
     }
+
+
+def sign_test_p(above: int, below: int) -> float:
+    """Two-sided sign-test p-value by enumeration: the share of the 2**n
+    equally likely sign vectors of n = above + below seeds whose count of
+    pluses lies at least as far from n / 2 as ``above`` does."""
+    n = above + below
+    extreme = sum(
+        abs(2 * sum(signs) - n) >= abs(2 * above - n)
+        for signs in itertools.product((0, 1), repeat=n)
+    )
+    return extreme / 2**n

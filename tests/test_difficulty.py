@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from moscl import difficulty
 from moscl.difficulty import (
+    ascending_order,
     dump_difficulty_csv,
     fuse_ranks,
     median,
@@ -15,6 +17,38 @@ from moscl.difficulty import (
 
 def _by_id(ids, per_row):
     return dict(zip(list(ids), np.asarray(per_row).tolist()))
+
+
+# keys with heavy ties: a few values drawn over and over, signed zeros,
+# infinities and NaN among them
+_TIED_KEYS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -2.5, 1e-300]
+
+
+class TestAscendingOrder:
+    """Both ways `ascending_order` sorts give np.lexsort((ids, key))."""
+
+    @given(st.data())
+    def test_matches_lexsort(self, data):
+        n = data.draw(st.sampled_from([1, 2, 1023, 1024, 3000]) | st.integers(1, 3000), label="N")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        kind = data.draw(st.sampled_from(["tied", "float", "int"]), label="key kind")
+        if kind == "tied":
+            pool = np.array(_TIED_KEYS)[: data.draw(st.integers(1, len(_TIED_KEYS)), label="pool")]
+            key = rng.choice(pool, n)
+        elif kind == "float":
+            key = rng.normal(size=n)
+        else:
+            key = rng.integers(-3, data.draw(st.integers(-2, 2 * n), label="top"), n)
+        # negative, sparse or few distinct ids: the last repeat often
+        span = data.draw(st.sampled_from([3, n, 10**15]), label="id span")
+        ids = rng.integers(-span, span, n)
+        want = np.lexsort((ids, key))
+        assert np.array_equal(ascending_order(key, ids), want)
+        assert np.array_equal(difficulty._two_sort_order(key, ids), want)
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="^2 ids for 3 keys$"):
+            ascending_order([1.0, 2.0, 3.0], [0, 1])
 
 
 class TestRankDescending:

@@ -19,7 +19,7 @@ from moscl.experiment import METRICS_HEADER, ExperimentConfig
 from moscl.model import MlpModel
 from moscl.uncertainty import dump_scores, load_score_table, save_score_table
 
-from oracles import class_recalls
+from oracles import class_recalls, sign_test_p
 
 
 @pytest.fixture(scope="module")
@@ -624,6 +624,48 @@ def test_compare_summary_structure(tmp_path, small_dataset):
         assert set(stats["per_seed_minority_recall"]) == {"0", "1"}
     assert set(summary["wins_vs_baseline"]) == {"mixed"}
     assert 0 <= summary["wins_vs_baseline"]["mixed"] <= 2
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_sign_test_p_matches_enumeration(n):
+    for above in range(n + 1):
+        assert experiment.sign_test_p(above, n - above) == sign_test_p(above, n - above)
+
+
+def test_compare_counts_ties_apart_from_wins(tmp_path, small_dataset, monkeypatch):
+    """A tie counts in ``wins_vs_baseline``, as it always has, but
+    ``vs_baseline`` keeps it apart; a label with no finished seed gets
+    counts of 0 and a null p-value, and the summary stays strict JSON."""
+    real = experiment._Run.record_epoch
+
+    def record_epoch(self, epoch, visit_losses):
+        if self.outdir.name.startswith("failed_"):
+            raise ValueError("planned failure")
+        return real(self, epoch, visit_losses)
+
+    monkeypatch.setattr(experiment._Run, "record_epoch", record_epoch)
+    base = _cfg(tmp_path, name="cmp", scheduler="random", total_epochs=4)
+    configs = [base, base, replace(base, scheduler="mixed"), base]
+    labels = ["random", "same", "mixed", "failed"]
+    summary = experiment.compare(configs, [0, 1, 2], dataset=small_dataset, labels=labels)
+    json.dumps(summary, allow_nan=False)
+    assert "vs_baseline" not in summary["configs"]["random"]
+    # the same config as the baseline ties it on every seed
+    assert summary["configs"]["same"]["vs_baseline"] == {
+        "above": 0, "ties": 3, "below": 0, "sign_test_p": 1.0,
+    }
+    assert summary["wins_vs_baseline"]["same"] == 3
+    assert summary["configs"]["failed"]["vs_baseline"] == {
+        "above": 0, "ties": 0, "below": 0, "sign_test_p": None,
+    }
+    assert summary["wins_vs_baseline"]["failed"] == 0
+    recall = {label: summary["configs"][label]["per_seed_minority_recall"] for label in labels}
+    signs = [np.sign(recall["mixed"][s] - recall["random"][s]) for s in ("0", "1", "2")]
+    counts = summary["configs"]["mixed"]["vs_baseline"]
+    above, below = signs.count(1), signs.count(-1)
+    assert (counts["above"], counts["ties"], counts["below"]) == (above, signs.count(0), below)
+    assert counts["sign_test_p"] == sign_test_p(above, below)
+    assert summary["wins_vs_baseline"]["mixed"] == above + signs.count(0)
 
 
 def test_compare_needs_two_configs(tmp_path):

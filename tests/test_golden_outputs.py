@@ -37,9 +37,12 @@ from the running process, then the files.  The record alone fails nothing.
 """
 
 import argparse
+import contextlib
 import ctypes
 import hashlib
+import io
 import json
+import re
 import sys
 import tempfile
 from dataclasses import replace
@@ -122,8 +125,10 @@ def golden_hashes(work: Path) -> dict:
              "--loss-kind", fields["loss_kind"], "--out", str(work / case / "conflict.json"),
              "--pairs-csv", str(work / case / "pairs.csv")],
         ]
-        for argv in argvs:
-            assert cli.main(argv) == 0, argv
+        # the CLI prints its output paths and reports; the hashes are the result
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in argvs]
+        assert codes == [0] * len(argvs), codes
     for table in work.rglob("scores.npz"):
         _render_score_files(table)
     files = [data, data.with_suffix(".json")]
@@ -189,6 +194,23 @@ def test_outputs_match_golden_hashes(tmp_path):
     env = environment_diff(want.pop(ENVIRONMENT, {}), numeric_environment())
     diff = diff_by_name(want, golden_hashes(tmp_path))
     assert not any(diff.values()), "\n".join(env + [f"over {len(want)} hashes: {describe(diff)}"])
+
+
+def test_the_script_prints_only_its_summary(capsys):
+    """Run as a script, the tool writes nothing to stdout, and to stderr
+    only its environment lines, its counts and the names of the files that
+    differ: the CLI round's own printing is swallowed."""
+    code = main([])
+    out, err = capsys.readouterr()
+    assert out == ""
+    count = re.compile(r"\d+ hashes vs .*: \d+ added, \d+ changed, \d+ removed$")
+    lines = err.splitlines()
+    at = [k for k, line in enumerate(lines) if count.match(line)]
+    assert len(at) == 1, lines
+    assert all(" != " in line for line in lines[: at[0]])
+    names = lines[at[0] + 1 :]
+    assert all(line.startswith(("added: ", "changed: ", "removed: ")) for line in names)
+    assert code == (1 if names else 0)
 
 
 def main(argv=None) -> int:

@@ -12,6 +12,7 @@ import pytest
 from moscl import datagen, experiment, kernels, uncertainty
 from moscl.datagen import GenSpec, generate, save_dataset
 from moscl.experiment import SCHEDULERS, ExperimentConfig
+from moscl.uncertainty import load_score_table
 
 from oracles import sigmoid_array
 
@@ -312,3 +313,145 @@ def test_lockstep_reruns_are_byte_identical(tmp_path, small_dataset):
     assert len(cells) == 6
     for cell in cells:
         assert _outputs(runs[0] / cell) == _outputs(runs[1] / cell)
+
+
+# --- uncertainty scoring shared by runs of one seed -------------------------
+
+
+@pytest.mark.parametrize("a", [0, 1])
+def test_mean_perturbed_predictions_over_a_run_axis_match_solo_calls(a):
+    act = kernels.ACTIVATIONS[a]
+    rng = np.random.default_rng(11 + a)
+    S, N, G, d, H = 4, 7, 3, 2, 5
+    X = rng.normal(size=(N, d))
+    T = rng.uniform(-0.3, 0.3, (N, G, H))
+    stacked = [rng.uniform(-1, 1, shape) for shape in ((S, H, d), (S, H), (S, 1, H), (S, 1))]
+    got = kernels.mean_perturbed_predictions(*stacked, X, T, act)
+    assert got.shape == (S, N, 1)
+    for s in range(S):
+        solo = kernels.mean_perturbed_predictions(*(p[s] for p in stacked), X, T, act)
+        assert solo.shape == (N, 1)
+        assert np.array_equal(got[s], solo)
+
+
+def _scoring_calls(monkeypatch):
+    """The number of models of each `batch_score_uncertainty` call, by epoch."""
+    real = uncertainty.batch_score_uncertainty
+    calls = {}
+
+    def counting(model, X, sample_ids, G, gamma, seed, epoch=0):
+        calls.setdefault(epoch, []).append(len(model) if isinstance(model, list) else 1)
+        return real(model, X, sample_ids, G, gamma, seed, epoch)
+
+    monkeypatch.setattr(uncertainty, "batch_score_uncertainty", counting)
+    return calls
+
+
+def _score_s(run_dir):
+    with open(run_dir / "timings.csv", newline="") as fh:
+        return [float(r["score_s"]) for r in csv.DictReader(fh)]
+
+
+def test_runs_of_one_seed_g_and_gamma_share_one_scoring_call(
+    tmp_path, small_dataset, monkeypatch
+):
+    """Cells that share (seed, G, gamma) score their uncertainties in one
+    call, and every cell still matches its solo run; each records the
+    call's time as its score_s, and a cell that scores none records 0."""
+    calls = _scoring_calls(monkeypatch)
+    configs = [
+        _cfg("mixed", tmp_path / "cmp", G=4),
+        _cfg("anti_mixed", tmp_path / "cmp", G=4),
+        _cfg("anti_mixed", tmp_path / "cmp", G=8),
+        _cfg("mixed", tmp_path / "cmp", G=4, gamma=0.0),
+        _cfg("mixed", tmp_path / "cmp", G=4, difficulty_source="loss"),
+        _cfg("ohem", tmp_path / "cmp"),
+    ]
+    labels = ["mixed", "anti_mixed", "anti_g8", "mixed_g0", "mixed_loss", "ohem"]
+    seeds = [0, 1]
+    summary = experiment.compare(configs, seeds, dataset=small_dataset, labels=labels)
+    # per seed: one call for mixed and anti_mixed, one each for anti_g8 and mixed_g0
+    assert {e: sorted(n) for e, n in calls.items()} == {
+        epoch: [1, 1, 1, 1, 2, 2] for epoch in range(2, 6)
+    }
+    for label, cfg in zip(labels, configs):
+        assert summary["configs"][label]["failed_seeds"] == []
+        for seed in seeds:
+            cell = tmp_path / "cmp" / f"{label}_seed{seed}"
+            solo = _solo(cfg, seed, tmp_path / f"solo_{label}_{seed}", small_dataset)
+            assert _outputs(cell) == _outputs(solo)
+            score_s = _score_s(cell)
+            assert score_s[:2] == [0.0, 0.0]
+            if label in ("mixed_loss", "ohem"):
+                assert score_s == [0.0] * cfg.total_epochs
+            else:
+                assert all(s > 0.0 for s in score_s[2:])
+        shared = [_score_s(tmp_path / "cmp" / f"{label}_seed0") for label in labels[:2]]
+        assert shared[0] == shared[1]
+
+
+def test_a_scoring_failure_in_a_shared_call_fails_only_its_own_run(
+    tmp_path, small_dataset, monkeypatch
+):
+    """When the call scoring mixed and anti_mixed of seed 0 raises for
+    anti_mixed's model, each scores alone: anti_mixed keeps the error, and
+    mixed goes on byte-identical to its solo run."""
+    failing = []
+    real_init = experiment._Run.__init__
+
+    def init(self, cfg, dataset):
+        real_init(self, cfg, dataset)
+        if self.outdir.name == "anti_mixed_seed0":
+            failing.append(self.model)
+
+    real = uncertainty.batch_score_uncertainty
+    calls = []
+
+    def flaky(model, X, sample_ids, G, gamma, seed, epoch=0):
+        models = model if isinstance(model, list) else [model]
+        calls.append((epoch, len(models)))
+        if epoch == 3 and any(m is failing[0] for m in models):
+            raise ValueError("planned failure")
+        return real(model, X, sample_ids, G, gamma, seed, epoch)
+
+    monkeypatch.setattr(experiment._Run, "__init__", init)
+    monkeypatch.setattr(uncertainty, "batch_score_uncertainty", flaky)
+    configs = [_cfg(s, tmp_path / "cmp") for s in ("mixed", "anti_mixed")]
+    summary = experiment.compare(configs, [0], dataset=small_dataset)
+    # the shared call at epoch 3 raised, then each run scored alone
+    assert calls == [(2, 2), (3, 2), (3, 1), (3, 1), (4, 1), (5, 1)]
+    assert summary["configs"]["anti_mixed"]["errors"] == {"0": "ValueError: planned failure"}
+    failed = load_score_table(tmp_path / "cmp" / "anti_mixed_seed0" / "scores.npz")
+    assert failed["epochs"].tolist() == [2]
+    assert summary["configs"]["mixed"]["failed_seeds"] == []
+    monkeypatch.undo()
+    solo = _solo(configs[0], 0, tmp_path / "solo", small_dataset)
+    assert _outputs(tmp_path / "cmp" / "mixed_seed0") == _outputs(solo)
+    assert _runs_in_step(tmp_path / "cmp" / "mixed_seed0") == [2, 2, 2, 1, 1, 1]
+
+
+@pytest.mark.parametrize("warmup, forwards", [(2, 6), (0, 7)])
+def test_a_boundary_takes_its_losses_from_the_last_recall(
+    tmp_path, small_dataset, monkeypatch, warmup, forwards
+):
+    """Each epoch's recall runs the one unperturbed forward pass of a run;
+    the next boundary's losses reuse it, so only a boundary no epoch
+    precedes runs its own."""
+    real = experiment.MlpModel.forward_batch
+    seen = []
+
+    def counting(self, X):
+        seen.append(len(X))
+        return real(self, X)
+
+    monkeypatch.setattr(experiment.MlpModel, "forward_batch", counting)
+    cfg = replace(_cfg("mixed", tmp_path / "run"), warmup_epochs=warmup)
+    table = load_score_table(experiment.run(cfg, dataset=small_dataset) / "scores.npz")
+    assert seen == [len(small_dataset)] * forwards
+    monkeypatch.undo()
+    # without warmup, the first losses are those of the initial model
+    model = experiment.MlpModel(small_dataset.X.shape[1], cfg.hidden_dim, seed=cfg.seed)
+    first = model.batch_losses(small_dataset.X, small_dataset.labels, cfg.loss_kind)
+    assert table["epochs"].tolist() == list(range(warmup, cfg.total_epochs))
+    if warmup == 0:
+        assert np.array_equal(table["loss"][0], first)

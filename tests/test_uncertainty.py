@@ -246,6 +246,63 @@ class TestBlockedScoring:
         assert np.array_equal(got, self._reference(m, X, np.arange(n), cfg, 0))
 
 
+class TestGroupScoring:
+    """A list of models that share (seed, G, gamma) is scored in one call:
+    each block is drawn once and pushed through every model, and row s is
+    the call on model s alone, bit for bit."""
+
+    @given(st.data())
+    def test_group_matches_solo_calls(self, data):
+        # models of a few init seeds, so that some are equal and some not
+        inits = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4), label="inits")
+        act = data.draw(st.sampled_from(["tanh", "relu"]), label="activation")
+        G, H = data.draw(st.integers(1, 5), label="G"), data.draw(st.integers(1, 6), label="H")
+        rows = data.draw(st.sampled_from([2, 3, 7]), label="rows per block")
+        # N = k * rows + 1 leaves a one-row tail block
+        n = data.draw(st.sampled_from([1, rows + 1, 2 * rows + 1]) | st.integers(1, 30), label="N")
+        gamma = data.draw(st.sampled_from([0.0, 0.3]), label="gamma")
+        seed = data.draw(st.integers(0, 2**31), label="seed")
+        epoch = data.draw(st.integers(0, 50), label="epoch")
+        rng = np.random.default_rng(seed)
+        # sparse ids in no order
+        ids = rng.choice(10**12, size=n, replace=False)
+        X = rng.normal(size=(n, 3))
+        models = [MlpModel(3, H, activation=act, seed=init) for init in inits]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(uncertainty, "BLOCK_VALUES", rows * G * H)
+            got = batch_score_uncertainty(models, X, ids, G, gamma, seed, epoch)
+            want = [batch_score_uncertainty(m, X, ids, G, gamma, seed, epoch) for m in models]
+        assert got.shape == (len(models), n)
+        assert np.array_equal(got, np.stack(want))
+
+    def test_one_perturbed_pass_per_block_serves_every_model(self):
+        """Blocks of 112, 112 and a lone row scored as 2: each block's
+        disturbances (rows, G, H) are drawn once for the three models."""
+        models = [MlpModel(2, 8, seed=s) for s in range(3)]
+        X = np.random.default_rng(0).normal(size=(225, 2))
+        real = kernels.mean_perturbed_predictions
+        seen = []
+
+        def counting(W1, b1, W2, b2, X, T, act):
+            seen.append((W1.shape[0], T.shape))
+            return real(W1, b1, W2, b2, X, T, act)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "mean_perturbed_predictions", counting)
+            got = batch_score_uncertainty(models, X, np.arange(225), 16, 0.3, 0)
+        assert seen == [(3, (112, 16, 8)), (3, (112, 16, 8)), (3, (2, 16, 8))]
+        for m, row in zip(models, got):
+            assert np.array_equal(row, batch_score_uncertainty(m, X, np.arange(225), 16, 0.3, 0))
+
+    @pytest.mark.parametrize("other", [dict(hidden_dim=5), dict(activation="relu")])
+    def test_models_of_another_shape_are_rejected(self, other):
+        kw = dict(input_dim=2, hidden_dim=4, activation="tanh")
+        models = [MlpModel(**kw), MlpModel(**{**kw, **other})]
+        X = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="^models of one hidden size and activation only"):
+            batch_score_uncertainty(models, X, np.arange(3), 4, 0.3, 0)
+
+
 class TestPerturbations:
     def test_shape_and_range(self):
         T = perturbations(3, np.arange(50), 2, (8, 6), 0.3)
