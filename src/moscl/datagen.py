@@ -174,6 +174,12 @@ def load_dataset(csv_path) -> Dataset:
         raise ValueError(f"{csv_path}: no data rows")
     names = header.split(",")
     width = len(names)
+    first = {}
+    for k, name in enumerate(names):
+        if first.setdefault(name, k) != k:
+            raise ValueError(
+                f"{csv_path}: column {name!r} at header positions {first[name]} and {k}"
+            )
     for row, line in enumerate(lines):
         if line.count(",") != width - 1:
             raise ValueError(
@@ -187,6 +193,10 @@ def load_dataset(csv_path) -> Dataset:
     xcols = [name for name in names if name.startswith("x")]
     if not xcols:
         raise ValueError(f"{csv_path}: no feature columns x0, x1, ...")
+    for j, name in enumerate(xcols):
+        if name != f"x{j}":
+            raise ValueError(f"{csv_path}: feature column {name!r} where 'x{j}' belongs; "
+                             "want x0, x1, ... in order")
 
     def parse(name, kind, dtype):
         return _parse_column(csv_path, name, columns[name], kind, dtype)

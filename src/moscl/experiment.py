@@ -104,14 +104,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "ExperimentConfig":
-        values = {}
+        values, first = {}, {}
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 key, _, raw = line.partition("=")
-                values[key.strip()] = raw.strip()
+                key = key.strip()
+                if first.setdefault(key, number) != number:
+                    raise ValueError(
+                        f"{path}: key {key!r} set twice, on lines {first[key]} and {number}"
+                    )
+                values[key] = raw.strip()
         values.update({k: v for k, v in overrides.items() if v is not None})
         return from_strings(cls, values)
 
@@ -554,8 +559,20 @@ def export_scatter(scores_path, out_csv, mode: str = "value", epoch: Optional[in
         except (KeyError, TypeError):
             raise ValueError(f"{scores_path} is not an array of "
                              "{sample_id, loss, uncertainty} records") from None
+        # a file scored without uncertainties holds a null in every record
+        us = None if all(u is None for u in us) else us
+        number = ({int, float}, "a number")
+        for key, values, (types, want) in (
+            ("sample_id", ids, ({int}, "an integer")), ("loss", losses, number),
+            ("uncertainty", us or [], number),
+        ):
+            bad = next((k for k, v in enumerate(values) if type(v) not in types), None)
+            if bad is not None:
+                raise ValueError(
+                    f"{scores_path}: record {bad}: {key!r} is {values[bad]!r}, not {want}"
+                )
         table = {"ids": np.array(ids), "epochs": np.array([0]), "loss": np.array([losses])}
-        if None not in us:
+        if us is not None:
             table["uncertainty"] = np.array([us])
     if not len(table["ids"]):
         raise ValueError(f"{scores_path} holds no sample")

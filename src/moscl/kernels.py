@@ -32,21 +32,20 @@ def _sigmoid(Z, out=None):
     return np.divide(num, e, out=out)
 
 
-def forward(W1, b1, W2, b2, X, act, T=None):
+def hidden(W1, b1, X, act):
+    """Pre-activation and hidden map (..., N, H) of ``X`` (..., N, d) under
+    ``W1`` (..., H, d) and ``b1`` (..., H), over any leading run axes."""
+    Fpre = X @ W1.swapaxes(-1, -2)
+    Fpre += b1[..., None, :]
+    return Fpre, _activate(Fpre, act)
+
+
+def forward(W1, b1, W2, b2, X, act):
     """Forward pass over any leading run axes: ``W1`` (..., H, d), ``b1``
     (..., H), ``W2`` (..., 1, H), ``b2`` (..., 1) and ``X`` (..., N, d).
     Returns (Fpre, F, Z, Y_hat): pre-activation and hidden map (..., N, H),
-    latent and prediction p(y = 1) (..., N, 1).
-
-    With a perturbation tensor ``T`` (N, G, H) the hidden map becomes
-    F * (1 + T), and F, Z and Y_hat gain a G axis before their last.
-    """
-    Fpre = X @ W1.swapaxes(-1, -2)
-    Fpre += b1[..., None, :]
-    F = _activate(Fpre, act)
-    if T is not None:
-        F = F[..., None, :] * (1.0 + T)
-        W2, b2 = W2[..., None, :, :], b2[..., None, :]
+    latent and prediction p(y = 1) (..., N, 1)."""
+    Fpre, F = hidden(W1, b1, X, act)
     Z = F @ W2.swapaxes(-1, -2)
     Z += b2[..., None, :]
     return Fpre, F, Z, _sigmoid(Z)
@@ -66,7 +65,7 @@ def loss_batch(Y_hat, labels, lossk):
 
 
 def backward(W2, Fpre, F, Y_hat, labels, w, act, lossk):
-    """Backprop through an unperturbed `forward` of each sample's loss times
+    """Backprop through `forward` of each sample's loss times
     its weight ``w`` (..., N).  Returns dL/dZ (..., N, 1) and dL/dFpre
     (..., N, H); their outer products with F and X are the gradients."""
     p = Y_hat[..., 0]
@@ -180,12 +179,15 @@ def sgd_epoch(W1, b1, W2, b2, X, labels, order, bsz, weights, lr, act, lossk):
     )[0]
 
 
-def mean_perturbed_predictions(W1, b1, W2, b2, X, T, act):
-    """Average prediction per sample under the (N, G, hidden) multiplicative
-    perturbation tensor ``T``, (N, 1).  Parameters stacked on a leading run
-    axis, ``W1`` (S, H, d) and so on, give (S, N, 1): each run's pass is
-    taken alone, so no array grows S-fold and each row equals its solo
-    call."""
-    if W1.ndim == 2:
-        return forward(W1, b1, W2, b2, X, act, T)[3].mean(axis=1)
-    return np.stack([forward(*run, X, act, T)[3].mean(axis=1) for run in zip(W1, b1, W2, b2)])
+def mean_perturbed_predictions(F, W2, b2, T):
+    """Mean prediction (S, rows, 1) of S runs with hidden maps ``F`` (S, rows,
+    H) and output layers ``W2`` (S, 1, H), ``b2`` (S, 1), when each row's map
+    becomes F * (1 + T) under the perturbations ``T`` (rows, G, H).  Each
+    run's pass is taken alone, so no array grows S-fold."""
+    scale = 1.0 + T
+    P = np.empty((len(F), len(T), 1))
+    for f, w, b, p in zip(F, W2, b2, P):
+        Z = (f[:, None, :] * scale) @ w.T
+        Z += b
+        _sigmoid(Z, out=Z).mean(axis=1, out=p)
+    return P

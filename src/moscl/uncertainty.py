@@ -64,15 +64,14 @@ def _as_u64(value: int) -> np.uint64:
 
 
 # Values of the (rows, G, H) perturbation tensor drawn and pushed through
-# the perturbed forward pass at a time: 14 * 2**10 float64s (112 KiB) per
-# array, so a block's hash state, disturbances and perturbed hidden map stay
-# in a core's L2 cache.  A block holds rows = max(2, BLOCK_VALUES // (G * H))
-# rows, and a one-row block is scored as two copies of its row (see
-# `batch_score_uncertainty`), so an array takes at most rows * G * H * 8
-# bytes: 112 KiB or less while G * H <= 7 * 2**10.  By default glibc's
-# malloc gives requests of 128 KiB and up fresh pages and returns them on
-# free, so larger blocks page-fault in anew at each scoring call (256 KiB
-# blocks took 30,000 minor faults per 250 calls at N = 400, G = H = 8).
+# the perturbed pass at a time: 14 * 2**10 float64s (112 KiB) per array, so
+# a block's hash state, disturbances and perturbed hidden map stay in a
+# core's L2 cache.  A block holds rows = max(1, BLOCK_VALUES // (G * H))
+# rows, so an array takes at most rows * G * H * 8 bytes: 112 KiB or less
+# while G * H <= BLOCK_VALUES.  By default glibc's malloc gives requests of
+# 128 KiB and up fresh pages and returns them on free, so larger blocks
+# page-fault in anew at each scoring call (256 KiB blocks took 30,000 minor
+# faults per 250 calls at N = 400, G = H = 8).
 BLOCK_VALUES = 14 << 10
 
 
@@ -141,13 +140,13 @@ def batch_score_uncertainty(
     gamma) share their disturbances, so each block is drawn once and pushed
     through every model, and row s equals the call on ``model[s]`` alone.
 
-    Rows are scored in blocks of about `BLOCK_VALUES` disturbances and at
-    least two rows; each value and each row of the forward pass depends on
-    its own row alone, so the scores equal those of one call over all rows,
-    bit for bit.  numpy multiplies a one-row matrix as a matrix-vector
-    product, whose rounding differs from the matrix product that row gets
-    among others, so a one-row block, the last or the only one, is scored
-    as two copies of its row."""
+    Every model's hidden map is computed once; the draw and the perturbed
+    pass run in blocks of about `BLOCK_VALUES` disturbances, each value
+    depending on its own row alone, so the scores equal those of one pass
+    over all rows, bit for bit.  numpy multiplies a one-row matrix as a
+    matrix-vector product, whose rounding differs from the matrix product
+    that row gets among others, so a one-row dataset's hidden map is taken
+    over two copies of its row."""
     check_scoring(G, gamma)
     models = model if isinstance(model, list) else [model]
     kinds = {(m.hidden_dim, m.activation) for m in models}
@@ -161,16 +160,14 @@ def batch_score_uncertainty(
     if len(keys) != len(X):
         raise ValueError(f"{len(keys)} sample ids for {len(X)} rows of X; want one id per row")
     n = len(X)
-    params = [np.stack([getattr(m, name) for m in models]) for name in PARAM_AXES]
-    shape = (G, hidden)
-    m = math.prod(shape)
-    rows = max(2, BLOCK_VALUES // m)
+    W1, b1, W2, b2 = (np.stack([getattr(m, name) for m in models]) for name in PARAM_AXES)
+    _, F = kernels.hidden(W1, b1, X if n > 1 else X[[0, 0]], act)
+    rows = max(1, BLOCK_VALUES // (G * hidden))
     P = np.empty((len(models), n))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        at = slice(lo, hi) if hi - lo > 1 else [lo, lo]
-        T = _draw(keys[at], m, gamma).reshape((-1, *shape))
-        P[:, lo:hi] = kernels.mean_perturbed_predictions(*params, X[at], T, act)[:, : hi - lo, 0]
+        T = _draw(keys[lo:hi], G * hidden, gamma).reshape((-1, G, hidden))
+        P[:, lo:hi] = kernels.mean_perturbed_predictions(F[:, lo:hi], W2, b2, T)[..., 0]
     U = entropy(P)
     return U if isinstance(model, list) else U[0]
 
@@ -230,8 +227,9 @@ def save_score_table(path, ids, epochs, losses, uncertainties=None) -> None:
 
 def load_score_table(path) -> dict:
     """The arrays of a `save_score_table` file by name; ``uncertainty`` is
-    present only when the run scored it.  A missing array or a shape other
-    than the layout above raises a ValueError naming the array."""
+    present only when the run scored it.  A missing array, or a shape or
+    dtype other than the layout above, raises a ValueError naming the
+    array."""
     with np.load(path, allow_pickle=False) as npz:
         table = {name: npz[name] for name in npz.files}
     for name in ("ids", "epochs", "loss"):
@@ -240,6 +238,12 @@ def load_score_table(path) -> dict:
     for name in ("ids", "epochs"):
         if table[name].ndim != 1:
             raise ValueError(f"score table {name!r} has shape {table[name].shape}; want 1-D")
+    for name, kind in (("ids", np.integer), ("epochs", np.integer),
+                       ("loss", np.floating), ("uncertainty", np.floating)):
+        if name in table and not np.issubdtype(table[name].dtype, kind):
+            raise ValueError(
+                f"score table {name!r} has dtype {table[name].dtype}; want {kind.__name__}"
+            )
     shape = (len(table["epochs"]), len(table["ids"]))
     for name in ("loss", "uncertainty"):
         if name in table and table[name].shape != shape:

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from moscl import cli
 from moscl.datagen import (
     JITTER_SCALE,
     GenSpec,
@@ -240,6 +242,25 @@ class TestLoadDataset:
         path = _write(tmp_path / "d.csv", self.HEADER + "0,-1,0,LL,0.1,0.2\n")
         with pytest.raises(ValueError, match=r"row 0 \(id 0\): label y=-1 must be in \[0, 2\)"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("xcols, message", [
+        # the second x0 would stand in for the first
+        ("x0,x0", "column 'x0' at header positions 4 and 5"),
+        # the features would load swapped
+        ("x1,x0", "feature column 'x1' where 'x0' belongs; want x0, x1, ... in order"),
+        # a third input the file never meant
+        ("x0,x1,xnote", "feature column 'xnote' where 'x2' belongs"),
+    ], ids=["repeated", "swapped", "stray"])
+    def test_header_not_written_by_save_dataset_named(self, tmp_path, capsys, xcols, message):
+        width = xcols.count(",") + 1
+        row = "0,0,0,LL," + ",".join(["0.1"] * width) + "\n"
+        path = _write(tmp_path / "d.csv", f"id,y,clean_label,true_quadrant,{xcols}\n" + row * 4)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_dataset(path)
+        run_dir = tmp_path / "run"
+        assert cli.main(["train", "--dataset", str(path), "--outdir", str(run_dir)]) == 1
+        assert message in json.loads(capsys.readouterr().err)["message"]
+        assert not run_dir.exists()
 
     def test_wide_csv_without_sidecar(self, tmp_path):
         ds = generate(GenSpec(n_total=30, dim=8, seed=1))

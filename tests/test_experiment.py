@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -381,6 +382,25 @@ def test_config_from_file_casts_and_overrides(tmp_path):
     assert cfg.lr == 0.25 and isinstance(cfg.lr, float)
     assert cfg.total_epochs == 20 and isinstance(cfg.total_epochs, int)
     assert cfg.seed == 7
+
+
+def test_config_file_setting_a_key_twice_is_refused(tmp_path, small_dataset, capsys):
+    """A key set twice is refused, naming both lines, rather than the last
+    value quietly winning; a flag still overrides a key the file sets once."""
+    config = tmp_path / "cfg.txt"
+    config.write_text("scheduler=mixed\nlr=0.3\n# faster\n\nlr=5\n")
+    message = f"{config}: key 'lr' set twice, on lines 2 and 5"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig.from_file(config, lr="0.1")
+    data = tmp_path / "data.csv"
+    save_dataset(small_dataset, data)
+    run_dir = tmp_path / "run"
+    argv = ["train", "--dataset", str(data), "--outdir", str(run_dir), "--config", str(config)]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not run_dir.exists()
+    config.write_text("scheduler=mixed\nlr=0.3\n")
+    assert ExperimentConfig.from_file(config, lr="0.1").lr == 0.1
 
 
 def test_write_resolved_round_trips(tmp_path):
@@ -797,6 +817,56 @@ def test_export_scatter_names_a_malformed_score_json(tmp_path, capsys, doc, mess
     assert json.loads(capsys.readouterr().err) == {
         "error": "ValueError", "message": message.format(path=scores),
     }
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["value", "index"])
+@pytest.mark.parametrize("record, key, value, want", [
+    ({"sample_id": "3"}, "sample_id", "'3'", "an integer"),
+    ({"sample_id": 3.0}, "sample_id", "3.0", "an integer"),
+    ({"sample_id": True}, "sample_id", "True", "an integer"),
+    ({"loss": "x"}, "loss", "'x'", "a number"),
+    ({"loss": None}, "loss", "None", "a number"),
+    ({"loss": True}, "loss", "True", "a number"),
+    ({"uncertainty": "x"}, "uncertainty", "'x'", "a number"),
+    # a null among numbers; a null in every record is a file without them
+    ({"uncertainty": None}, "uncertainty", "None", "a number"),
+    ({"uncertainty": [0.5]}, "uncertainty", "[0.5]", "a number"),
+], ids=["id-string", "id-float", "id-bool", "loss-string", "loss-null", "loss-bool",
+        "u-string", "u-null", "u-list"])
+def test_export_scatter_names_a_non_numeric_score(tmp_path, capsys, mode, record, key,
+                                                  value, want):
+    records = [{"sample_id": k, "loss": 0.5 * k, "uncertainty": 0.1 * k} for k in range(3)]
+    records[1].update(record)
+    scores = tmp_path / "s.json"
+    scores.write_text(json.dumps(records))
+    argv = ["export-scatter", "--scores", str(scores), "--out", "out/x.csv", "--mode", mode]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": f"{scores}: record 1: {key!r} is {value}, not {want}",
+    }
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, array, dtype, want", [
+    ("ids", np.array([0.0, 1.0]), "float64", "integer"),
+    ("epochs", np.array([2.5]), "float64", "integer"),
+    ("loss", np.array([["x", "y"]]), "<U1", "floating"),
+    ("uncertainty", np.array([[1, 0]]), "int64", "floating"),
+], ids=["float-ids", "float-epochs", "string-loss", "integer-uncertainty"])
+def test_export_scatter_names_a_score_table_array_of_another_kind(
+    tmp_path, capsys, name, array, dtype, want
+):
+    table = dict(ids=np.arange(2), epochs=np.array([2]), loss=np.zeros((1, 2)),
+                 uncertainty=np.zeros((1, 2)))
+    scores = tmp_path / "t.npz"
+    np.savez(scores, **{**table, name: array})
+    message = f"score table {name!r} has dtype {dtype}; want {want}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_score_table(scores)
+    argv = ["export-scatter", "--scores", str(scores), "--out", "out/x.csv"]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
     assert not (tmp_path / "out").exists()
 
 

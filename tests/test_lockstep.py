@@ -131,16 +131,21 @@ def test_forward_over_run_axis_and_perturbations(a):
     X = rng.normal(size=(N, d))
     T = rng.uniform(-0.3, 0.3, (N, G, H))
     stacked = [rng.uniform(-1, 1, shape) for shape in ((S, H, d), (S, H), (S, 1, H), (S, 1))]
-    for perturb in (None, T):
-        got = kernels.forward(*stacked, X, act, perturb)
-        for s in range(S):
-            solo = kernels.forward(*(p[s] for p in stacked), X, act, perturb)
-            for g, o in zip(got, solo):
-                assert np.array_equal(g[s], o)
-    _, F, Z, Y = got
-    assert F.shape == (S, N, G, H) and Z.shape == Y.shape == (S, N, G, 1)
-    p_bar = kernels.mean_perturbed_predictions(*(p[0] for p in stacked), X, T, act)
-    assert np.array_equal(p_bar, Y[0].mean(axis=1))
+    got = kernels.forward(*stacked, X, act)
+    W1, b1, W2, b2 = stacked
+    for s in range(S):
+        solo = kernels.forward(W1[s], b1[s], W2[s], b2[s], X, act)
+        for g, o in zip(got, solo):
+            assert np.array_equal(g[s], o)
+        for g, o in zip(kernels.hidden(W1[s], b1[s], X, act), solo):
+            assert np.array_equal(g, o)
+    # the perturbed pass of each run: F * (1 + T) through the output layer
+    F = got[1]
+    P = kernels.mean_perturbed_predictions(F, W2, b2, T)
+    assert P.shape == (S, N, 1)
+    for s in range(S):
+        Z = (F[s][:, None, :] * (1.0 + T)) @ W2[s].T + b2[s]
+        assert np.array_equal(P[s], sigmoid_array(Z).mean(axis=1))
 
 
 # --- compare cells against solo runs ----------------------------------------
@@ -325,13 +330,18 @@ def test_mean_perturbed_predictions_over_a_run_axis_match_solo_calls(a):
     S, N, G, d, H = 4, 7, 3, 2, 5
     X = rng.normal(size=(N, d))
     T = rng.uniform(-0.3, 0.3, (N, G, H))
-    stacked = [rng.uniform(-1, 1, shape) for shape in ((S, H, d), (S, H), (S, 1, H), (S, 1))]
-    got = kernels.mean_perturbed_predictions(*stacked, X, T, act)
+    W1, b1, W2, b2 = (
+        rng.uniform(-1, 1, shape) for shape in ((S, H, d), (S, H), (S, 1, H), (S, 1))
+    )
+    _, F = kernels.hidden(W1, b1, X, act)
+    assert F.shape == (S, N, H)
+    got = kernels.mean_perturbed_predictions(F, W2, b2, T)
     assert got.shape == (S, N, 1)
     for s in range(S):
-        solo = kernels.mean_perturbed_predictions(*(p[s] for p in stacked), X, T, act)
-        assert solo.shape == (N, 1)
-        assert np.array_equal(got[s], solo)
+        _, solo_F = kernels.hidden(W1[s], b1[s], X, act)
+        solo = kernels.mean_perturbed_predictions(solo_F[None], W2[s : s + 1], b2[s : s + 1], T)
+        assert solo.shape == (1, N, 1)
+        assert np.array_equal(got[s], solo[0])
 
 
 def _scoring_calls(monkeypatch):

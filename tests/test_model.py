@@ -8,7 +8,7 @@ from moscl import conflict, kernels
 from moscl.experiment import ExperimentConfig
 from moscl.model import MlpModel
 
-from oracles import grad_wrt_latent, grad_wrt_prediction, loss, prob
+from oracles import grad_wrt_latent, grad_wrt_prediction, loss, prob, sigmoid
 
 
 def fd_param_gradient(model, x, y, loss_kind="mse", h=1e-6):
@@ -30,30 +30,26 @@ def fd_param_gradient(model, x, y, loss_kind="mse", h=1e-6):
     return np.concatenate(grads)
 
 
-def _forward(m, x, t=None):
-    """(f, z, y_hat) of `kernels.forward` over the one sample ``x``, each
-    flattened; with a perturbation vector ``t`` the hidden map is f * (1 + t)."""
-    T = None if t is None else np.asarray(t, dtype=np.float64)[None, None, :]
-    out = kernels.forward(m.W1, m.b1, m.W2, m.b2, x[None], m.activation, T)
-    return [a.reshape(-1) for a in out[1:]]
+def _perturbed(m, x, t):
+    """The prediction of `kernels.mean_perturbed_predictions` for the one
+    sample ``x`` under one disturbance (G = 1): its hidden map f becomes
+    f * (1 + t)."""
+    _, F = kernels.hidden(m.W1, m.b1, x[None], m.activation)
+    T = np.asarray(t, dtype=np.float64)[None, None, :]
+    return kernels.mean_perturbed_predictions(F[None], m.W2[None], m.b2[None], T)[0, 0, 0]
 
 
 class TestForward:
     def test_no_perturbation_equals_zero_perturbation(self):
         m = MlpModel(3, 5, seed=7)
         x = np.array([0.2, -1.1, 0.4])
-        t0 = np.zeros(5)
-        a = _forward(m, x)
-        b = _forward(m, x, t0)
-        for got, want in zip(a, b):
-            assert np.array_equal(got, want)
+        y = kernels.forward(m.W1, m.b1, m.W2, m.b2, x[None], m.activation)[3]
+        assert np.array_equal(_perturbed(m, x, np.zeros(5)), y[0, 0])
 
     def test_kill_perturbation_leaves_bias(self):
         m = MlpModel(3, 5, seed=7)
         x = np.array([0.2, -1.1, 0.4])
-        f, z, _ = _forward(m, x, -np.ones(5))
-        assert np.allclose(f, 0.0)
-        assert np.allclose(z, m.b2)
+        assert np.allclose(_perturbed(m, x, -np.ones(5)), sigmoid(m.b2[0]))
 
     def test_perturbed_prediction_within_extremes_1_hidden_unit(self):
         # monotone-output oracle: with one hidden unit, any perturbation in
@@ -61,13 +57,13 @@ class TestForward:
         m = MlpModel(2, 1, seed=3)
         x = np.array([0.5, -0.3])
         g = 0.3
-        lo = _forward(m, x, [-g])[2][0]
-        hi = _forward(m, x, [g])[2][0]
+        lo = _perturbed(m, x, [-g])
+        hi = _perturbed(m, x, [g])
         lo, hi = min(lo, hi), max(lo, hi)
         rng = np.random.default_rng(0)
         for _ in range(50):
             t = rng.uniform(-g, g, 1)
-            p = _forward(m, x, t)[2][0]
+            p = _perturbed(m, x, t)
             assert lo - 1e-12 <= p <= hi + 1e-12
 
 

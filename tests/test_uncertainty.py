@@ -92,16 +92,14 @@ class TestBatchScore:
         m, X, ids, cfg = self._setup()
         scores = batch_score_uncertainty(m, X[:1], ids[:1], **cfg)
         assert cfg["gamma"] == 0.3
-        # the lone row is scored as the first of two copies of itself
-        T = perturbations(cfg["seed"], [0, 0], 0, (cfg["G"], m.hidden_dim), cfg["gamma"])
-        P = kernels.mean_perturbed_predictions(
-            m.W1, m.b1, m.W2, m.b2, X[[0, 0]], T, m.activation
-        )
-        assert scores[0] == entropy(P[:, 0])[0]
         T = perturbations(cfg["seed"], [0], 0, (cfg["G"], m.hidden_dim), cfg["gamma"])
-        p_bar = kernels.mean_perturbed_predictions(
-            m.W1, m.b1, m.W2, m.b2, X[:1], T, m.activation
-        )[0, 0]
+        W1, b1, W2, b2 = (p[None] for p in (m.W1, m.b1, m.W2, m.b2))
+        # the lone row's hidden map is the first of two copies of itself
+        _, F = kernels.hidden(W1, b1, X[[0, 0]], m.activation)
+        P = kernels.mean_perturbed_predictions(F[:, :1], W2, b2, T)
+        assert scores[0] == entropy(P[0, 0, 0])
+        _, F = kernels.hidden(W1, b1, X[:1], m.activation)
+        p_bar = kernels.mean_perturbed_predictions(F, W2, b2, T)[0, 0, 0]
         assert scores[0] == pytest.approx(entropy(float(p_bar)), abs=1e-12)
 
     def test_lone_row_scores_as_among_others(self):
@@ -155,40 +153,37 @@ class TestBatchScore:
 
 
 def _block_sizes(n, rows):
-    """Rows per block: blocks of max(2, rows); a one-row block is scored
-    as 2."""
-    rows = max(2, rows)
-    sizes = [rows] * (n // rows) + [n % rows] * (n % rows > 0)
-    return [max(2, size) for size in sizes]
+    """Rows per block: blocks of max(1, rows), the last one short."""
+    rows = max(1, rows)
+    return [rows] * (n // rows) + [n % rows] * (n % rows > 0)
 
 
 class TestBlockedScoring:
-    """`batch_score_uncertainty` scores rows in blocks; its scores equal
-    those of one perturbed forward pass over all rows, bit for bit, with a
-    lone row scored as the first of two copies of itself."""
+    """`batch_score_uncertainty` draws and scores rows in blocks; its scores
+    equal those of one perturbed pass over all rows, bit for bit, with the
+    hidden map of a one-row dataset taken as the first of two copies of its
+    row."""
 
     @staticmethod
     def _reference(m, X, ids, cfg, epoch):
         n = len(X)
-        if n == 1:
-            X, ids = np.repeat(X, 2, axis=0), np.repeat(ids, 2)
+        W1, b1, W2, b2 = (p[None] for p in (m.W1, m.b1, m.W2, m.b2))
+        _, F = kernels.hidden(W1, b1, X if n > 1 else np.repeat(X, 2, axis=0), m.activation)
         T = perturbations(cfg["seed"], ids, epoch, (cfg["G"], m.hidden_dim), cfg["gamma"])
-        P = kernels.mean_perturbed_predictions(
-            m.W1, m.b1, m.W2, m.b2, X, T, m.activation
-        )[:n]
-        return entropy(P[:, 0])
+        P = kernels.mean_perturbed_predictions(F[:, :n], W2, b2, T)
+        return entropy(P[0, :, 0])
 
     @staticmethod
     def _score_counting_blocks(m, X, ids, cfg, epoch, block_values):
         """The scores with `BLOCK_VALUES` set to ``block_values``, and the
-        row count of each block's perturbed forward pass."""
+        row count of each block's perturbed pass."""
         real = kernels.mean_perturbed_predictions
         rows = []
 
-        def counting(W1, b1, W2, b2, X, T, act):
-            assert T.shape == (len(X), cfg["G"], m.hidden_dim)
-            rows.append(len(X))
-            return real(W1, b1, W2, b2, X, T, act)
+        def counting(F, W2, b2, T):
+            assert T.shape == (F.shape[1], cfg["G"], m.hidden_dim)
+            rows.append(len(T))
+            return real(F, W2, b2, T)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(uncertainty, "BLOCK_VALUES", block_values)
@@ -197,12 +192,10 @@ class TestBlockedScoring:
 
     @given(st.data())
     def test_blocks_match_one_shot_reference(self, data):
-        # 1 row per block asks for less than the two-row floor
         rows = data.draw(st.sampled_from([1, 3, 7]), label="rows per block")
-        block = max(2, rows)
         n = data.draw(
-            st.sampled_from(sorted({1, block - 1, block, block + 1}))
-            | st.integers(1, 4 * block + 2),
+            st.sampled_from(sorted({1, 2, rows - 1, rows, rows + 1} - {0}))
+            | st.integers(1, 4 * rows + 2),
             label="N",
         )
         G, H = data.draw(st.integers(1, 5), label="G"), data.draw(st.integers(1, 6), label="H")
@@ -228,12 +221,12 @@ class TestBlockedScoring:
     @pytest.mark.parametrize("G, n, sizes", [
         # 14 * 2**10 // (16 * 8) = 112 rows per block, a 40-row tail
         (16, 600, [112] * 5 + [40]),
-        # a lone 225th row is scored as two
-        (16, 225, [112, 112, 2]),
-        # one row holds 2**15 values: two rows per block, the last one alone
-        (2**12, 7, [2, 2, 2, 2]),
-        # a lone row is scored as two
-        (8, 1, [2]),
+        # the 225th row is a block of its own
+        (16, 225, [112, 112, 1]),
+        # one row holds 2**15 values: one row per block
+        (2**12, 7, [1] * 7),
+        # a one-row dataset is one block
+        (8, 1, [1]),
     ])
     def test_block_rows_follow_G_times_H(self, G, n, sizes):
         m = MlpModel(2, 8, seed=1)
@@ -276,21 +269,21 @@ class TestGroupScoring:
         assert np.array_equal(got, np.stack(want))
 
     def test_one_perturbed_pass_per_block_serves_every_model(self):
-        """Blocks of 112, 112 and a lone row scored as 2: each block's
-        disturbances (rows, G, H) are drawn once for the three models."""
+        """Blocks of 112, 112 and one row: each block's disturbances (rows,
+        G, H) are drawn once for the three models."""
         models = [MlpModel(2, 8, seed=s) for s in range(3)]
         X = np.random.default_rng(0).normal(size=(225, 2))
         real = kernels.mean_perturbed_predictions
         seen = []
 
-        def counting(W1, b1, W2, b2, X, T, act):
-            seen.append((W1.shape[0], T.shape))
-            return real(W1, b1, W2, b2, X, T, act)
+        def counting(F, W2, b2, T):
+            seen.append((F.shape[0], T.shape))
+            return real(F, W2, b2, T)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "mean_perturbed_predictions", counting)
             got = batch_score_uncertainty(models, X, np.arange(225), 16, 0.3, 0)
-        assert seen == [(3, (112, 16, 8)), (3, (112, 16, 8)), (3, (2, 16, 8))]
+        assert seen == [(3, (112, 16, 8)), (3, (112, 16, 8)), (3, (1, 16, 8))]
         for m, row in zip(models, got):
             assert np.array_equal(row, batch_score_uncertainty(m, X, np.arange(225), 16, 0.3, 0))
 
