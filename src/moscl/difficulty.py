@@ -59,8 +59,6 @@ def rank_descending(values: Sequence[float], ids: Sequence[int]) -> np.ndarray:
     sample id."""
     if len(values) == 0:
         raise ValueError("cannot rank an empty list")
-    if len(values) != len(ids):
-        raise ValueError("values and ids length mismatch")
     v = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(v)
     if not finite.all():

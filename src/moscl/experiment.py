@@ -92,13 +92,19 @@ class ExperimentConfig:
             raise ValueError("sp_lambda0 must be positive")
         # the age lambda is linear in the epoch and positive at the first
         # rescore boundary, so it stays positive if it is at the last one
-        last = self.total_epochs - 1 - self.warmup_epochs
-        age = last // self.rescore_every * self.rescore_every
+        last = self.rescore_epochs[-1]
+        age = last - self.warmup_epochs
         if self.sp_lambda0 + self.sp_growth * age <= 0.0:
             raise ValueError(
                 f"age lambda sp_lambda0 + sp_growth * {age} must be positive "
-                f"at the last rescore boundary, epoch {self.warmup_epochs + age}"
+                f"at the last rescore boundary, epoch {last}"
             )
+
+    @property
+    def rescore_epochs(self) -> range:
+        """The rescore boundaries: every ``rescore_every``-th epoch from the
+        end of warmup on.  A scored run's score table has one row for each."""
+        return range(self.warmup_epochs, self.total_epochs, self.rescore_every)
 
     # -- flat key=value config text -----------------------------------------
 
@@ -200,26 +206,21 @@ class _Run:
             "both",
         )
         # one row per rescore boundary, the rows of scores.npz
-        n_rows = (
-            len(range(cfg.warmup_epochs, cfg.total_epochs, cfg.rescore_every))
-            if self.scored else 0
-        )
+        self.boundaries = cfg.rescore_epochs if self.scored else range(0)
+        n_rows = len(self.boundaries)
         self.n_scored = 0
-        self.score_epochs = np.empty(n_rows, dtype=np.int64)
         self.score_losses = np.empty((n_rows, len(dataset)))
         self.score_us = np.empty((n_rows, len(dataset))) if self.need_u else None
         self.weights = np.ones(len(dataset))
         self.plan: Optional[scheduler.BatchPlan] = None
         self.plan_s = 0.0
-        # this boundary's uncertainties and the wall time of the call that
-        # scored them, set by `_score_uncertainties`
-        self.u: Optional[np.ndarray] = None
+        # the wall time of the call that scored this boundary's
+        # uncertainties, set by `_score_uncertainties`
         self.score_s = 0.0
         # the (N, 1) predictions of the last recall: the parameters do not
         # move before the next plan, so they give that boundary's losses
         self.pred: Optional[np.ndarray] = None
         self.d: Optional[np.ndarray] = None
-        self.last_mean_uncertainty: Optional[float] = None
         self.metrics_rows: List[list] = []
         self.timing_rows: List[list] = []
         self.error: Optional[Exception] = None
@@ -233,25 +234,18 @@ class _Run:
 
     def rescores(self, epoch: int) -> bool:
         """Whether every row is scored at ``epoch``, a rescore boundary."""
-        since = epoch - self.cfg.warmup_epochs
-        return self.scored and since >= 0 and since % self.cfg.rescore_every == 0
+        return epoch in self.boundaries
 
-    def _score(self, epoch: int):
-        """Loss (and, when needed, the uncertainty `_train` scored) of every
-        row, kept as the next row of the score table.  The losses are those
-        of the last recall's predictions; only a boundary that no epoch
-        precedes runs a forward pass of its own."""
+    def _score(self):
+        """Loss of every row, kept with the uncertainties `_train` scored
+        into the same row (when needed) as the next row of the score table.
+        The losses are those of the last recall's predictions; only a
+        boundary that no epoch precedes runs a forward pass of its own."""
         pred = self.pred if self.pred is not None else self.model.forward_batch(self.X)
-        losses = kernels.loss_batch(pred, self.labels, self.cfg.loss_kind)
-        uncertainties, self.u = self.u, None
         k = self.n_scored
-        self.score_epochs[k] = epoch
-        self.score_losses[k] = losses
-        if self.need_u:
-            self.score_us[k] = uncertainties
-            self.last_mean_uncertainty = float(np.mean(uncertainties))
+        losses = self.score_losses[k] = kernels.loss_batch(pred, self.labels, self.cfg.loss_kind)
         self.n_scored += 1
-        return losses, uncertainties
+        return losses, self.score_us[k] if self.need_u else None
 
     def _difficulty(self, losses, uncertainties) -> np.ndarray:
         src = self.cfg.difficulty_source
@@ -269,7 +263,7 @@ class _Run:
         cfg = self.cfg
         since = epoch - cfg.warmup_epochs
         if self.rescores(epoch):
-            losses, uncertainties = self._score(epoch)
+            losses, uncertainties = self._score()
             if cfg.scheduler == "ohem":
                 return scheduler.ohem_plan(
                     losses, self.ids, cfg.batch_size, cfg.ohem_ratio, self._epoch_rng(epoch)
@@ -314,9 +308,10 @@ class _Run:
             )
         recalls = self._recalls()
         spread = scheduler.d_sum_spread(self.plan, self.d) if self.d is not None else None
+        mean_u = (float(np.mean(self.score_us[self.n_scored - 1]))
+                  if self.need_u and self.n_scored else None)
         self.metrics_rows.append([
-            epoch, mean_loss, recalls[0], recalls[1], recalls[self.minority],
-            self.last_mean_uncertainty, spread,
+            epoch, mean_loss, recalls[0], recalls[1], recalls[self.minority], mean_u, spread,
         ])
 
     def write_logs(self) -> None:
@@ -325,7 +320,7 @@ class _Run:
         if self.scored:
             k = self.n_scored
             uncertainty.save_score_table(
-                self.outdir / "scores.npz", self.ids, self.score_epochs[:k],
+                self.outdir / "scores.npz", self.ids, self.boundaries[:k],
                 self.score_losses[:k], None if self.score_us is None else self.score_us[:k],
             )
         for name, header, rows in (
@@ -341,7 +336,8 @@ class _Run:
 def _score_uncertainties(group: List[_Run], epoch: int) -> None:
     """The uncertainties of every row under each run of ``group``, runs of
     one dataset, seed, G and gamma: one call draws their disturbances once.
-    Each run keeps its row and the call's wall time."""
+    Each run keeps its row in the score-table row `_score` fills next, and
+    the call's wall time."""
     first = group[0]
     cfg = first.cfg
     t0 = time.perf_counter()
@@ -350,7 +346,7 @@ def _score_uncertainties(group: List[_Run], epoch: int) -> None:
     )
     score_s = time.perf_counter() - t0
     for run, u in zip(group, us):
-        run.u, run.score_s = u, score_s
+        run.score_us[run.n_scored], run.score_s = u, score_s
 
 
 # a diverging run fails its own loss check, not on numpy's overflow warnings
@@ -543,37 +539,15 @@ def export_scatter(scores_path, out_csv, mode: str = "value", epoch: Optional[in
     values or descending rank indices, one row per sample by ascending id.
 
     ``scores_path`` is a run's ``scores.npz`` table, or a score JSON
-    (`moscl score`), read as a table of one row at epoch 0, the epoch
-    `moscl score` scores at.  The row of ``epoch`` is exported; ``epoch``
-    may be left out when the file holds one row.  The parent directories
-    of ``out_csv`` are made once the input has been read."""
+    (`moscl score`), read as a table of one row at epoch 0.  The row of
+    ``epoch`` is exported; ``epoch`` may be left out when the file holds
+    one row.  The parent directories of ``out_csv`` are made once the input
+    has been read."""
     if mode not in ("value", "index"):
         raise ValueError(f"unknown scatter mode {mode!r}")
-    if Path(scores_path).suffix == ".npz":
-        table = uncertainty.load_score_table(scores_path)
-    else:
-        records = uncertainty.load_scores(scores_path)
-        try:
-            ids, losses, us = ([r[key] for r in records]
-                               for key in ("sample_id", "loss", "uncertainty"))
-        except (KeyError, TypeError):
-            raise ValueError(f"{scores_path} is not an array of "
-                             "{sample_id, loss, uncertainty} records") from None
-        # a file scored without uncertainties holds a null in every record
-        us = None if all(u is None for u in us) else us
-        number = ({int, float}, "a number")
-        for key, values, (types, want) in (
-            ("sample_id", ids, ({int}, "an integer")), ("loss", losses, number),
-            ("uncertainty", us or [], number),
-        ):
-            bad = next((k for k, v in enumerate(values) if type(v) not in types), None)
-            if bad is not None:
-                raise ValueError(
-                    f"{scores_path}: record {bad}: {key!r} is {values[bad]!r}, not {want}"
-                )
-        table = {"ids": np.array(ids), "epochs": np.array([0]), "loss": np.array([losses])}
-        if us is not None:
-            table["uncertainty"] = np.array([us])
+    read = (uncertainty.load_score_table if Path(scores_path).suffix == ".npz"
+            else uncertainty.load_scores)
+    table = read(scores_path)
     if not len(table["ids"]):
         raise ValueError(f"{scores_path} holds no sample")
     epochs = table["epochs"].tolist()

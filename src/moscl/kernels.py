@@ -46,9 +46,15 @@ def forward(W1, b1, W2, b2, X, act):
     Returns (Fpre, F, Z, Y_hat): pre-activation and hidden map (..., N, H),
     latent and prediction p(y = 1) (..., N, 1)."""
     Fpre, F = hidden(W1, b1, X, act)
+    return (Fpre, F, *output(F, W2, b2))
+
+
+def output(F, W2, b2):
+    """Latent and prediction p(y = 1) (..., N, 1) of hidden maps ``F``
+    (..., N, H) under ``W2`` (..., 1, H) and ``b2`` (..., 1)."""
     Z = F @ W2.swapaxes(-1, -2)
     Z += b2[..., None, :]
-    return Fpre, F, Z, _sigmoid(Z)
+    return Z, _sigmoid(Z)
 
 
 def loss_batch(Y_hat, labels, lossk):
@@ -187,7 +193,5 @@ def mean_perturbed_predictions(F, W2, b2, T):
     scale = 1.0 + T
     P = np.empty((len(F), len(T), 1))
     for f, w, b, p in zip(F, W2, b2, P):
-        Z = (f[:, None, :] * scale) @ w.T
-        Z += b
-        _sigmoid(Z, out=Z).mean(axis=1, out=p)
+        output(f[:, None, :] * scale, w, b)[1].mean(axis=1, out=p)
     return P

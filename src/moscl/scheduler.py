@@ -35,19 +35,13 @@ def random_plan(n: int, b: int, rng: np.random.Generator) -> BatchPlan:
     return BatchPlan(order=rng.permutation(n), batch_size=b)
 
 
-def _hard_first(d, ids) -> np.ndarray:
-    """Rows by ascending d (smaller d = harder), ties by ascending id."""
-    if len(d) != len(ids):
-        raise ValueError(f"{len(ids)} samples but {len(d)} difficulty scores")
-    return ascending_order(d, ids)
-
-
 def mixed_order_plan(d, ids, b: int) -> BatchPlan:
     """Pair hard with easy: interleave the hardness-sorted rows from both
     ends (hard, easy, hard, easy, ...) and chunk into batches of b.  For b=2
     this pairs position k with position N-1-k; odd N leaves the median
     sample in a short final batch."""
-    hard = _hard_first(d, ids)
+    # rows by ascending d (smaller d = harder), ties by ascending id
+    hard = ascending_order(d, ids)
     k = np.arange(len(hard))
     ends = np.where(k % 2 == 0, k // 2, len(hard) - 1 - k // 2)
     return BatchPlan(order=hard[ends], batch_size=b)
@@ -55,7 +49,7 @@ def mixed_order_plan(d, ids, b: int) -> BatchPlan:
 
 def anti_mixed_plan(d, ids, b: int) -> BatchPlan:
     """Hard with hard: contiguous chunks of the hardness-sorted rows."""
-    return BatchPlan(order=_hard_first(d, ids), batch_size=b)
+    return BatchPlan(order=ascending_order(d, ids), batch_size=b)
 
 
 def ohem_plan(

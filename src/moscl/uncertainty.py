@@ -203,9 +203,36 @@ def dump_scores(path, sample_ids, losses, uncertainties=None) -> None:
         }))
 
 
-def load_scores(path):
+def load_scores(path) -> dict:
+    """A `dump_scores` file as a one-row score table at epoch 0, the epoch
+    `moscl score` scores at, in `load_score_table`'s layout.  A file that is
+    not an array of {sample_id, loss, uncertainty} records, or a value that
+    is not an integer (``sample_id``; a bool is not one) or a number, raises
+    a ValueError naming the file, the record and the key."""
     with open(path) as fh:
-        return json.load(fh)
+        records = json.load(fh)
+    try:
+        ids, losses, us = ([r[key] for r in records]
+                           for key in ("sample_id", "loss", "uncertainty"))
+    except (KeyError, TypeError):
+        raise ValueError(f"{path} is not an array of "
+                         "{sample_id, loss, uncertainty} records") from None
+    number = ({int, float}, "a number", np.float64)
+    table = {"ids": _record_column(path, "sample_id", ids, {int}, "an integer", np.int64),
+             "epochs": np.zeros(1, dtype=np.int64),
+             "loss": _record_column(path, "loss", losses, *number)[None]}
+    # a file scored without uncertainties holds a null in every record
+    if any(u is not None for u in us):
+        table["uncertainty"] = _record_column(path, "uncertainty", us, *number)[None]
+    return table
+
+
+def _record_column(path, key, values, types, want, dtype) -> np.ndarray:
+    # the first record whose value is not of ``types``
+    bad = next((k for k, v in enumerate(values) if type(v) not in types), None)
+    if bad is None:
+        return np.array(values, dtype=dtype)
+    raise ValueError(f"{path}: record {bad}: {key!r} is {values[bad]!r}, not {want}")
 
 
 def save_score_table(path, ids, epochs, losses, uncertainties=None) -> None:

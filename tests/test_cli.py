@@ -194,7 +194,7 @@ def test_score_out_ending_in_csv_writes_only_that_file(tmp_path, capsys):
     assert cli.main(["score", "--out", str(out)] + _score_inputs(tmp_path)) == 0
     assert capsys.readouterr().out == f"{out}\n"
     assert [p.name for p in out.parent.iterdir()] == ["s.csv"]
-    assert [r["sample_id"] for r in uncertainty.load_scores(out)] == sorted(
+    assert uncertainty.load_scores(out)["ids"].tolist() == sorted(
         load_dataset(tmp_path / "data.csv").ids.tolist()
     )
 
@@ -226,9 +226,9 @@ def test_score_writes_the_difficulty_csv_only_on_request(tmp_path, capsys):
     assert cli.main(argv + inputs) == 0
     capsys.readouterr()
     assert (both / "s.json").read_bytes() == (alone / "s.json").read_bytes()
-    rows = uncertainty.load_scores(both / "s.json")
-    columns = [np.array([r[k] for r in rows]) for k in ("sample_id", "loss", "uncertainty")]
-    difficulty.dump_difficulty_csv(tmp_path / "want.csv", *columns)
+    table = uncertainty.load_scores(both / "s.json")
+    difficulty.dump_difficulty_csv(tmp_path / "want.csv", table["ids"], table["loss"][0],
+                                   table["uncertainty"][0])
     assert csv_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 

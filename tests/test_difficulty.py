@@ -74,7 +74,7 @@ class TestRankDescending:
             rank_descending([], [])
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match="^1 ids for 2 keys$"):
             rank_descending([1.0, 2.0], [0])
 
     @given(

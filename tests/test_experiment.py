@@ -954,6 +954,35 @@ def test_failed_cell_keeps_the_scores_of_the_epochs_before_its_error(
         assert (tmp_path / "cmp" / f"{label}_seed0" / "checkpoint.json").exists()
 
 
+def test_a_run_failing_at_its_third_boundary_keeps_only_complete_rows(
+    tmp_path, small_dataset, monkeypatch
+):
+    """The third boundary's uncertainties are scored into its table row
+    before its losses; a run that fails in between writes the rows of the
+    first two boundaries alone, at the epochs the config fixes."""
+    cfg = _cfg(tmp_path, name="clean", warmup_epochs=2, total_epochs=9, rescore_every=2)
+    clean = load_score_table(experiment.run(cfg, dataset=small_dataset) / "scores.npz")
+    real = experiment._Run._score
+
+    def _score(run):
+        if run.n_scored == 2:
+            # this boundary's uncertainties are in the row `_score` fills
+            assert np.array_equal(run.score_us[2], clean["uncertainty"][2])
+            raise ValueError("planned failure")
+        return real(run)
+
+    monkeypatch.setattr(experiment._Run, "_score", _score)
+    failed_dir = tmp_path / "failed"
+    with pytest.raises(ValueError, match="planned failure"):
+        experiment.run(replace(cfg, outdir=str(failed_dir)), dataset=small_dataset)
+    failed = load_score_table(failed_dir / "scores.npz")
+    assert list(cfg.rescore_epochs) == [2, 4, 6, 8]
+    assert failed["epochs"].tolist() == list(cfg.rescore_epochs[:2])
+    for name in ("loss", "uncertainty"):
+        assert np.array_equal(failed[name], clean[name][:2])
+    assert [row["epoch"] for row in _read_metrics(failed_dir)][-1] == "5"
+
+
 def test_a_failed_checkpoint_save_leaves_a_run_that_final_metrics_refuses(
     tmp_path, small_dataset, monkeypatch
 ):

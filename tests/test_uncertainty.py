@@ -342,19 +342,24 @@ class TestPerturbations:
 class TestScoreDump:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "scores.json"
-        dump_scores(path, [0, 1], [0.5, 0.25], [0.1, 0.2])
-        records = load_scores(path)
-        assert records == [
-            {"sample_id": 0, "loss": 0.5, "uncertainty": 0.1},
-            {"sample_id": 1, "loss": 0.25, "uncertainty": 0.2},
-        ]
+        dump_scores(path, [1, 0], [0.25, 0.5], [0.2, 0.1])
+        table = load_scores(path)
+        assert sorted(table) == ["epochs", "ids", "loss", "uncertainty"]
+        assert table["ids"].tolist() == [0, 1] and table["ids"].dtype == np.int64
+        assert table["epochs"].tolist() == [0] and table["epochs"].dtype == np.int64
+        assert table["loss"].tolist() == [[0.5, 0.25]] and table["loss"].dtype == np.float64
+        assert table["uncertainty"].tolist() == [[0.1, 0.2]]
+        assert table["uncertainty"].dtype == np.float64
+        # scored without uncertainties: a null in every record, no array
+        dump_scores(path, [0], [0.5])
+        assert sorted(load_scores(path)) == ["epochs", "ids", "loss"]
 
     def test_compact_one_line_with_float_repr(self, tmp_path):
         path = tmp_path / "scores.json"
         dump_scores(path, [1, 0], [0.1 + 0.2, 1e-300], [1 / 3, 0.0])
         text = path.read_text()
         assert "\n" not in text
-        assert text == json.dumps(load_scores(path))
+        assert text == json.dumps(json.loads(text))
         assert repr(0.1 + 0.2) in text and repr(1 / 3) in text
 
     def test_missing_uncertainty_is_null(self, tmp_path):
