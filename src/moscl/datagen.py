@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -31,6 +32,7 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_total < 4:
             raise ValueError("n_total must be >= 4")
         if not 2 <= self.dim <= 8:
@@ -43,6 +45,19 @@ class GenSpec:
             raise ValueError("noise fractions sum above 1")
         if not math.isfinite(self.cluster_separation):
             raise ValueError(f"cluster_separation must be finite, got {self.cluster_separation!r}")
+
+
+def check_field_types(settings) -> None:
+    """Refuse a field of the dataclass ``settings`` (a `GenSpec` or an
+    `ExperimentConfig`) whose value is not of its default's kind, naming the
+    field: an int field takes an integer, numpy integers included, and a
+    float field a real number; a bool is neither.  String fields are left
+    as they are, so a library caller may pass a Path."""
+    for field in fields(settings):
+        kind, value = type(field.default), getattr(settings, field.name)
+        want = {int: numbers.Integral, float: numbers.Real}.get(kind)
+        if want and (isinstance(value, bool) or not isinstance(value, want)):
+            raise ValueError(f"{field.name} must be {kind.__name__}, got {value!r}")
 
 
 @dataclass

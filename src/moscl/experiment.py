@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import difficulty, scheduler, uncertainty
-from .datagen import Dataset, check_dataset, load_dataset
+from .datagen import Dataset, check_dataset, check_field_types, load_dataset
 from .kernels import ACTIVATIONS, LOSSES
 from .model import PARAM_AXES, MlpModel
 from . import kernels
@@ -61,6 +61,7 @@ class ExperimentConfig:
     outdir: str = ""
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("lr", "sp_lambda0", "sp_growth"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -506,7 +507,7 @@ def compare(
         failed_seeds = [s for s in seeds if s not in done]
         summary["configs"][label] = {
             "minority_recall_mean": float(np.mean(vals)) if vals else None,
-            "minority_recall_spread": (max(vals) - min(vals)) if len(vals) > 1 else 0.0,
+            "minority_recall_spread": (max(vals) - min(vals)) if vals else None,
             "mean_loss_mean": float(np.mean(losses)) if losses else None,
             "failed_seeds": failed_seeds,
             "errors": {str(s): cells[label, s] for s in failed_seeds},

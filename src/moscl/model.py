@@ -115,10 +115,11 @@ class MlpModel:
     @classmethod
     def from_checkpoint(cls, doc: dict) -> "MlpModel":
         """Model from a `to_checkpoint` document.  A missing key, an unknown
-        activation, a head other than sigmoid, a ``data`` length other than
-        prod(shape), an axis of size 0, shapes that disagree (a W2 of more
-        than one row included), or a value that is not a finite number
-        raise ValueError naming the field."""
+        activation, a head other than sigmoid, a shape that is not a list of
+        non-negative integers, a ``data`` length other than prod(shape), an
+        axis of size 0, shapes that disagree (a W2 of more than one row
+        included), or a value that is not a finite number raise ValueError
+        naming the field."""
         model = cls.__new__(cls)
         for key, known in (("activation", ACTIVATIONS), ("head", ("sigmoid",))):
             if _field(doc, key, key) not in known:
@@ -129,7 +130,11 @@ class MlpModel:
         for name, axes in PARAM_AXES.items():
             where = f"params.{name}"
             entry = _field(params, name, where)
-            shape = tuple(_field(entry, "shape", f"{where}.shape"))
+            shape = _field(entry, "shape", f"{where}.shape")
+            if type(shape) is not list or any(type(n) is not int or n < 0 for n in shape):
+                raise ValueError(f"checkpoint {where}.shape: {shape!r} is not a list of "
+                                 "non-negative integers")
+            shape = tuple(shape)
             data = _field(entry, "data", f"{where}.data")
             if len(data) != math.prod(shape):
                 raise ValueError(f"checkpoint {where}: {len(data)} values for shape {shape}")

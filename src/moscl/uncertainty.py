@@ -207,8 +207,9 @@ def load_scores(path) -> dict:
     """A `dump_scores` file as a one-row score table at epoch 0, the epoch
     `moscl score` scores at, in `load_score_table`'s layout.  A file that is
     not an array of {sample_id, loss, uncertainty} records, or a value that
-    is not an integer (``sample_id``; a bool is not one) or a number, raises
-    a ValueError naming the file, the record and the key."""
+    is not an integer int64 holds (``sample_id``; a bool is not one) or a
+    number float64 holds, raises a ValueError naming the file, the record
+    and the key."""
     with open(path) as fh:
         records = json.load(fh)
     try:
@@ -228,11 +229,25 @@ def load_scores(path) -> dict:
 
 
 def _record_column(path, key, values, types, want, dtype) -> np.ndarray:
-    # the first record whose value is not of ``types``
+    """``values``, the ``key`` of each record of the score JSON ``path``, as
+    a ``dtype`` array; the first value not of ``types``, or one ``dtype``
+    cannot hold, raises a ValueError naming its record."""
     bad = next((k for k, v in enumerate(values) if type(v) not in types), None)
     if bad is None:
-        return np.array(values, dtype=dtype)
+        try:
+            return np.array(values, dtype=dtype)
+        except OverflowError:
+            bad = next(k for k, v in enumerate(values) if not _holds(dtype, v))
+            want += f" that {dtype.__name__} holds"
     raise ValueError(f"{path}: record {bad}: {key!r} is {values[bad]!r}, not {want}")
+
+
+def _holds(dtype, value) -> bool:
+    try:
+        np.array(value, dtype=dtype)
+    except OverflowError:
+        return False
+    return True
 
 
 def save_score_table(path, ids, epochs, losses, uncertainties=None) -> None:

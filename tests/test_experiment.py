@@ -61,6 +61,34 @@ def test_config_rejects_warmup_not_below_total():
         ExperimentConfig(warmup_epochs=5, total_epochs=5)
 
 
+@pytest.mark.parametrize("cls, name, value, shown", [
+    (ExperimentConfig, "G", 2.5, "2.5"),
+    (ExperimentConfig, "batch_size", 2.5, "2.5"),
+    (ExperimentConfig, "hidden_dim", 4.0, "4.0"),
+    (ExperimentConfig, "rescore_every", 1.5, "1.5"),
+    (ExperimentConfig, "seed", 1.5, "1.5"),
+    (ExperimentConfig, "seed", True, "True"),
+    (ExperimentConfig, "lr", "0.3", "'0.3'"),
+    (ExperimentConfig, "gamma", False, "False"),
+    (GenSpec, "n_total", 400.5, "400.5"),
+    (GenSpec, "minority_fraction", "0.1", "'0.1'"),
+])
+def test_a_setting_of_the_wrong_type_is_refused_naming_its_field(cls, name, value, shown):
+    """Refused when the settings are made, so no epoch runs and no row is
+    generated: such a value would otherwise fail later, unnamed."""
+    kind = type(cls.__dataclass_fields__[name].default).__name__
+    message = f"{name} must be {kind}, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**{name: value})
+
+
+def test_settings_take_numpy_integers_and_integers_for_floats(tmp_path, small_dataset):
+    cfg = ExperimentConfig(G=np.int64(2), seed=np.uint8(1), lr=1, total_epochs=3,
+                           warmup_epochs=1, outdir=str(tmp_path / "run"))
+    assert experiment.run(cfg, dataset=small_dataset).exists()
+    assert GenSpec(n_total=np.int32(8), cluster_separation=2).n_total == 8
+
+
 def test_config_rejects_zero_hidden_dim():
     with pytest.raises(ValueError, match="hidden_dim"):
         ExperimentConfig(hidden_dim=0)
@@ -289,6 +317,19 @@ def test_compare_reports_the_error_of_each_failed_cell(tmp_path, small_dataset):
     assert not (tmp_path / "cmp").exists()
 
 
+def test_compare_reports_no_spread_for_a_label_whose_every_seed_failed(tmp_path,
+                                                                     small_dataset):
+    base = _cfg(tmp_path, name="cmp", total_epochs=3)
+    diverging = replace(base, lr=1e300, loss_kind="ce", activation="relu")
+    summary = experiment.compare([base, diverging], [0, 1], dataset=small_dataset,
+                                 labels=["mixed", "diverging"])
+    stats = summary["configs"]["diverging"]
+    assert stats["failed_seeds"] == [0, 1]
+    keys = ("minority_recall_mean", "minority_recall_spread", "mean_loss_mean")
+    assert [stats[key] for key in keys] == [None] * 3
+    assert summary["configs"]["mixed"]["minority_recall_spread"] >= 0.0
+
+
 def test_compare_records_a_negative_seed_as_its_cells_error(tmp_path, small_dataset):
     base = _cfg(tmp_path, name="cmp", total_epochs=3)
     configs = [base, replace(base, scheduler="random")]
@@ -296,6 +337,8 @@ def test_compare_records_a_negative_seed_as_its_cells_error(tmp_path, small_data
     for stats in summary["configs"].values():
         assert stats["failed_seeds"] == [-1]
         assert stats["errors"] == {"-1": "ValueError: seed must be >= 0"}
+        # one finished seed spreads over nothing
+        assert stats["minority_recall_spread"] == 0.0
     assert sorted(p.name for p in (tmp_path / "cmp").iterdir()) == [
         "mixed_seed0", "random_seed0"
     ]
@@ -846,6 +889,49 @@ def test_export_scatter_names_a_non_numeric_score(tmp_path, capsys, mode, record
         "error": "ValueError", "message": f"{scores}: record 1: {key!r} is {value}, not {want}",
     }
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["value", "index"])
+@pytest.mark.parametrize("record, key, value, want", [
+    # float64 would round both to 2**63, so the two ids would tie
+    ({"sample_id": 2**63}, "sample_id", str(2**63), "an integer that int64 holds"),
+    ({"sample_id": -2**63 - 1}, "sample_id", str(-2**63 - 1), "an integer that int64 holds"),
+    ({"sample_id": 2**64 + 5}, "sample_id", str(2**64 + 5), "an integer that int64 holds"),
+    ({"loss": 10**400}, "loss", str(10**400), "a number that float64 holds"),
+    ({"uncertainty": -10**400}, "uncertainty", str(-10**400), "a number that float64 holds"),
+], ids=["id-2**63", "id-below-int64", "id-2**64+5", "loss-10**400", "u-minus-10**400"])
+def test_export_scatter_names_a_score_its_dtype_cannot_hold(tmp_path, capsys, mode, record,
+                                                             key, value, want):
+    records = [{"sample_id": 2**63 - 1 - k, "loss": 0.5 * k, "uncertainty": 0.1 * k}
+               for k in range(3)]
+    records[1].update(record)
+    if key == "sample_id":
+        records[2]["sample_id"] = record[key] + 1
+    scores = tmp_path / "s.json"
+    scores.write_text(json.dumps(records))
+    argv = ["export-scatter", "--scores", str(scores), "--out", "out/x.csv", "--mode", mode]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": f"{scores}: record 1: {key!r} is {value}, not {want}",
+    }
+    assert not (tmp_path / "out").exists()
+
+
+def test_score_json_keeps_the_int64_extremes_and_reads_scores_as_float64(tmp_path):
+    """Integer losses and uncertainties are read as float64, as a score
+    table holds them, so the scatter writes them as floats."""
+    scores = tmp_path / "s.json"
+    scores.write_text(json.dumps([
+        {"sample_id": 2**63 - 1, "loss": 1, "uncertainty": 0.5},
+        {"sample_id": -2**63, "loss": 0, "uncertainty": 2},
+    ]))
+    table = uncertainty.load_scores(scores)
+    assert table["ids"].tolist() == [2**63 - 1, -2**63]
+    assert table["loss"].dtype == table["uncertainty"].dtype == np.float64
+    experiment.export_scatter(scores, tmp_path / "x.csv")
+    assert (tmp_path / "x.csv").read_text().splitlines() == [
+        "loss,uncertainty", "0.0,2.0", "1.0,0.5",
+    ]
 
 
 @pytest.mark.parametrize("name, array, dtype, want", [

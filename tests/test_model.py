@@ -240,6 +240,18 @@ class TestCheckpoint:
              r"params.W1: shape \(0, 3\) has an axis of size 0"),
             (lambda d: d["params"].update(W1={"shape": [8, 0], "data": []}),
              r"params.W1: shape \(8, 0\) has an axis of size 0"),
+            # shapes that are not lists of non-negative integers, each with
+            # as many values as their product, so no size check names them
+            (lambda d: d["params"].update(W1={"shape": [3.0, 2], "data": [0.0] * 6}),
+             r"params.W1.shape: \[3.0, 2\] is not a list of non-negative integers"),
+            (lambda d: d["params"].update(W1={"shape": "32", "data": [0.0] * 6}),
+             "params.W1.shape: '32' is not a list of non-negative integers"),
+            (lambda d: d["params"].update(W1={"shape": 6, "data": [0.0] * 6}),
+             "params.W1.shape: 6 is not a list of non-negative integers"),
+            (lambda d: d["params"].update(W1={"shape": [-3, -2], "data": [0.0] * 6}),
+             r"params.W1.shape: \[-3, -2\] is not a list of non-negative integers"),
+            (lambda d: d["params"].update(W1={"shape": [True, 3], "data": [0.0] * 3}),
+             r"params.W1.shape: \[True, 3\] is not a list of non-negative integers"),
             # two output rows, as a softmax checkpoint holds: the model has one
             (lambda d: d["params"].update(W2={"shape": [2, 8], "data": [0.0] * 16},
                                          b2={"shape": [2], "data": [0.0, 0.0]}),
