@@ -51,13 +51,17 @@ def check_field_types(settings) -> None:
     """Refuse a field of the dataclass ``settings`` (a `GenSpec` or an
     `ExperimentConfig`) whose value is not of its default's kind, naming the
     field: an int field takes an integer, numpy integers included, and a
-    float field a real number; a bool is neither.  String fields are left
-    as they are, so a library caller may pass a Path."""
+    float field a real number; a bool is neither.  A number is then stored
+    as its field's Python type, so ``lr=1`` and ``--lr 1`` write the same
+    bytes.  String fields are left as they are, so a library caller may pass
+    a Path."""
     for field in fields(settings):
         kind, value = type(field.default), getattr(settings, field.name)
         want = {int: numbers.Integral, float: numbers.Real}.get(kind)
         if want and (isinstance(value, bool) or not isinstance(value, want)):
             raise ValueError(f"{field.name} must be {kind.__name__}, got {value!r}")
+        if want:
+            setattr(settings, field.name, kind(value))
 
 
 @dataclass

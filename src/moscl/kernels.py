@@ -88,9 +88,10 @@ def backward(W2, Fpre, F, Y_hat, labels, w, act, lossk):
 def _sgd_batches(params, XB, YB, WB, LB, lr, act, lossk):
     """Step the S runs of ``params`` (W1, b1, W2, b2) in place through k
     batches of inputs XB (k, S, n, d), float labels and loss weights YB, WB
-    (k, S, n), writing each visit's raw loss into LB (k, S, n): exactly
-    `forward`, `loss_batch` and `backward`, then lr / n times the gradient
-    sum subtracted from one flat state, its views and buffers built once."""
+    (k, S, n): exactly `forward` and `backward`, then lr / n times the
+    gradient sum subtracted from one flat state, its views and buffers built
+    once.  Each visit's prediction goes into LB (k, S, n), and one closing
+    `loss_batch` call makes it that visit's raw loss."""
     (_, S, n, _), H = XB.shape, params[0].shape[1]
     theta = np.concatenate([P.ravel() for P in params])
     grad = np.empty_like(theta)
@@ -104,11 +105,12 @@ def _sgd_batches(params, XB, YB, WB, LB, lr, act, lossk):
     Fpre, F, dF, dFpre = (np.empty((n, S, H)) for _ in range(4))
     Fpre_r, F_r, dF_r = (A.swapaxes(0, 1) for A in (Fpre, F, dF))
     dFpreT = dFpre.transpose(1, 2, 0)
-    Y, dz, r = np.empty((S, n, 1)), np.empty((S, n, 1)), np.empty((S, n))
-    p, dz_, dzT = Y[..., 0], dz[..., 0], dz.swapaxes(1, 2)
+    dz, r = np.empty((S, n, 1)), np.empty((S, n))
+    dz_, dzT = dz[..., 0], dz.swapaxes(1, 2)
     # 0-d arrays: numpy converts a Python float operand on every call
     scale, one, two = np.array(lr / n), np.array(1.0), np.array(2.0)
-    for Xb, yb, wb, out in zip(XB, YB, WB, LB):
+    # a step's predictions p (S, n), as Y (S, n, 1), fill its row of LB
+    for Xb, yb, wb, p, Y in zip(XB, YB, WB, LB, LB[..., None]):
         np.matmul(Xb, W1T, Fpre_r)
         np.add(Fpre, b1, Fpre)
         _activate(Fpre, act, out=F)
@@ -116,11 +118,7 @@ def _sgd_batches(params, XB, YB, WB, LB, lr, act, lossk):
         np.add(Y, b2r, Y)
         _sigmoid(Y, out=Y)
         np.subtract(p, yb, r)
-        if lossk == "mse":
-            np.multiply(r, r, out)
-            g = r * two * p * (one - p)
-        else:
-            out[...], g = loss_batch(Y, yb, lossk), r
+        g = r * two * p * (one - p) if lossk == "mse" else r
         np.multiply(g, wb, dz_)
         np.matmul(dz, W2, dF_r)
         if act == "tanh":
@@ -135,6 +133,7 @@ def _sgd_batches(params, XB, YB, WB, LB, lr, act, lossk):
         np.subtract(theta, grad, theta)
     for P, view in zip(params, (W1, b1, W2, b2)):
         P[...] = view
+    LB[...] = loss_batch(LB[..., None], YB, lossk)
 
 
 def sgd_epochs(W1, b1, W2, b2, X, labels, orders, bsz, weights, lr, act, lossk):
@@ -146,8 +145,8 @@ def sgd_epochs(W1, b1, W2, b2, X, labels, orders, bsz, weights, lr, act, lossk):
     e.g. OHEM, and lengths may differ); it is chunked into batches of
     ``bsz`` with a short final batch.  ``weights`` (S, N) are per-run loss
     multipliers applied to gradients only.  Every run's arithmetic is
-    exactly that of stepping it alone.  Returns each run's raw (unweighted)
-    loss at each visit.
+    exactly that of stepping it alone.  Returns `loss_batch`'s raw
+    (unweighted) loss of each run's prediction at each visit.
     """
     lengths = [len(o) for o in orders]
     L = np.empty((len(orders), max(lengths)))

@@ -282,6 +282,13 @@ class TestLoadDataset:
         assert loaded.labels.tolist() == [0, 1, 1]
         assert loaded.tag.tolist() == ["LL", "LH", "HH"]
 
+    def test_sidecar_of_a_spec_given_numpy_numbers(self, tmp_path):
+        spec = GenSpec(n_total=np.int64(40), cluster_separation=np.int32(2), seed=np.uint8(3))
+        save_dataset(generate(spec), tmp_path / "d.csv", tmp_path / "d.json")
+        sidecar = json.loads((tmp_path / "d.json").read_text())
+        assert sidecar == asdict(GenSpec(n_total=40, cluster_separation=2.0, seed=3))
+        assert type(sidecar["cluster_separation"]) is float
+
     def test_no_spec_has_no_sidecar(self, tmp_path):
         ds = replace(generate(GenSpec(n_total=10, seed=1)), spec=None)
         with pytest.raises(ValueError, match="no GenSpec"):

@@ -89,6 +89,20 @@ def test_settings_take_numpy_integers_and_integers_for_floats(tmp_path, small_da
     assert GenSpec(n_total=np.int32(8), cluster_separation=2).n_total == 8
 
 
+def test_a_number_setting_is_written_as_its_field_type(tmp_path):
+    """A library config and the CLI's cast of the same settings write the
+    same config_resolved.txt, however the numbers were typed."""
+    library = ExperimentConfig(lr=1, gamma=np.float32(0.5), sp_growth=np.int64(0),
+                               G=np.int64(3), seed=np.uint8(2))
+    cast = experiment.from_strings(
+        ExperimentConfig, {"lr": "1", "gamma": "0.5", "sp_growth": "0", "G": "3", "seed": "2"})
+    library.write_resolved(tmp_path / "library.txt")
+    cast.write_resolved(tmp_path / "cast.txt")
+    text = (tmp_path / "library.txt").read_text()
+    assert {"lr=1.0", "gamma=0.5", "sp_growth=0.0", "G=3", "seed=2"} <= set(text.splitlines())
+    assert text == (tmp_path / "cast.txt").read_text()
+
+
 def test_config_rejects_zero_hidden_dim():
     with pytest.raises(ValueError, match="hidden_dim"):
         ExperimentConfig(hidden_dim=0)

@@ -122,6 +122,42 @@ def test_sgd_epochs_matches_separate_runs_bitwise_for_each_stack(stack, act, los
     _check_against_separate_runs(act, lossk, rng, X, labels, orders, bsz, weights)
 
 
+def test_saturated_ce_visits_are_infinite_and_match_separate_runs():
+    """Predictions of exactly 0.0 and 1.0 under ce: a visit's loss is inf
+    exactly where its prediction is saturated against its label, and the
+    stack still equals each run's reference epoch bit for bit."""
+    rng = np.random.default_rng(0)
+    S, N, d, H, bsz = 2, 40, 2, 16, 3
+    X = rng.normal(size=(N, d))
+    labels = rng.integers(0, 2, N).astype(np.int64)
+    # every hidden unit of a run points near one direction, so the units
+    # saturate together and W2 = +-60 drives |z| past 745 or 37
+    W1 = rng.uniform(4, 6, (S, H, 1)) * rng.normal(size=(S, 1, d))
+    b1 = rng.uniform(-0.1, 0.1, (S, H))
+    W2 = np.array([60.0, -60.0])[:, None, None] * np.ones((S, 1, H))
+    b2 = np.zeros((S, 1))
+    orders = [rng.permutation(N) for _ in range(S)]
+    weights = np.ones((S, N))
+    stacked = [a.copy() for a in (W1, b1, W2, b2)]
+    got = kernels.sgd_epochs(*stacked, X, labels, orders, bsz, weights, 0.3, "tanh", "ce")
+    for s in range(S):
+        ref = [a[s].copy() for a in (W1, b1, W2, b2)]
+        p, ref_losses = np.empty(N), np.empty(N)
+        # one batch per reference call: it steps ref in place, so each
+        # batch's predictions are those its visits saw
+        for pos in range(0, N, bsz):
+            idx, at = orders[s][pos : pos + bsz], slice(pos, pos + bsz)
+            p[at] = kernels.forward(*ref, X[idx], "tanh")[3][:, 0]
+            ref_losses[at] = _reference_epoch(*ref, X, labels, idx, bsz, weights[s], 0.3, "tanh", "ce")
+        y = labels[orders[s]]
+        to_zero, to_one = (p == 0.0) & (y == 1), (p == 1.0) & (y == 0)
+        assert to_zero.any() and to_one.any()
+        assert np.array_equal(np.isinf(got[s]), to_zero | to_one)
+        assert np.array_equal(got[s], ref_losses)
+        for k in range(4):
+            assert np.array_equal(stacked[k][s], ref[k])
+
+
 # an index into kernels.ACTIVATIONS, which also seeds the case's data
 @pytest.mark.parametrize("a", [0, 1])
 def test_forward_over_run_axis_and_perturbations(a):
