@@ -43,23 +43,31 @@ class GenSpec:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.label_noise_rate + self.feature_noise_rate > 1.0:
             raise ValueError("noise fractions sum above 1")
-        if not math.isfinite(self.cluster_separation):
-            raise ValueError(f"cluster_separation must be finite, got {self.cluster_separation!r}")
 
 
 def check_field_types(settings) -> None:
     """Refuse a field of the dataclass ``settings`` (a `GenSpec` or an
     `ExperimentConfig`) whose value is not of its default's kind, naming the
-    field: an int field takes an integer, numpy integers included, and a
-    float field a real number; a bool is neither.  A number is then stored
-    as its field's Python type, so ``lr=1`` and ``--lr 1`` write the same
-    bytes.  String fields are left as they are, so a library caller may pass
-    a Path."""
+    field: an int field takes an integer, numpy integers included, a float
+    field a finite real number, and a string field (or a Path, kept as one)
+    one line with no whitespace at either end, as config text reads back; a
+    bool is neither number.  A number is then stored as its field's Python
+    type, so ``lr=1`` and ``--lr 1`` write the same bytes."""
     for field in fields(settings):
         kind, value = type(field.default), getattr(settings, field.name)
+        text = str(value)
+        if kind is str and (text != text.strip() or "\n" in text or "\r" in text):
+            raise ValueError(f"{field.name} must be one line with no whitespace at either end, "
+                             f"got {value!r}")
         want = {int: numbers.Integral, float: numbers.Real}.get(kind)
         if want and (isinstance(value, bool) or not isinstance(value, want)):
             raise ValueError(f"{field.name} must be {kind.__name__}, got {value!r}")
+        try:
+            finite = kind is not float or math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ValueError(f"{field.name} must be finite, got {value!r}")
         if want:
             setattr(settings, field.name, kind(value))
 

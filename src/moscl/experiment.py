@@ -62,9 +62,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("lr", "sp_lambda0", "sp_growth"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.difficulty_source not in DIFFICULTY_SOURCES:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -118,8 +119,8 @@ class MlpModel:
         activation, a head other than sigmoid, a shape that is not a list of
         non-negative integers, a ``data`` length other than prod(shape), an
         axis of size 0, shapes that disagree (a W2 of more than one row
-        included), or a value that is not a finite number raise ValueError
-        naming the field."""
+        included), or a value that is not a finite number (nor is an int
+        beyond the largest float) raise ValueError naming the field."""
         model = cls.__new__(cls)
         for key, known in (("activation", ACTIVATIONS), ("head", ("sigmoid",))):
             if _field(doc, key, key) not in known:
@@ -148,7 +149,7 @@ class MlpModel:
                     f"W1 (H, d), b1 (H,), W2 (1, H), b2 (1,)"
                 )
             for k, value in enumerate(data):
-                if type(value) not in (int, float) or not math.isfinite(value):
+                if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                     raise ValueError(f"checkpoint {where}: value {value!r} at index {k} "
                                      "is not a finite number")
             setattr(model, name, np.asarray(data, dtype=np.float64).reshape(shape))

@@ -174,7 +174,7 @@ def batch_score_uncertainty(
 
 def json_records(columns: dict) -> str:
     """``json.dumps`` of the records ``{name: column[k], ...}``, one per row
-    k, written from the columns: each column (a list of numbers or None) is
+    k, written from the columns: each column (a list of numbers) is
     encoded by one ``json.dumps`` call, as the C encoder writes it, and the
     tokens fill one ``%`` template of all the records."""
     n = len(next(iter(columns.values())))
@@ -187,29 +187,26 @@ def json_records(columns: dict) -> str:
     return "[" + ", ".join([record] * n) % tuple(tokens) + "]"
 
 
-def dump_scores(path, sample_ids, losses, uncertainties=None) -> None:
+def dump_scores(path, sample_ids, losses, uncertainties) -> None:
     """Score dump shared with the difficulty module: JSON array of
     {sample_id, loss, uncertainty} records, ordered by sample id, on one
-    line.  The arrays are row-aligned; without uncertainties every
-    ``uncertainty`` is null."""
+    line.  The arrays are row-aligned."""
     rows = np.argsort(sample_ids, kind="stable")
     with open(path, "w") as fh:
         fh.write(json_records({
             "sample_id": np.asarray(sample_ids)[rows].tolist(),
             "loss": np.asarray(losses)[rows].tolist(),
-            "uncertainty": [None] * len(rows)
-            if uncertainties is None
-            else np.asarray(uncertainties)[rows].tolist(),
+            "uncertainty": np.asarray(uncertainties)[rows].tolist(),
         }))
 
 
 def load_scores(path) -> dict:
     """A `dump_scores` file as a one-row score table at epoch 0, the epoch
-    `moscl score` scores at, in `load_score_table`'s layout.  A file that is
-    not an array of {sample_id, loss, uncertainty} records, or a value that
-    is not an integer int64 holds (``sample_id``; a bool is not one) or a
-    number float64 holds, raises a ValueError naming the file, the record
-    and the key."""
+    `moscl score` scores at, in `load_score_table`'s layout, ``uncertainty``
+    included.  A file that is not an array of {sample_id, loss, uncertainty}
+    records, or a value that is not an integer int64 holds (``sample_id``; a
+    bool is not one) or a number float64 holds (a null is not one), raises a
+    ValueError naming the file, the record and the key."""
     with open(path) as fh:
         records = json.load(fh)
     try:
@@ -219,13 +216,10 @@ def load_scores(path) -> dict:
         raise ValueError(f"{path} is not an array of "
                          "{sample_id, loss, uncertainty} records") from None
     number = ({int, float}, "a number", np.float64)
-    table = {"ids": _record_column(path, "sample_id", ids, {int}, "an integer", np.int64),
-             "epochs": np.zeros(1, dtype=np.int64),
-             "loss": _record_column(path, "loss", losses, *number)[None]}
-    # a file scored without uncertainties holds a null in every record
-    if any(u is not None for u in us):
-        table["uncertainty"] = _record_column(path, "uncertainty", us, *number)[None]
-    return table
+    return {"ids": _record_column(path, "sample_id", ids, {int}, "an integer", np.int64),
+            "epochs": np.zeros(1, dtype=np.int64),
+            "loss": _record_column(path, "loss", losses, *number)[None],
+            "uncertainty": _record_column(path, "uncertainty", us, *number)[None]}
 
 
 def _record_column(path, key, values, types, want, dtype) -> np.ndarray:

@@ -339,12 +339,14 @@ def test_an_output_that_would_overwrite_an_input_or_output_is_rejected(
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "10**400"])
 @pytest.mark.parametrize("name", ["W1", "b1", "W2", "b2"])
 @pytest.mark.parametrize("command", ["score", "analyze-conflicts"])
 def test_a_non_finite_checkpoint_value_is_a_named_error(tmp_path, capsys, command, name, value):
     """A NaN or infinite parameter, which `json` reads and writes as a bare
-    token, fails at load with the field and index, and nothing is written."""
+    token, or an integer too large for a float, fails at load with the
+    field and index, and nothing is written."""
     inputs = _score_inputs(tmp_path, n=100)
     doc = MlpModel(2, 8, seed=0).to_checkpoint()
     k = len(doc["params"][name]["data"]) - 1

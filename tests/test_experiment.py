@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from moscl import cli, experiment, scheduler, uncertainty
 from moscl.datagen import GenSpec, generate, load_dataset, save_dataset
@@ -80,6 +80,21 @@ def test_a_setting_of_the_wrong_type_is_refused_naming_its_field(cls, name, valu
     message = f"{name} must be {kind}, got {shown}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (ExperimentConfig, "lr", 10**400),
+    (ExperimentConfig, "ohem_ratio", math.nan),
+    (GenSpec, "cluster_separation", 10**400),
+    (GenSpec, "minority_fraction", -math.inf),
+], ids=["lr-10**400", "ohem_ratio-nan", "cluster_separation-10**400", "minority_fraction--inf"])
+def test_every_float_setting_must_be_finite(cls, name, value):
+    """One rule for every float setting, and an int too large for a float
+    is not finite.  The CLI parses 401 digits of ``--lr`` as inf, so these
+    library calls are the only way to pass such an int."""
+    with pytest.raises(ValueError) as info:
+        cls(**{name: value})
+    assert str(info.value) == f"{name} must be finite, got {value!r}"
 
 
 def test_settings_take_numpy_integers_and_integers_for_floats(tmp_path, small_dataset):
@@ -460,12 +475,51 @@ def test_config_file_setting_a_key_twice_is_refused(tmp_path, small_dataset, cap
     assert ExperimentConfig.from_file(config, lr="0.1").lr == 0.1
 
 
-def test_write_resolved_round_trips(tmp_path):
-    cfg = _cfg(tmp_path, scheduler="ohem", lr=0.2)
-    path = tmp_path / "resolved.txt"
+# float settings take integers too
+POSITIVE = st.floats(0, exclude_min=True, allow_infinity=False) | st.integers(1, 10**6)
+NON_NEGATIVE = st.floats(0, allow_infinity=False) | st.integers(0, 10**6)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({
+    "dataset": st.text(), "outdir": st.text(),
+    "scheduler": st.sampled_from(experiment.SCHEDULERS),
+    "difficulty_source": st.sampled_from(experiment.DIFFICULTY_SOURCES),
+    "warmup_epochs": st.integers(0, 4), "total_epochs": st.integers(5, 10**6),
+    "rescore_every": st.integers(1, 10**6), "batch_size": st.integers(1, 10**6),
+    "lr": POSITIVE, "hidden_dim": st.integers(1, 10**6),
+    "activation": st.sampled_from(experiment.ACTIVATIONS),
+    "loss_kind": st.sampled_from(experiment.LOSSES),
+    "G": st.integers(1, 10**6), "gamma": NON_NEGATIVE, "sp_lambda0": POSITIVE,
+    "sp_growth": FINITE, "ohem_ratio": st.floats(0, 1, exclude_min=True) | st.just(1),
+    "seed": st.integers(0, 2**70),
+}))
+def test_write_resolved_round_trips(tmp_path_factory, fields):
+    """Every config the constructor accepts reads back from its
+    config_resolved.txt as itself, whatever text its paths hold."""
+    try:
+        cfg = ExperimentConfig(**fields)
+    except ValueError:
+        reject()
+    path = tmp_path_factory.mktemp("config") / "config_resolved.txt"
     cfg.write_resolved(path)
-    again = ExperimentConfig.from_file(path)
-    assert again == cfg
+    assert ExperimentConfig.from_file(path) == cfg
+
+
+@pytest.mark.parametrize("name, value", [
+    # written as is, the value would add a second lr line, which from_file refuses
+    ("outdir", "a\nlr=5"),
+    # from_file strips each line, so the spaces would be lost
+    ("outdir", " runs/a "),
+    ("dataset", "data.csv\r"),
+    ("dataset", Path("data.csv\t")),
+], ids=["line-break", "spaces", "carriage-return", "path-tab"])
+def test_a_path_setting_that_would_not_read_back_is_refused(name, value):
+    with pytest.raises(ValueError) as info:
+        ExperimentConfig(**{name: value})
+    assert str(info.value) == (
+        f"{name} must be one line with no whitespace at either end, got {value!r}")
 
 
 # --- run artifacts ----------------------------------------------------------
@@ -492,7 +546,8 @@ def test_run_writes_expected_artifacts(tmp_path, small_dataset):
     assert table["ids"].tolist() == small_dataset.ids.tolist()
     n = (cfg.total_epochs - cfg.warmup_epochs, len(small_dataset))
     assert table["loss"].shape == table["uncertainty"].shape == n
-    assert not list(run_dir.glob("scores_epoch*.json"))
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "checkpoint.json", "config_resolved.txt", "metrics.csv", "scores.npz", "timings.csv"]
     with open(run_dir / "timings.csv", newline="") as fh:
         trows = list(csv.DictReader(fh))
     assert len(trows) == cfg.total_epochs
@@ -861,9 +916,9 @@ MALFORMED_RECORDS = "{path} is not an array of {{sample_id, loss, uncertainty}} 
     ({"a": 1}, MALFORMED_RECORDS),
     ([1], MALFORMED_RECORDS),
     (None, MALFORMED_RECORDS),
-    # `moscl score` writes no uncertainty as null
+    # no command writes a record without an uncertainty
     ([{"sample_id": 1, "loss": 0.5, "uncertainty": None}],
-     "scores file has no uncertainty column to export"),
+     "{path}: record 0: 'uncertainty' is None, not a number"),
     # no command writes an empty score file
     ([], "{path} holds no sample"),
 ], ids=["no-uncertainty-key", "object", "number-record", "null", "null-uncertainty", "empty"])
@@ -886,7 +941,6 @@ def test_export_scatter_names_a_malformed_score_json(tmp_path, capsys, doc, mess
     ({"loss": None}, "loss", "None", "a number"),
     ({"loss": True}, "loss", "True", "a number"),
     ({"uncertainty": "x"}, "uncertainty", "'x'", "a number"),
-    # a null among numbers; a null in every record is a file without them
     ({"uncertainty": None}, "uncertainty", "None", "a number"),
     ({"uncertainty": [0.5]}, "uncertainty", "[0.5]", "a number"),
     # values their column's dtype cannot hold: float64 would round 2**63 and

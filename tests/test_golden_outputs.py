@@ -5,15 +5,13 @@ CSV and its sidecar, of every `metrics.csv`, `scores.npz` and
 `checkpoint.json` of three small compares, and of every file that
 `moscl score`, `export-scatter` and `analyze-conflicts` write on one
 checkpoint of each: all files at the top of the compare's directory, so
-that a new output file is pinned without being named here.  It also
-pins each row of every `scores.npz` as the `scores_epoch{E}.json` that
-`dump_scores` writes from it, next to the table: the per-boundary files
-that runs once wrote, so their hashes hold across the change of format.  Each compare runs all six schedulers plus
-the loss-only and uncertainty-only difficulty sources on N=60 samples
-whose ids are sparse and shuffled: once tanh-mse at b=2, rescoring every
-epoch; once tanh-ce at b=4, G=4, rescoring every other epoch; and once
-relu-ce at b=2 with G=128 and 16 hidden units, rescoring every third
-epoch, so that uncertainty scoring spans several row blocks.
+that a new output file is pinned without being named here.  Each compare
+runs all six schedulers plus the loss-only and uncertainty-only
+difficulty sources on N=60 samples whose ids are sparse and shuffled:
+once tanh-mse at b=2, rescoring every epoch; once tanh-ce at b=4, G=4,
+rescoring every other epoch; and once relu-ce at b=2 with G=128 and 16
+hidden units, rescoring every third epoch, so that uncertainty scoring
+spans several row blocks.
 
 To check the outputs against the file without pytest:
 
@@ -50,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from moscl import cli, experiment, uncertainty
+from moscl import cli, experiment
 from moscl.datagen import Dataset, GenSpec, generate, save_dataset
 from moscl.experiment import SCHEDULERS, ExperimentConfig
 
@@ -68,7 +66,7 @@ CASES = {
         batch_size=2, G=128, hidden_dim=16, activation="relu", loss_kind="ce", rescore_every=3,
     ),
 }
-HASHED = ("metrics.csv", "checkpoint.json", "scores.npz", "scores_epoch*.json")
+HASHED = ("metrics.csv", "checkpoint.json", "scores.npz")
 # the fixture's key of its numeric environment record, beside the file names
 ENVIRONMENT = "environment"
 
@@ -80,18 +78,6 @@ def _dataset() -> Dataset:
 
 def _sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _render_score_files(table_path: Path) -> None:
-    """``scores_epoch{E}.json`` of each row of a run's score table, written
-    by `dump_scores` next to it."""
-    table = uncertainty.load_score_table(table_path)
-    us = table.get("uncertainty")
-    for k, epoch in enumerate(table["epochs"].tolist()):
-        uncertainty.dump_scores(
-            table_path.with_name(f"scores_epoch{epoch}.json"), table["ids"],
-            table["loss"][k], None if us is None else us[k],
-        )
 
 
 def golden_hashes(work: Path) -> dict:
@@ -129,8 +115,6 @@ def golden_hashes(work: Path) -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [cli.main(argv) for argv in argvs]
         assert codes == [0] * len(argvs), codes
-    for table in work.rglob("scores.npz"):
-        _render_score_files(table)
     files = [data, data.with_suffix(".json")]
     files += [p for pattern in HASHED for p in work.rglob(pattern)]
     # every file the CLI round writes, which it writes at the top of the case

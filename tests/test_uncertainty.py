@@ -350,9 +350,6 @@ class TestScoreDump:
         assert table["loss"].tolist() == [[0.5, 0.25]] and table["loss"].dtype == np.float64
         assert table["uncertainty"].tolist() == [[0.1, 0.2]]
         assert table["uncertainty"].dtype == np.float64
-        # scored without uncertainties: a null in every record, no array
-        dump_scores(path, [0], [0.5])
-        assert sorted(load_scores(path)) == ["epochs", "ids", "loss"]
 
     def test_compact_one_line_with_float_repr(self, tmp_path):
         path = tmp_path / "scores.json"
@@ -361,12 +358,6 @@ class TestScoreDump:
         assert "\n" not in text
         assert text == json.dumps(json.loads(text))
         assert repr(0.1 + 0.2) in text and repr(1 / 3) in text
-
-    def test_missing_uncertainty_is_null(self, tmp_path):
-        path = tmp_path / "scores.json"
-        dump_scores(path, [0], [0.5])
-        assert json.loads(path.read_text())[0]["uncertainty"] is None
-
 
     @given(
         st.lists(
@@ -378,21 +369,18 @@ class TestScoreDump:
             max_size=30,
         ),
         st.randoms(use_true_random=False),
-        st.booleans(),
     )
-    def test_bytes_match_json_dumps_of_records(self, tmp_path_factory, scores, rnd, with_u):
+    def test_bytes_match_json_dumps_of_records(self, tmp_path_factory, scores, rnd):
         ids = rnd.sample(range(10**6), len(scores))
         losses = [l for l, _ in scores]
-        us = [u for _, u in scores] if with_u else None
+        us = [u for _, u in scores]
         path = tmp_path_factory.mktemp("dump") / "scores.json"
-        dump_scores(path, np.asarray(ids, dtype=np.int64), np.asarray(losses),
-                    None if us is None else np.asarray(us))
+        dump_scores(path, np.asarray(ids, dtype=np.int64), np.asarray(losses), np.asarray(us))
         # the former dump: records built from id-keyed dicts, C encoder
-        loss_by_id = dict(zip(ids, losses))
-        u_by_id = dict(zip(ids, us)) if with_u else {}
+        by_id = dict(zip(ids, scores))
         records = [
-            {"sample_id": sid, "loss": loss_by_id[sid], "uncertainty": u_by_id.get(sid)}
-            for sid in sorted(loss_by_id)
+            {"sample_id": sid, "loss": by_id[sid][0], "uncertainty": by_id[sid][1]}
+            for sid in sorted(by_id)
         ]
         assert path.read_text() == json.dumps(records)
 
