@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -35,6 +36,8 @@ class GenSpec:
         check_field_types(self)
         if self.n_total < 4:
             raise ValueError("n_total must be >= 4")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 2 <= self.dim <= 8:
             raise ValueError("dim must be in [2, 8]")
         for name in ("minority_fraction", "label_noise_rate", "feature_noise_rate"):
@@ -49,27 +52,27 @@ def check_field_types(settings) -> None:
     """Refuse a field of the dataclass ``settings`` (a `GenSpec` or an
     `ExperimentConfig`) whose value is not of its default's kind, naming the
     field: an int field takes an integer, numpy integers included, a float
-    field a finite real number, and a string field (or a Path, kept as one)
-    one line with no whitespace at either end, as config text reads back; a
-    bool is neither number.  A number is then stored as its field's Python
-    type, so ``lr=1`` and ``--lr 1`` write the same bytes."""
+    field a finite real number, and a string field a str or a path, one line
+    with no whitespace at either end, as config text reads back; a bool is
+    neither number.  The value is then stored as its field's Python type (a
+    path as its text), so ``lr=1`` and ``--lr 1`` write the same bytes and a
+    config equals its config text read back."""
     for field in fields(settings):
-        kind, value = type(field.default), getattr(settings, field.name)
-        text = str(value)
-        if kind is str and (text != text.strip() or "\n" in text or "\r" in text):
+        kind, given = type(field.default), getattr(settings, field.name)
+        value = os.fspath(given) if kind is str and isinstance(given, os.PathLike) else given
+        want = {int: numbers.Integral, float: numbers.Real, str: str}[kind]
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ValueError(f"{field.name} must be {kind.__name__}, got {given!r}")
+        if kind is str and (value != value.strip() or "\n" in value or "\r" in value):
             raise ValueError(f"{field.name} must be one line with no whitespace at either end, "
-                             f"got {value!r}")
-        want = {int: numbers.Integral, float: numbers.Real}.get(kind)
-        if want and (isinstance(value, bool) or not isinstance(value, want)):
-            raise ValueError(f"{field.name} must be {kind.__name__}, got {value!r}")
+                             f"got {given!r}")
         try:
             finite = kind is not float or math.isfinite(value)
         except OverflowError:  # an int too large for a float
             finite = False
         if not finite:
-            raise ValueError(f"{field.name} must be finite, got {value!r}")
-        if want:
-            setattr(settings, field.name, kind(value))
+            raise ValueError(f"{field.name} must be finite, got {given!r}")
+        setattr(settings, field.name, kind(value))
 
 
 @dataclass

@@ -1,12 +1,15 @@
 """Closed-form oracles of the paper's theory, checked against the batched
 program in `moscl`: scalar losses and their inverses, the loss-derived
 uncertainty (the zero-gamma entropy identity), the sigmoid + MSE latent
-gradient and its scale rewrite, a finite-difference gradient, the gradient
-cosine, the conflict report's row pairs, pair cosines and average ranks,
-the convergence rule, the per-class recall, the quadrant recovery rate and
-the sign test by enumeration.
+gradient and its scale rewrite, the finite-difference gradient of a scalar
+function and of the loss over every parameter (`fd_param_gradient`), the
+all-pairings minimax pair sum (`matchings`, `min_max_pair_sum`), the
+gradient cosine, the conflict report's row pairs, pair cosines and average
+ranks, the convergence rule, the per-class recall, the quadrant recovery
+rate, the sign test by enumeration, and the bits of a float (`bits`).
 
-The program never calls these; the acceptance criteria and unit tests do.
+The program never calls these; the acceptance criteria and unit tests do,
+and each is written here once.
 """
 
 from __future__ import annotations
@@ -110,6 +113,27 @@ def finite_difference_gradient(
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
 
+def fd_param_gradient(model, x, y, loss_kind="mse", h=1e-6) -> np.ndarray:
+    """The loss gradient of the one sample (x, y) over every coordinate of
+    W1, b1, W2 and b2 in turn, each a `finite_difference_gradient` with the
+    other coordinates held.  The parameters are moved in place and restored."""
+    grads = []
+    for arr in (model.W1, model.b1, model.W2, model.b2):
+        flat = arr.ravel()
+        g = np.empty_like(flat)
+        for k in range(flat.size):
+            orig = flat[k]
+
+            def loss_at(v):
+                flat[k] = v
+                return loss(loss_kind, y, prob(model, x))
+
+            g[k] = finite_difference_gradient(loss_at, orig, h)
+            flat[k] = orig
+        grads.append(g)
+    return np.concatenate(grads)
+
+
 def grad_wrt_prediction(y: int, y_hat: float) -> float:
     """MSE loss gradient w.r.t. the prediction: 2 * (y_hat - y)."""
     return 2.0 * (y_hat - y)
@@ -136,6 +160,28 @@ def gradient_cosine(g_i: np.ndarray, g_j: np.ndarray) -> float:
     if ni == 0.0 or nj == 0.0:
         raise ValueError("conflict undefined for a zero gradient")
     return float(np.dot(g_i, g_j) / (ni * nj))
+
+
+def matchings(items):
+    """Every perfect matching of ``items`` (of even length) as a list of
+    pairs: the first item paired with each other one in turn, then each
+    matching of the rest."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for k, other in enumerate(rest):
+        for tail in matchings(rest[:k] + rest[k + 1:]):
+            yield [(first, other)] + tail
+
+
+def min_max_pair_sum(d_values):
+    """The all-matchings minimax: the least, over every perfect matching of
+    the samples, of the largest pair d-sum."""
+    return min(
+        max(d_values[a] + d_values[b] for a, b in m) for m in matchings(range(len(d_values)))
+    )
 
 
 def conflict_pair_rows(n: int, seed: int, max_exhaustive_n: int, cap: int):
@@ -231,3 +277,9 @@ def sign_test_p(above: int, below: int) -> float:
         for signs in itertools.product((0, 1), repeat=n)
     )
     return extreme / 2**n
+
+
+def bits(x) -> np.ndarray:
+    """The IEEE bits of a float or float array, so that equality is exact
+    and a NaN equals itself."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)

@@ -20,11 +20,13 @@ from moscl.scheduler import mixed_order_plan, sp_weight
 from moscl.uncertainty import batch_score_uncertainty, load_score_table
 
 from oracles import (
+    fd_param_gradient,
     grad_wrt_latent,
     has_converged,
     latent_gradient_scale,
     loss,
     loss_based_uncertainty,
+    min_max_pair_sum,
     prob,
 )
 
@@ -84,23 +86,6 @@ def test_criterion_02_latent_gradient_closed_form_and_scale():
 # --- 3: full parameter gradient vs finite differences -----------------------
 
 
-def _fd_param_gradient(model, x, y, h=1e-6):
-    grads = []
-    for arr in (model.W1, model.b1, model.W2, model.b2):
-        flat = arr.ravel()
-        g = np.empty_like(flat)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            lp = loss("mse", y, prob(model, x))
-            flat[k] = orig - h
-            lm = loss("mse", y, prob(model, x))
-            flat[k] = orig
-            g[k] = (lp - lm) / (2.0 * h)
-        grads.append(g)
-    return np.concatenate(grads)
-
-
 def test_criterion_03_parameter_gradient_matches_finite_differences():
     rng = np.random.default_rng(23)
     worst = 0.0
@@ -109,7 +94,7 @@ def test_criterion_03_parameter_gradient_matches_finite_differences():
         x = rng.normal(size=2)
         y = int(rng.integers(2))
         bp = m.per_sample_gradient(x, y, "mse")
-        fd = _fd_param_gradient(m, x, y)
+        fd = fd_param_gradient(m, x, y)
         rel = np.max(np.abs(bp - fd)) / (np.max(np.abs(fd)) + 1e-12)
         worst = max(worst, rel)
     _report(
@@ -122,33 +107,15 @@ def test_criterion_03_parameter_gradient_matches_finite_differences():
 # --- 4: mixed-order pairing minimizes the max pair difficulty sum -----------
 
 
-def _brute_force_min_max_pair_sum(d_by_id):
-    ids = sorted(d_by_id)
-
-    def matchings(pool):
-        if not pool:
-            yield []
-            return
-        first, rest = pool[0], pool[1:]
-        for k, other in enumerate(rest):
-            for tail in matchings(rest[:k] + rest[k + 1 :]):
-                yield [(first, other)] + tail
-
-    return min(
-        max(d_by_id[a] + d_by_id[b] for a, b in m) for m in matchings(ids)
-    )
-
-
 def test_criterion_04_mixed_pairing_is_minimax_optimal():
     rng = np.random.default_rng(41)
     ok = True
     for n in (4, 6, 8):
         for _ in range(200):
-            ds = rng.integers(0, 2 * n, size=n)
-            plan = mixed_order_plan(ds, np.arange(n), b=2)
-            d_by_id = {i: int(ds[i]) for i in range(n)}
-            achieved = max(sum(d_by_id[i] for i in batch) for batch in plan.batches)
-            ok = ok and achieved == _brute_force_min_max_pair_sum(d_by_id)
+            d = rng.integers(0, 2 * n, size=n).tolist()
+            plan = mixed_order_plan(np.array(d), np.arange(n), b=2)
+            achieved = max(sum(d[i] for i in batch) for batch in plan.batches)
+            ok = ok and achieved == min_max_pair_sum(d)
     _report(
         4,
         "mixed-order pairing attains the brute-force minimax pair sum "
@@ -318,11 +285,7 @@ def test_criterion_08_mixed_helps_and_self_paced_hurts_minority_recall(
 # --- 9: byte-identical reruns ------------------------------------------------
 
 
-def test_criterion_09_reruns_are_byte_identical(tmp_path):
-    ds = generate(
-        GenSpec(n_total=24, minority_fraction=0.25, label_noise_rate=0.1,
-                feature_noise_rate=0.05, seed=3)
-    )
+def test_criterion_09_reruns_are_byte_identical(tmp_path, small_dataset):
     dirs = []
     for name in ("a", "b"):
         cfg = ExperimentConfig(
@@ -332,7 +295,7 @@ def test_criterion_09_reruns_are_byte_identical(tmp_path):
             seed=0,
             outdir=str(tmp_path / name),
         )
-        dirs.append(experiment.run(cfg, dataset=ds))
+        dirs.append(experiment.run(cfg, dataset=small_dataset))
     same_metrics = (
         (dirs[0] / "metrics.csv").read_bytes()
         == (dirs[1] / "metrics.csv").read_bytes()

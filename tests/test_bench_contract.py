@@ -12,7 +12,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
 from moscl import cli, experiment, kernels, uncertainty  # noqa: E402
-from moscl.datagen import GenSpec, generate, save_dataset  # noqa: E402
+from moscl.datagen import save_dataset  # noqa: E402
 from moscl.model import MlpModel  # noqa: E402
 
 
@@ -63,18 +63,17 @@ def test_install_then_uninstall_restores_every_attribute():
     assert _snapshot() == before
 
 
-def test_traced_round_computes_every_counter(tmp_path, capsys, monkeypatch):
+def test_traced_round_computes_every_counter(tmp_path, capsys, monkeypatch, small_dataset):
     """A tiny traced compare of every scheduler and one score, export-scatter
     and analyze-conflicts round: each counter reads the arguments of its
     traced function by name, so a renamed or dropped parameter fails here.
     Scoring runs in blocks of 5 rows, and the perturbed-forward counters
     still sum to N * G forwards and N * G * H float64s per scoring call."""
-    dataset = generate(GenSpec(n_total=24, minority_fraction=0.25, seed=3))
     data = tmp_path / "data.csv"
-    save_dataset(dataset, data, data.with_suffix(".json"))
+    save_dataset(small_dataset, data, data.with_suffix(".json"))
     # every scoring call below scores all 24 rows with the default G and H
     defaults = experiment.ExperimentConfig()
-    n, g, h = len(dataset), defaults.G, defaults.hidden_dim
+    n, g, h = len(small_dataset), defaults.G, defaults.hidden_dim
     resolved = cli._settings(cli.build_parser().parse_args(
         ["score", "--dataset", "d", "--checkpoint", "c", "--out", "o"]
     ))
@@ -88,12 +87,11 @@ def test_traced_round_computes_every_counter(tmp_path, capsys, monkeypatch):
                                         outdir=str(tmp_path / "cmp"))
             for s in experiment.SCHEDULERS
         ]
-        summary = experiment.compare(configs, [0], dataset=dataset)
+        summary = experiment.compare(configs, [0], dataset=small_dataset)
         # training steps through sgd_epochs; the one-run entry is called here
         m = MlpModel(2, 4, seed=0)
-        kernels.sgd_epoch(m.W1, m.b1, m.W2, m.b2, dataset.X, dataset.labels,
-                          np.arange(len(dataset)), 2, np.ones(len(dataset)), 0.1,
-                          m.activation, "mse")
+        kernels.sgd_epoch(m.W1, m.b1, m.W2, m.b2, small_dataset.X, small_dataset.labels,
+                          np.arange(n), 2, np.ones(n), 0.1, m.activation, "mse")
         ckpt = str(tmp_path / "cmp" / "mixed_seed0" / "checkpoint.json")
         scores = str(tmp_path / "scores.json")
         codes = [cli.main(argv) for argv in (

@@ -42,6 +42,7 @@ MALFORMED = {
                                "seed must be int, got 'x'"),
     "gen-data-n-total": (["gen-data", "--n-total", "many"], "ValueError",
                          "n_total must be int, got 'many'"),
+    "gen-data-seed": (["gen-data", "--seed", "-1"], "ValueError", "seed must be >= 0"),
     "export-scatter-epoch": (["export-scatter", "--epoch", "e"], "ArgumentError",
                              "argument --epoch: invalid int value: 'e'"),
     "export-scatter-mode": (["export-scatter", "--mode", "blob"], "ValueError",
@@ -50,9 +51,9 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_flag_value_is_a_json_error(tmp_path, capsys, case):
+def test_malformed_flag_value_is_a_json_error(tmp_path, capsys, small_dataset, case):
     data = tmp_path / "data.csv"
-    save_dataset(generate(GenSpec(n_total=24, minority_fraction=0.25, seed=3)), data)
+    save_dataset(small_dataset, data)
     ckpt = tmp_path / "ckpt.json"
     MlpModel(2, 8, seed=0).save(ckpt)
     (command, *flags), error, message = MALFORMED[case]
@@ -89,9 +90,9 @@ def test_unknown_command_is_a_json_error(capsys):
     # no flag takes an abbreviation, here of --total-epochs
     ("train", ["--total", "5"]),
 ], ids=["compare-scheduler", "compare-seed", "train-abbreviation"])
-def test_a_flag_the_command_does_not_take_exits_2(tmp_path, capsys, command, flag):
+def test_a_flag_the_command_does_not_take_exits_2(tmp_path, capsys, small_dataset, command, flag):
     data = tmp_path / "data.csv"
-    save_dataset(generate(GenSpec(n_total=24, minority_fraction=0.25, seed=3)), data)
+    save_dataset(small_dataset, data)
     out = tmp_path / "out"
     argv = [command, "--dataset", str(data), "--outdir", str(out), "--warmup-epochs", "1"]
     if command == "compare":

@@ -20,6 +20,7 @@ from moscl import uncertainty
 from moscl.model import MlpModel
 
 from oracles import (
+    bits,
     conflict_pair_rows,
     grad_wrt_latent,
     gradient_cosine,
@@ -217,10 +218,6 @@ def _reference_report(model, X, y, ids, seed):
     return pairs, float(rho.statistic)
 
 
-def _bits(x):
-    return np.asarray(x, dtype=np.float64).view(np.uint64)
-
-
 # heavily tied samples: few distinct values, rounded to 0-2 decimals
 _tied = st.integers(3, 60).flatmap(
     lambda n: st.tuples(
@@ -239,16 +236,16 @@ class TestRankCorrelationIsScipySpearman:
         a, b, decimals = case
         x = np.round(np.array(a) * scale / 3.0, decimals)
         y = np.round(np.array(b) * scale / 7.0 + x, decimals)
-        assert _bits(average_ranks(x)).tolist() == _bits(rankdata(x)).tolist()
+        assert bits(average_ranks(x)).tolist() == bits(rankdata(x)).tolist()
         if np.ptp(x) > 0.0 and np.ptp(y) > 0.0:
-            assert _bits(rank_correlation(x, y)) == _bits(spearmanr(x, y).statistic)
+            assert bits(rank_correlation(x, y)) == bits(spearmanr(x, y).statistic)
 
     def test_continuous_samples(self):
         rng = np.random.default_rng(3)
         for n in (3, 10, 400, 2000):
             x = rng.normal(size=n)
             y = x + rng.normal(size=n)
-            assert _bits(rank_correlation(x, y)) == _bits(spearmanr(x, y).statistic)
+            assert bits(rank_correlation(x, y)) == bits(spearmanr(x, y).statistic)
 
     def test_constant_or_nan_sample_gives_nan(self):
         x = np.array([1.0, 2.0, 3.0])

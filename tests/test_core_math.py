@@ -13,7 +13,8 @@ from moscl import kernels
 from moscl.uncertainty import entropy
 
 from oracles import (
-    finite_difference_gradient, inverse_loss, loss, loss_based_uncertainty, sigmoid, sigmoid_array,
+    bits, finite_difference_gradient, inverse_loss, loss, loss_based_uncertainty, sigmoid,
+    sigmoid_array,
 )
 
 
@@ -65,10 +66,6 @@ _probability = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from(
 )
 
 
-def _bits(x):
-    return np.asarray(x, dtype=np.float64).view(np.uint64)
-
-
 class TestEntropyIsScipyEntr:
     """`entropy` is scipy.special.entr to the bit, signed zeros included."""
 
@@ -76,18 +73,18 @@ class TestEntropyIsScipyEntr:
     def test_scalar(self, p):
         h = entropy(p)
         assert type(h) is float
-        assert _bits(h) == _bits(entr(p))
+        assert bits(h) == bits(entr(p))
 
     @given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 4)),
                   elements=_probability))
     def test_array(self, P):
-        assert np.array_equal(_bits(entropy(P)), _bits(entr(P)))
-        assert np.array_equal(_bits(entropy(P[:, 0])), _bits(entr(P[:, 0])))
+        assert np.array_equal(bits(entropy(P)), bits(entr(P)))
+        assert np.array_equal(bits(entropy(P[:, 0])), bits(entr(P[:, 0])))
 
     def test_uniform_sample(self):
         p = np.random.default_rng(0).random(200_000)
         p[::1000] = 0.0
-        assert np.array_equal(_bits(entropy(p)), _bits(entr(p)))
+        assert np.array_equal(bits(entropy(p)), bits(entr(p)))
 
 
 class TestSigmoid:
@@ -115,11 +112,11 @@ class TestSigmoid:
                   elements=st.floats(allow_nan=True) | st.sampled_from(EDGES)))
     @example(np.array(EDGES))
     def test_kernel_keeps_the_bits_of_the_oracle(self, Z):
-        want = _bits(sigmoid_array(Z))
-        assert np.array_equal(_bits(kernels._sigmoid(Z)), want)
+        want = bits(sigmoid_array(Z))
+        assert np.array_equal(bits(kernels._sigmoid(Z)), want)
         in_place = Z.copy()
         kernels._sigmoid(in_place, out=in_place)
-        assert np.array_equal(_bits(in_place), want)
+        assert np.array_equal(bits(in_place), want)
 
 
 class TestLoss:

@@ -14,6 +14,8 @@ from moscl.difficulty import (
     rank_descending,
 )
 
+from oracles import bits
+
 
 def _by_id(ids, per_row):
     return dict(zip(list(ids), np.asarray(per_row).tolist()))
@@ -221,10 +223,6 @@ def _exact_middle(values):
     return v[mid] if len(v) % 2 else float((Fraction(v[mid - 1]) + Fraction(v[mid])) / 2)
 
 
-def _bits(x):
-    return np.float64(x).view(np.uint64)
-
-
 class TestMedian:
     @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=9))
     def test_is_np_median_where_that_is_finite(self, values):
@@ -232,7 +230,7 @@ class TestMedian:
             expected = np.median(values)
             got = median(np.array(values))
         if np.isfinite(expected):
-            assert _bits(got) == _bits(expected)
+            assert bits(got) == bits(expected)
 
     # scores within 6% of the largest float, of either sign
     _huge = st.floats(min_value=1.7e308, max_value=1.7976931348623157e308)
@@ -241,7 +239,7 @@ class TestMedian:
     def test_stays_finite_near_the_float_limit(self, values):
         got = median(np.array(values))
         assert np.isfinite(got)
-        assert _bits(got) == _bits(_exact_middle(values))
+        assert bits(got) == bits(_exact_middle(values))
 
     def test_nan_stays_nan(self):
         assert np.isnan(median(np.array([1.0, float("nan"), 2.0])))

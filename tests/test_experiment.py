@@ -23,19 +23,6 @@ from moscl.uncertainty import dump_scores, load_score_table, save_score_table
 from oracles import class_recalls, sign_test_p
 
 
-@pytest.fixture(scope="module")
-def small_dataset():
-    return generate(
-        GenSpec(
-            n_total=24,
-            minority_fraction=0.25,
-            label_noise_rate=0.1,
-            feature_noise_rate=0.05,
-            seed=3,
-        )
-    )
-
-
 def _cfg(tmp_path, **kw):
     defaults = dict(
         scheduler="mixed",
@@ -70,6 +57,9 @@ def test_config_rejects_warmup_not_below_total():
     (ExperimentConfig, "seed", True, "True"),
     (ExperimentConfig, "lr", "0.3", "'0.3'"),
     (ExperimentConfig, "gamma", False, "False"),
+    (ExperimentConfig, "outdir", 5, "5"),
+    (ExperimentConfig, "outdir", None, "None"),
+    (ExperimentConfig, "dataset", 3.5, "3.5"),
     (GenSpec, "n_total", 400.5, "400.5"),
     (GenSpec, "minority_fraction", "0.1", "'0.1'"),
 ])
@@ -479,11 +469,13 @@ def test_config_file_setting_a_key_twice_is_refused(tmp_path, small_dataset, cap
 POSITIVE = st.floats(0, exclude_min=True, allow_infinity=False) | st.integers(1, 10**6)
 NON_NEGATIVE = st.floats(0, allow_infinity=False) | st.integers(0, 10**6)
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6)
+# string settings take paths too, kept as their text
+PATH_TEXT = st.text() | st.text().map(Path)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.fixed_dictionaries({
-    "dataset": st.text(), "outdir": st.text(),
+    "dataset": PATH_TEXT, "outdir": PATH_TEXT,
     "scheduler": st.sampled_from(experiment.SCHEDULERS),
     "difficulty_source": st.sampled_from(experiment.DIFFICULTY_SOURCES),
     "warmup_epochs": st.integers(0, 4), "total_epochs": st.integers(5, 10**6),
@@ -497,7 +489,8 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 
 }))
 def test_write_resolved_round_trips(tmp_path_factory, fields):
     """Every config the constructor accepts reads back from its
-    config_resolved.txt as itself, whatever text its paths hold."""
+    config_resolved.txt as itself, whatever text its paths hold and whether
+    they are given as str or Path."""
     try:
         cfg = ExperimentConfig(**fields)
     except ValueError:

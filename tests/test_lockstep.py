@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from moscl import datagen, experiment, kernels, uncertainty
-from moscl.datagen import GenSpec, generate, save_dataset
+from moscl.datagen import save_dataset
 from moscl.experiment import SCHEDULERS, ExperimentConfig
 from moscl.uncertainty import load_score_table
 
@@ -185,14 +185,6 @@ def test_forward_over_run_axis_and_perturbations(a):
 
 
 # --- compare cells against solo runs ----------------------------------------
-
-
-@pytest.fixture(scope="module")
-def small_dataset():
-    return generate(
-        GenSpec(n_total=24, minority_fraction=0.25, label_noise_rate=0.1,
-                feature_noise_rate=0.05, seed=3)
-    )
 
 
 def _cfg(scheduler_name, outdir, **kw):

@@ -8,26 +8,7 @@ from moscl import conflict, kernels
 from moscl.experiment import ExperimentConfig
 from moscl.model import MlpModel
 
-from oracles import grad_wrt_latent, grad_wrt_prediction, loss, prob, sigmoid
-
-
-def fd_param_gradient(model, x, y, loss_kind="mse", h=1e-6):
-    """Finite-difference oracle over every parameter coordinate."""
-    arrays = [model.W1, model.b1, model.W2, model.b2]
-    grads = []
-    for arr in arrays:
-        flat = arr.ravel()
-        g = np.empty_like(flat)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            lp = loss(loss_kind, y, prob(model, x))
-            flat[k] = orig - h
-            lm = loss(loss_kind, y, prob(model, x))
-            flat[k] = orig
-            g[k] = (lp - lm) / (2.0 * h)
-        grads.append(g)
-    return np.concatenate(grads)
+from oracles import fd_param_gradient, grad_wrt_latent, grad_wrt_prediction, prob, sigmoid
 
 
 def _perturbed(m, x, t):

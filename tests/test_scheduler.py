@@ -14,6 +14,8 @@ from moscl.scheduler import (
     sp_weight,
 )
 
+from oracles import min_max_pair_sum
+
 
 def rows_from_d(d_values):
     """(d, ids) of samples whose ids are their rows."""
@@ -22,30 +24,6 @@ def rows_from_d(d_values):
 
 def batch_d_sums(plan, d):
     return [sum(d[i] for i in batch) for batch in plan.batches]
-
-
-def brute_force_min_max_pair_sum(d_values):
-    """All-matchings oracle: minimum over perfect matchings of the maximum
-    pair d-sum."""
-    n = len(d_values)
-    idx = list(range(n))
-
-    def matchings(rest):
-        if not rest:
-            yield []
-            return
-        a = rest[0]
-        for k in range(1, len(rest)):
-            b = rest[k]
-            remainder = rest[1:k] + rest[k + 1 :]
-            for m in matchings(remainder):
-                yield [(a, b)] + m
-
-    best = math.inf
-    for m in matchings(idx):
-        worst = max(d_values[a] + d_values[b] for a, b in m)
-        best = min(best, worst)
-    return best
 
 
 class TestRandomPlan:
@@ -104,7 +82,7 @@ class TestMixedOrderPlan:
                 d = rng.integers(0, 20, n).tolist()
                 plan = mixed_order_plan(*rows_from_d(d), 2)
                 got = max(batch_d_sums(plan, d))
-                assert got == brute_force_min_max_pair_sum(d)
+                assert got == min_max_pair_sum(d)
 
 
 class TestAntiMixedPlan:

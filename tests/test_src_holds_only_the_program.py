@@ -2,7 +2,9 @@
 assigned name there, and every method (dunders aside), is named by the
 program or by the benchmark outside its own definition.  Code and constants
 that only tests use belong in `tests/`, as the closed-form oracles in
-`oracles.py` do."""
+`oracles.py` do.  Every name a module of `src/moscl` or `tests/` imports is
+used in that module, so the package root re-exports nothing and a moved
+helper leaves no import behind."""
 
 import ast
 import sys
@@ -81,3 +83,29 @@ def test_every_definition_in_src_is_named_by_the_program_or_the_benchmark():
             if not named:
                 unused.append(f"{path.stem}.{qualname}")
     assert not unused, f"defined in src/moscl but named only by tests: {unused}"
+
+
+def _imported_names(tree):
+    """(bound name, line) of every import in the module, `__future__`
+    switches aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def test_every_import_in_src_and_tests_is_used():
+    unused = []
+    for path in sorted((ROOT / "src" / "moscl").glob("*.py")) + sorted(
+        (ROOT / "tests").glob("*.py")
+    ):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in _imported_names(tree)
+            if name not in used
+        ]
+    assert not unused, f"imported but never used: {unused}"
