@@ -120,6 +120,10 @@ def cmd_score(args) -> None:
 
 def cmd_compare(args) -> None:
     base = _settings(args)
+    out = Path(base.outdir or "compare") / "comparison.json"
+    _check_overwrites([(f"dataset {base.dataset!r}", base.dataset, "the dataset"),
+                       (f"--config {args.config!r}", args.config, "the config")],
+                      [(f"the comparison.json in {str(out.parent)!r}", out, "the comparison")])
     schedulers = args.schedulers.split(",")
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
@@ -127,7 +131,6 @@ def cmd_compare(args) -> None:
         raise ValueError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     configs = [dataclasses.replace(base, scheduler=s) for s in schedulers]
     summary = experiment.compare(configs, seeds, labels=schedulers)
-    out = Path(base.outdir or "compare") / "comparison.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as fh:
         json.dump(summary, fh, indent=1)

@@ -3,7 +3,6 @@ parameter gradients and the rank correlation between conflict and loss sum."""
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -13,6 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import uncertainty
+from .datagen import write_csv
 from .model import MlpModel
 
 MAX_EXHAUSTIVE_N = 64
@@ -50,10 +50,8 @@ class ConflictReport:
     def save_pairs_csv(self, path) -> None:
         p = self.pairs
         columns = (p["id_i"], p["id_j"], p["cosine"], 1.0 - p["cosine"], p["loss_sum"])
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id_i", "id_j", "cosine", "conflict", "loss_sum"])
-            writer.writerows(zip(*[column.tolist() for column in columns]))
+        write_csv(path, ["id_i", "id_j", "cosine", "conflict", "loss_sum"],
+                  zip(*[column.tolist() for column in columns]))
 
 
 def average_ranks(x: np.ndarray) -> np.ndarray:

@@ -155,6 +155,15 @@ def check_dataset(dataset: Dataset) -> None:
         )
 
 
+def write_csv(path, header, rows) -> None:
+    """The CSV table at ``path``, the ``header`` row then ``rows``: the one
+    writer of every CSV file the program writes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_dataset(dataset: Dataset, csv_path, sidecar_path=None) -> None:
     """CSV with header id,y,clean_label,true_quadrant,x0,x1,..., one x
     column per column of X; the spec is echoed for people to a sidecar JSON
@@ -162,18 +171,9 @@ def save_dataset(dataset: Dataset, csv_path, sidecar_path=None) -> None:
     if sidecar_path is not None and dataset.spec is None:
         raise ValueError("dataset has no GenSpec to write to a sidecar")
     xcols = [f"x{j}" for j in range(dataset.X.shape[1])]
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "y", "clean_label", "true_quadrant"] + xcols)
-        writer.writerows(
-            zip(
-                dataset.ids.tolist(),
-                dataset.labels.tolist(),
-                dataset.clean_label.tolist(),
-                dataset.tag.tolist(),
-                *dataset.X.T.tolist(),
-            )
-        )
+    columns = (dataset.ids, dataset.labels, dataset.clean_label, dataset.tag, *dataset.X.T)
+    write_csv(csv_path, ["id", "y", "clean_label", "true_quadrant"] + xcols,
+              zip(*[column.tolist() for column in columns]))
     if sidecar_path is not None:
         with open(sidecar_path, "w") as fh:
             json.dump(asdict(dataset.spec), fh, indent=1)

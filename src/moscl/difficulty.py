@@ -6,11 +6,12 @@ only break ties and label the CSV rows."""
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import Sequence
 
 import numpy as np
+
+from .datagen import write_csv
 
 
 # Rows from which `ascending_order` sorts with numpy's default argsort: below
@@ -115,9 +116,5 @@ def dump_difficulty_csv(path, ids, losses, uncertainties) -> None:
     rank_l, rank_u = rank_descending(l, ids), rank_descending(u, ids)
     columns = (ids, l, u, rank_l, rank_u, rank_l + rank_u, quadrant_classify(l, u))
     rows = np.argsort(ids, kind="stable")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["sample_id", "loss", "uncertainty", "rank_l", "rank_u", "d", "quadrant"]
-        )
-        writer.writerows(zip(*[column[rows].tolist() for column in columns]))
+    write_csv(path, ["sample_id", "loss", "uncertainty", "rank_l", "rank_u", "d", "quadrant"],
+              zip(*[column[rows].tolist() for column in columns]))

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import difficulty, scheduler, uncertainty
-from .datagen import Dataset, check_dataset, check_field_types, load_dataset
+from .datagen import Dataset, check_dataset, check_field_types, load_dataset, write_csv
 from .kernels import ACTIVATIONS, LOSSES
 from .model import PARAM_AXES, MlpModel
 from . import kernels
@@ -186,6 +186,12 @@ class _Run:
             raise ValueError(f"labels hold no row of class {int(np.argmin(self.counts))}; "
                              "training needs both classes")
         self.outdir = Path(cfg.outdir or "run")
+        for name in ("config_resolved.txt", "metrics.csv", "timings.csv", "scores.npz",
+                     "checkpoint.json"):
+            if Path(cfg.dataset).resolve() == (self.outdir / name).resolve():
+                raise ValueError(f"dataset {cfg.dataset!r} and the run's {name} in "
+                                 f"{str(self.outdir)!r} name one file, so the run would "
+                                 "overwrite the dataset; give them different paths")
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.cfg = cfg
         self.X = dataset.X
@@ -321,14 +327,8 @@ class _Run:
                 self.outdir / "scores.npz", self.ids, self.boundaries[:k],
                 self.score_losses[:k], None if self.score_us is None else self.score_us[:k],
             )
-        for name, header, rows in (
-            ("metrics.csv", METRICS_HEADER, self.metrics_rows),
-            ("timings.csv", TIMINGS_HEADER, self.timing_rows),
-        ):
-            with open(self.outdir / name, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
+        write_csv(self.outdir / "metrics.csv", METRICS_HEADER, self.metrics_rows)
+        write_csv(self.outdir / "timings.csv", TIMINGS_HEADER, self.timing_rows)
 
 
 def _score_uncertainties(group: List[_Run], epoch: int) -> None:
@@ -559,9 +559,5 @@ def export_scatter(scores_path, out_csv, mode: str = "value", epoch: Optional[in
     ids, losses, us = table["ids"][order], table["loss"][k, order], table["uncertainty"][k, order]
     if mode == "index":
         losses, us = difficulty.rank_descending(losses, ids), difficulty.rank_descending(us, ids)
-    rows = zip(losses.tolist(), us.tolist())
     Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
-    with open(out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["loss", "uncertainty"])
-        writer.writerows(rows)
+    write_csv(out_csv, ["loss", "uncertainty"], zip(losses.tolist(), us.tolist()))

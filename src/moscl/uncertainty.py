@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Tuple
 
 import numpy as np
 
@@ -76,7 +75,8 @@ BLOCK_VALUES = 14 << 10
 
 
 def _stream_keys(seed: int, sample_ids, epoch: int) -> np.ndarray:
-    """Per-sample stream key mix(mix(mix(seed) ^ id) ^ epoch), as uint64."""
+    """Per-sample stream key mix(mix(mix(seed) ^ id) ^ epoch), as uint64: the
+    state of a counter-based stream (Salmon et al., SC'11) that `_draw` reads."""
     ids = np.asarray(sample_ids, dtype=np.int64).astype(np.uint64)
     key = np.full(len(ids), _as_u64(seed))
     scratch = np.empty(len(ids), dtype=np.uint64)
@@ -89,7 +89,9 @@ def _stream_keys(seed: int, sample_ids, epoch: int) -> np.ndarray:
 
 
 def _draw(keys: np.ndarray, m: int, gamma: float) -> np.ndarray:
-    """The first m disturbances of each stream key, shaped (len(keys), m)."""
+    """The first m disturbances of each stream key, uniform on [-gamma, gamma)
+    and shaped (len(keys), m): value j is the SplitMix64 finalizer of key +
+    (j + 1) * golden-ratio increment, whose top 53 bits become the uniform."""
     counter = np.arange(1, m + 1, dtype=np.uint64)
     counter *= _GOLDEN
     z = np.add(keys[:, None], counter[None, :])
@@ -101,23 +103,6 @@ def _draw(keys: np.ndarray, m: int, gamma: float) -> np.ndarray:
     np.multiply(z, 2.0 * gamma / 2.0**53, out=out)
     out -= gamma
     return out
-
-
-def perturbations(
-    seed: int, sample_ids, epoch: int, shape: Tuple[int, ...], gamma: float
-) -> np.ndarray:
-    """Disturbances uniform on [-gamma, gamma), shaped (N, *shape): one
-    block per sample id, and each value a pure function of (seed,
-    sample_id, epoch, flat index in ``shape``).
-
-    A counter-based stream (Salmon et al., SC'11): (seed, id, epoch) is
-    hashed into a SplitMix64 state, and value j of the block is the
-    finalizer of state + (j + 1) * golden-ratio increment.  The top 53 bits
-    become the uniform.  So a block depends only on its own id, equal ids
-    get equal blocks, and every epoch draws anew.
-    """
-    keys = _stream_keys(seed, sample_ids, epoch)
-    return _draw(keys, math.prod(shape), gamma).reshape((len(keys), *shape))
 
 
 def batch_score_uncertainty(
@@ -132,8 +117,8 @@ def batch_score_uncertainty(
     """Uncertainty of each row of X, row k scored as sample ``sample_ids[k]``
     under G disturbances uniform on [-gamma, gamma).  Each sample's
     disturbances are a pure function of (seed, sample_id, epoch) (see
-    `perturbations`), so scoring is order-independent and the perturbations
-    are resampled at every scoring epoch.
+    `_stream_keys` and `_draw`), so scoring is order-independent and the
+    perturbations are resampled at every scoring epoch.
 
     ``model`` is an `MlpModel`, scored as (N,), or a list of S models of one
     hidden size and activation, scored as (S, N): runs that share (seed, G,

@@ -311,6 +311,20 @@ OVERWRITES = {
          "--out", "r.json", "--pairs-csv", "r.npy"],
         "--pairs-csv 'r.npy' and the .npy beside --out 'r.json' name one file, so the "
         "pairs CSV would overwrite the pairs table; give them different paths"),
+    "train-dataset-is-metrics": (
+        ["train", "--dataset", "sub/metrics.csv", "--outdir", "sub", "--total-epochs", "2",
+         "--warmup-epochs", "1", "--scheduler", "random"],
+        "dataset 'sub/metrics.csv' and the run's metrics.csv in 'sub' name one file, so "
+        "the run would overwrite the dataset; give them different paths"),
+    "compare-dataset-is-comparison": (
+        ["compare", "--dataset", "sub/comparison.json", "--outdir", "sub", "--total-epochs",
+         "2", "--warmup-epochs", "1", "--seeds", "0"],
+        "the comparison.json in 'sub' and dataset 'sub/comparison.json' name one file, so "
+        "the comparison would overwrite the dataset; give them different paths"),
+    "compare-config-is-comparison": (
+        ["compare", "--config", "cfg/comparison.json", "--seeds", "0"],
+        "the comparison.json in 'cfg' and --config 'cfg/comparison.json' name one file, so "
+        "the comparison would overwrite the config; give them different paths"),
 }
 
 
@@ -318,10 +332,16 @@ OVERWRITES = {
 def test_an_output_that_would_overwrite_an_input_or_output_is_rejected(
     tmp_path, monkeypatch, capsys, case
 ):
-    """Exit 1 with an error naming both flags, before any input is read and
-    with every file left as it was."""
+    """Exit 1 with an error naming both paths, with every file left as it
+    was.  No input is read, but for the dataset `train` reads before it
+    makes its run dir."""
     (tmp_path / "sub").mkdir()
-    save_dataset(generate(GenSpec(n_total=30, minority_fraction=0.25, seed=3)), "data.csv")
+    (tmp_path / "cfg").mkdir()
+    dataset = generate(GenSpec(n_total=30, minority_fraction=0.25, seed=3))
+    for path in ("data.csv", "sub/metrics.csv", "sub/comparison.json"):
+        save_dataset(dataset, path)
+    (tmp_path / "cfg" / "comparison.json").write_text(
+        "dataset=data.csv\noutdir=cfg\ntotal_epochs=2\nwarmup_epochs=1\n")
     MlpModel(2, 8, seed=0).save("ckpt.json")
     assert cli.main(["score", "--dataset", "data.csv", "--checkpoint", "ckpt.json",
                      "--out", "scores.json"]) == 0
@@ -338,6 +358,19 @@ def test_an_output_that_would_overwrite_an_input_or_output_is_rejected(
     assert cli.main(argv) == 1
     assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+def test_a_rerun_from_the_runs_own_resolved_config_is_allowed(tmp_path):
+    """The config is read before the run writes over it, so a rerun into the
+    same dir succeeds and writes the same bytes."""
+    save_dataset(generate(GenSpec(n_total=30, minority_fraction=0.25, seed=3)), "data.csv")
+    argv = ["train", "--dataset", "data.csv", "--outdir", "run", "--total-epochs", "3",
+            "--warmup-epochs", "1"]
+    assert cli.main(argv) == 0
+    run = tmp_path / "run"
+    first = {p.name: p.read_bytes() for p in run.iterdir() if p.name != "timings.csv"}
+    assert cli.main(["train", "--config", "run/config_resolved.txt"]) == 0
+    assert {name: (run / name).read_bytes() for name in first} == first
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],

@@ -363,6 +363,31 @@ def test_compare_records_a_negative_seed_as_its_cells_error(tmp_path, small_data
     ]
 
 
+@pytest.mark.parametrize("name", ["config_resolved.txt", "metrics.csv", "timings.csv",
+                                  "scores.npz", "checkpoint.json"])
+def test_compare_records_a_dataset_its_cell_would_overwrite_as_that_cells_error(
+    tmp_path, small_dataset, name
+):
+    """The cell whose run dir holds the dataset under a name the run writes
+    or deletes fails before it writes, and the dataset keeps its bytes; the
+    other cells read the dataset and finish."""
+    path = tmp_path / "cmp" / "random_seed0" / name
+    path.parent.mkdir(parents=True)
+    save_dataset(small_dataset, path)
+    before = path.read_bytes()
+    base = _cfg(tmp_path, name="cmp", scheduler="random", dataset=str(path), total_epochs=3)
+    summary = experiment.compare([base, replace(base, scheduler="mixed")], [0, 1])
+    assert summary["configs"]["random"]["errors"] == {"0": (
+        f"ValueError: dataset {str(path)!r} and the run's {name} in "
+        f"{str(path.parent)!r} name one file, so the run would overwrite the dataset; "
+        "give them different paths"
+    )}
+    assert summary["configs"]["random"]["failed_seeds"] == [0]
+    assert summary["configs"]["mixed"]["failed_seeds"] == []
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [name]
+
+
 def _strict_json(text):
     """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity token."""
     def reject(token):

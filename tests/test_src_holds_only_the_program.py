@@ -15,10 +15,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import tracing  # noqa: E402
 
 # Reached by name from outside the code: the layer boundaries the benchmark
-# traces, and the perturbation stream the README gives as its reference.
-ALLOWED = {(module, attr) for module, attr, _ in tracing.TARGETS} | {
-    ("uncertainty", "perturbations")
-}
+# traces.
+ALLOWED = {(module, attr) for module, attr, _ in tracing.TARGETS}
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 

@@ -15,11 +15,19 @@ from moscl.uncertainty import (
     entropy,
     load_score_table,
     load_scores,
-    perturbations,
     save_score_table,
+    _draw,
+    _stream_keys,
 )
 
 from oracles import loss, loss_based_uncertainty, prob, sigmoid
+
+
+def perturbations(seed, sample_ids, epoch, shape, gamma):
+    """The disturbances of each sample id, shaped (N, *shape), drawn as
+    `batch_score_uncertainty` draws them."""
+    keys = _stream_keys(seed, sample_ids, epoch)
+    return _draw(keys, math.prod(shape), gamma).reshape((len(keys), *shape))
 
 
 def _score_one(m, x, G, gamma, seed):
